@@ -28,7 +28,6 @@ from .analysis import (
 from .bloch import (
     EXCITED,
     GROUND,
-    InPlaneAxis,
     excitation_probability,
     precess,
     rotate_inplane,

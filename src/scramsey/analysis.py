@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import TWO_PI, excitation_probability, rotate_inplane, precess, validate_state
+from .bloch import GROUND, TWO_PI, _excitation_probability, _freeze, _precess, _rotate_inplane, validate_state
 from .sequence import (
     FrameSet,
     Pulse,
@@ -38,6 +38,9 @@ DEFAULT_PHI_SAMPLES = 256
 DEFAULT_PERIODS = 2.0
 
 P_TOL = 1e-12
+
+#: Most final states one engine evaluation of a grid holds; bounds peak memory.
+_BLOCK_STATES = 2**14
 
 
 def default_intervals(delta_w: float, periods: float = DEFAULT_PERIODS, count: int = DEFAULT_INTERVAL_POINTS) -> np.ndarray:
@@ -76,10 +79,27 @@ def _as_area(area: float) -> float:
     return area
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
+    """``frames`` (None: reference frames) with the phi grid as a column, one row per phase."""
+    return replace(frames if frames is not None else default_frames(), phi_s=phis[:, None])
+
+
+def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p) -> np.ndarray:
+    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states."""
+    step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
+    for i in range(0, out.shape[-1], step):
+        out[..., i : i + step] = reduce(_excitation_probability(simulate(build(slice(i, i + step)), frames, state)))
+    return out
+
+
+def _readout_ranges(recorded, frames: FrameSet, areas: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """P_e spread over the phi rows of ``frames`` after a t = 0 scramble of ``recorded``, a wait and a pi/2 read.
+
+    Shape (areas, intervals); the pairs form one axis, so blocks cut across areas too.
+    """
+    pair_areas, pair_intervals = np.repeat(areas, intervals.size), np.tile(intervals, areas.size)
+    build = lambda b: Timeline((Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), Pulse.wri(np.pi / 2)))
+    return _scan(np.empty(pair_intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0)).reshape(areas.size, -1)
 
 
 @dataclass(frozen=True)
@@ -194,11 +214,7 @@ class ScrambleAreaResult:
 def normal_flop(delta_w: float, intervals) -> FlopCurve:
     """Unscrambled write/read fringe, P_e(T) = (1 + cos(delta_w T)) / 2."""
     t = _as_intervals(intervals)
-    frames = FrameSet(delta_w, delta_w, 0.0)
-    p = np.empty(t.size)
-    for j, interval in enumerate(t):
-        p[j] = excitation_probability(simulate(ramsey(interval), frames))
-    return FlopCurve(t, p)
+    return FlopCurve(t, _scan(np.empty(t.size), lambda b: ramsey(t[b]), FrameSet(delta_w, delta_w, 0.0)))
 
 
 def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES) -> SDBV:
@@ -209,7 +225,7 @@ def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES)
     """
     rec = validate_state(recorded)
     phis = phi_grid(phi_samples)
-    points = rotate_inplane(rec, phis, _as_area(scramble_area))
+    points = _rotate_inplane(rec, phis, _as_area(scramble_area))
     return SDBV(rec, scramble_area, phis, points)
 
 
@@ -224,8 +240,7 @@ def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_sa
     if not np.isfinite(wait_phase):
         raise ValueError("wait_phase must be finite")
     cloud = sdbv(recorded, scramble_area, phi_samples).points
-    read = rotate_inplane(precess(cloud, wait_phase), 0.0, np.pi / 2)
-    return read[:, [0, 2]]
+    return _rotate_inplane(_precess(cloud, wait_phase), 0.0, np.pi / 2)[:, [0, 2]]
 
 
 def scrambled_flop(
@@ -241,12 +256,8 @@ def scrambled_flop(
     """
     t = _as_intervals(intervals)
     phis = phi_grid(phi_samples)
-    fr = replace(frames if frames is not None else default_frames(), phi_s=phis)
     area = _as_area(scramble_area)
-    p = np.empty((phis.size, t.size))
-    for j, interval in enumerate(t):
-        final = simulate(scrambled_ramsey(area, t1, interval), fr)
-        p[:, j] = excitation_probability(final)
+    p = _scan(np.empty((phis.size, t.size)), lambda b: scrambled_ramsey(area, t1, t[b]), _phi_rows(frames, phis))
     return FlopFamily(t, phis, p)
 
 
@@ -266,12 +277,8 @@ def retrieved_flop(
     """
     t = _as_intervals(intervals)
     phis = phi_grid(phi_samples)
-    fr = replace(frames if frames is not None else default_frames(), phi_s=phis)
     area = _as_area(scramble_area)
-    p = np.empty((phis.size, t.size))
-    for j, interval in enumerate(t):
-        final = simulate(retrieved_ramsey(area, t1, t2, interval), fr)
-        p[:, j] = excitation_probability(final)
+    p = _scan(np.empty((phis.size, t.size)), lambda b: retrieved_ramsey(area, t1, t2, t[b]), _phi_rows(frames, phis))
     return FlopFamily(t, phis, p)
 
 
@@ -289,16 +296,9 @@ def ambiguity_report(
     a grid and the extrema are taken over that grid, so the result does
     not depend on evaluation order.
     """
-    rec = validate_state(recorded)
     t = _as_intervals(intervals)
-    phis = phi_grid(phi_samples)
-    fr = replace(frames if frames is not None else default_frames(), phi_s=phis)
     area = _as_area(scramble_area)
-    ranges = np.empty(t.size)
-    for j, interval in enumerate(t):
-        tl = Timeline((Pulse.sri(area), Wait(interval), Pulse.wri(np.pi / 2)))
-        p = excitation_probability(simulate(tl, fr, rec))
-        ranges[j] = np.ptp(p)
+    ranges = _readout_ranges(recorded, _phi_rows(frames, phi_grid(phi_samples)), np.array([area]), t)[0]
     return AmbiguityReport(area, t, ranges, float(ranges.min()))
 
 
@@ -346,11 +346,14 @@ def optimize_scramble_area(
     if int(coarse_points) != coarse_points or coarse_points < 3:
         raise ValueError(f"coarse_points must be an integer >= 3, got {coarse_points!r}")
 
+    t = _as_intervals(intervals)
+    fr = _phi_rows(frames, phi_grid(phi_samples))
+
     def objective(theta: float) -> float:
-        return ambiguity_report(recorded, theta, intervals, phi_samples, frames).ambiguity
+        return float(_readout_ranges(recorded, fr, np.array([theta]), t).min())
 
     thetas = np.linspace(0.0, TWO_PI, int(coarse_points))
-    values = np.array([objective(th) for th in thetas])
+    values = _readout_ranges(recorded, fr, thetas, t).min(axis=1)
     best = values.max()
     idx = int(np.argmax(values >= best - 1e-12))  # first tie wins: smaller theta
 
@@ -360,14 +363,10 @@ def optimize_scramble_area(
 
     mask = values >= a_star - plateau_tol
     if mask[idx]:
-        left = idx
-        while left > 0 and mask[left - 1]:
-            left -= 1
-        right = idx
-        while right < thetas.size - 1 and mask[right + 1]:
-            right += 1
-        plateau = (float(thetas[left]), float(thetas[right]))
-        plateau = (min(plateau[0], theta_star), max(plateau[1], theta_star))
+        gaps = np.flatnonzero(~mask)  # the plateau is the run of True around idx
+        left = gaps[gaps < idx].max(initial=-1) + 1
+        right = gaps[gaps > idx].min(initial=thetas.size) - 1
+        plateau = (min(float(thetas[left]), theta_star), max(float(thetas[right]), theta_star))
     else:
         plateau = (theta_star, theta_star)
     return ScrambleAreaResult(theta_star=theta_star, ambiguity=a_star, plateau=plateau)

@@ -15,11 +15,13 @@ of diameter 0.5 in that convention has radius 0.5 on this unit sphere.
 Every operation broadcasts over leading axes, so a stack of states with
 shape (n, 3), or a single state paired with an (n,) stack of axis
 azimuths, is processed in one call.
+
+The public functions check their inputs, then call unchecked private
+cores (``_rotate_inplane``, ...).  The timeline engine checks its inputs
+once and calls the cores directly, on whole blocks of a grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +35,15 @@ Z_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
 
-GROUND = np.array([0.0, 0.0, 1.0])
-EXCITED = np.array([0.0, 0.0, -1.0])
-GROUND.setflags(write=False)
-EXCITED.setflags(write=False)
+
+def _freeze(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+GROUND = _freeze([0.0, 0.0, 1.0])
+EXCITED = _freeze([0.0, 0.0, -1.0])
 
 
 def wrap_angle(angle):
@@ -114,12 +121,13 @@ def rotate_inplane(state, axis_azimuth, angle):
     ValueError
         On non-finite input or a state of the wrong shape.
     """
-    v = _as_state(state)
-    a = _as_angle(axis_azimuth, "axis_azimuth")
-    th = _as_angle(angle, "angle")
-    ax, ay = np.cos(a), np.sin(a)
+    return _rotate_inplane(_as_state(state), _as_angle(axis_azimuth, "axis_azimuth"), _as_angle(angle, "angle"))
+
+
+def _rotate_inplane(v, axis_azimuth, angle):
+    ax, ay = np.cos(axis_azimuth), np.sin(axis_azimuth)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    ct, st = np.cos(th), np.sin(th)
+    ct, st = np.cos(angle), np.sin(angle)
     along = ax * x + ay * y
     rise = 1.0 - ct
     rx = x * ct + ay * z * st + ax * along * rise
@@ -144,9 +152,11 @@ def precess(state, phase):
     -------
     ndarray of the broadcast shape, trailing axis 3.
     """
-    v = _as_state(state)
-    b = _as_angle(phase, "phase")
-    cb, sb = np.cos(b), np.sin(b)
+    return _precess(_as_state(state), _as_angle(phase, "phase"))
+
+
+def _precess(v, phase):
+    cb, sb = np.cos(phase), np.sin(phase)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     rx = x * cb - y * sb
     ry = x * sb + y * cb
@@ -166,23 +176,9 @@ def excitation_probability(state):
     z = v[..., 2]
     if np.any(np.abs(z) > 1.0 + Z_TOL):
         raise InvalidStateError(f"z component {float(np.max(np.abs(z)))!r} outside [-1, 1]")
-    p = np.clip((1.0 - z) / 2.0, 0.0, 1.0)
+    p = _excitation_probability(v)
     return float(p) if np.ndim(p) == 0 else p
 
 
-@dataclass(frozen=True)
-class InPlaneAxis:
-    """Equatorial rotation axis, stored as an azimuth reduced to [0, 2*pi)."""
-
-    azimuth: float
-
-    def __post_init__(self):
-        a = float(self.azimuth)
-        if not np.isfinite(a):
-            raise ValueError("azimuth must be finite")
-        object.__setattr__(self, "azimuth", wrap_angle(a))
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Unit vector (cos azimuth, sin azimuth, 0)."""
-        return np.array([np.cos(self.azimuth), np.sin(self.azimuth), 0.0])
+def _excitation_probability(v):
+    return np.clip((1.0 - v[..., 2]) / 2.0, 0.0, 1.0)

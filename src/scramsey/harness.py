@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,9 +32,9 @@ import jsonschema
 import numpy as np
 
 from . import analysis, expsim, protocol
-from .bloch import EXCITED, GROUND, TWO_PI, excitation_probability, validate_state
+from .bloch import EXCITED, GROUND, TWO_PI, _freeze, validate_state
 from .errors import ScenarioError
-from .sequence import FrameSet, ramsey, retrieved_ramsey, scrambled_ramsey, simulate
+from .sequence import FrameSet, ramsey, retrieved_ramsey, scrambled_ramsey
 
 SCENARIO_VERSION = 1
 
@@ -49,9 +48,8 @@ FLOP_COLUMNS = ("T_seconds", "T_normalized", "phi_S", "P_e")
 RECORD_STATES = {
     "ground": GROUND,
     "excited": EXCITED,
-    "superposition": np.array([0.0, -1.0, 0.0]),
+    "superposition": _freeze([0.0, -1.0, 0.0]),
 }
-RECORD_STATES["superposition"].flags.writeable = False
 
 _TOP_KEYS = {
     "normal": {"frames", "intervals", "seed", "trials", "noise"},
@@ -148,8 +146,12 @@ def load_scenario(path) -> dict:
         text = path.read_text("utf-8")
     except OSError as err:
         raise ScenarioError(str(path), f"cannot read scenario file ({err})") from None
+
+    def reject_constant(token: str):
+        raise ScenarioError(str(path), f"{token} is not valid JSON; every number must be finite")
+
     try:
-        scenario = json.loads(text)
+        scenario = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as err:
         raise ScenarioError(str(path), f"not valid JSON ({err})") from None
     validate_scenario(scenario)
@@ -215,10 +217,6 @@ def _store_time(scenario, frames: FrameSet) -> float:
     if "t2_s" in timing:
         return float(timing["t2_s"])
     return protocol.retrieve_delay(frames.delta_s, timing.get("store_halfturns_m", 0))
-
-
-def _mod_gap(phase: float, target: float) -> float:
-    return abs((phase - target + np.pi) % TWO_PI - np.pi)
 
 
 # --------------------------------------------------------------- writing
@@ -401,7 +399,7 @@ def _run_retrieved(scenario, out: Path, report: dict, fmt: str) -> list:
     t1 = scenario.get("timing", {}).get("t1_s", 5e-3)
     t2 = _store_time(scenario, frames)
     store_phase = frames.delta_s * t2
-    if _mod_gap(store_phase, np.pi) > protocol.TIMING_RTOL * max(1.0, store_phase):
+    if protocol._phase_gap(store_phase, np.pi) > protocol._phase_tol(store_phase):
         report["warnings"].append(
             f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
         )
@@ -533,12 +531,10 @@ def _run_secure_choice(scenario, out: Path, report: dict, fmt: str) -> list:
         scramble_area=_scramble_area(scenario),
         read_area=_read_area(scenario),
     )
-    protocol.validate_secure_config(config)
     choice = scenario["choice"]
     samples = _phi_samples(scenario)
     grid = analysis.phi_grid(samples)
-    sweep = replace(frames, phi_s=grid)
-    p = excitation_probability(simulate(protocol.secure_choice_timeline(choice, config), sweep))
+    p = protocol.run_secure_choice(choice, grid, config)
     name = _write_table(out, "readout", ["phi_S", "P_e"], zip(grid, p), fmt)
     decoded = protocol.decode_choice(float(np.mean(p)))
     total = t1 + t2 + t3

@@ -199,11 +199,11 @@ def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> floa
     """Excitation probability read out for ``choice`` at shot phase phi_s.
 
     With a valid config this is 1.0 for yes and 0.0 for no, independent
-    of phi_s.
+    of phi_s.  An array of phases gives an array of readouts.
     """
     validate_secure_config(config)
     frames = replace(config.frames, phi_s=phi_s)
-    return float(excitation_probability(simulate(secure_choice_timeline(choice, config), frames)))
+    return excitation_probability(simulate(secure_choice_timeline(choice, config), frames))
 
 
 def decode_choice(p_e: float, threshold: float = 0.5) -> str:
@@ -239,16 +239,7 @@ def secrecy_check(config: ProtocolConfig, phi_samples: int = 256) -> float:
     if int(phi_samples) != phi_samples or phi_samples < 16:
         raise ValueError(f"phi_samples must be an integer >= 16, got {phi_samples!r}")
     frames = replace(config.frames, phi_s=phi_grid(phi_samples))
-
-    def stage_readout(choice: str) -> np.ndarray:
-        timeline = Timeline(
-            (
-                Pulse.wri(encode_choice(choice)),
-                Wait(config.t1),
-                Pulse.sri(config.scramble_area),
-                Pulse.wri(config.read_area),
-            )
-        )
-        return np.sort(excitation_probability(simulate(timeline, frames)))
-
-    return float(np.abs(stage_readout(Choice.YES) - stage_readout(Choice.NO)).max())
+    writes = np.array([[encode_choice(Choice.YES)], [encode_choice(Choice.NO)]])  # one row per choice
+    timeline = Timeline((Pulse.wri(writes), Wait(config.t1), Pulse.sri(config.scramble_area), Pulse.wri(config.read_area)))
+    yes, no = np.sort(excitation_probability(simulate(timeline, frames)), axis=-1)
+    return float(np.abs(yes - no).max())

@@ -18,17 +18,25 @@ the same ``phi_s`` and only the deterministic drift
 Pulses are instantaneous: time advances through ``Wait`` events only.
 The physical pulse lengths (``WRI_PULSE_SECONDS``, ``SRI_PULSE_SECONDS``)
 are carried as metadata for reporting and never enter the dynamics.
+
+Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
+together: ``phi_s`` of shape (P, 1) against waits of shape (B,) gives a
+(P, B) grid from one ``simulate`` call; :mod:`scramsey.analysis` feeds
+it blocks of about 2**14 states.  Inputs are checked once: events and
+frames when built, the start state in ``simulate``.  The walk over the
+events then calls the unchecked kernel cores of :mod:`scramsey.bloch`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
 
-from .bloch import GROUND, precess, rotate_inplane, validate_state, wrap_angle
+from .bloch import GROUND, _as_state, _freeze, _precess, _rotate_inplane, validate_state, wrap_angle
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -48,9 +56,18 @@ class Frame(Enum):
     S = "S"  # scramble/retrieve
 
 
+def _event_value(value, lowest: float):
+    """``value`` as a float (an array as a read-only float copy), and whether it is all finite and >= ``lowest``."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        v = _freeze(np.array(value, dtype=float))
+        return v, bool(np.isfinite(v).all() and (v >= lowest).all())
+    v = float(value)
+    return v, math.isfinite(v) and v >= lowest
+
+
 @dataclass(frozen=True)
 class Pulse:
-    """Instantaneous rotation by ``area`` radians, driven by ``frame``."""
+    """Instantaneous rotation by ``area`` radians (float or array), driven by ``frame``."""
 
     frame: Frame
     area: float
@@ -58,8 +75,8 @@ class Pulse:
     def __post_init__(self):
         if not isinstance(self.frame, Frame):
             raise InvalidTimelineError(f"frame must be a Frame member, got {self.frame!r}")
-        area = float(self.area)
-        if not np.isfinite(area):
+        area, ok = _event_value(self.area, -math.inf)
+        if not ok:
             raise InvalidTimelineError("pulse area must be finite")
         object.__setattr__(self, "area", area)
 
@@ -74,13 +91,13 @@ class Pulse:
 
 @dataclass(frozen=True)
 class Wait:
-    """Free evolution for ``duration`` seconds."""
+    """Free evolution for ``duration`` seconds (float or array)."""
 
     duration: float
 
     def __post_init__(self):
-        d = float(self.duration)
-        if not np.isfinite(d) or d < 0.0:
+        d, ok = _event_value(self.duration, 0.0)
+        if not ok:
             raise InvalidTimelineError(f"wait duration must be finite and >= 0, got {self.duration!r}")
         object.__setattr__(self, "duration", d)
 
@@ -117,7 +134,7 @@ class Timeline:
         t, out = 0.0, []
         for e in self.events:
             if isinstance(e, Wait):
-                t += e.duration
+                t = t + e.duration
             else:
                 out.append(t)
         return tuple(out)
@@ -151,6 +168,10 @@ def default_frames(phi_s: float = 0.0) -> FrameSet:
     return FrameSet(DELTA_W_REF, DELTA_S_REF, phi_s)
 
 
+def _sri_axis(t, frames: FrameSet):
+    return wrap_angle((frames.delta_w - frames.delta_s) * t + frames.phi_s)
+
+
 def sri_axis_angle(t: float, frames: FrameSet):
     """Rotation-axis azimuth of an S pulse fired at absolute time ``t``.
 
@@ -159,18 +180,29 @@ def sri_axis_angle(t: float, frames: FrameSet):
     t = float(t)
     if not np.isfinite(t) or t < 0.0:
         raise ValueError(f"pulse time must be finite and >= 0, got {t!r}")
-    return wrap_angle((frames.delta_w - frames.delta_s) * t + frames.phi_s)
+    return _sri_axis(t, frames)
+
+
+def _apply(v, event, time, frames: FrameSet, sri_axis=_sri_axis):
+    """Unchecked core of :func:`apply_event`; ``sri_axis`` maps a fire time to an S-pulse azimuth."""
+    if isinstance(event, Wait):
+        return _precess(v, frames.delta_w * event.duration)
+    if isinstance(event, Pulse):
+        return _rotate_inplane(v, 0.0 if event.frame is Frame.W else sri_axis(time, frames), event.area)
+    raise InvalidTimelineError(f"unknown event {event!r}")
 
 
 def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):
     """Apply one event to ``state`` at absolute time ``time``."""
-    if isinstance(event, Wait):
-        return precess(state, frames.delta_w * event.duration)
-    if isinstance(event, Pulse):
-        if event.frame is Frame.W:
-            return rotate_inplane(state, 0.0, event.area)
-        return rotate_inplane(state, sri_axis_angle(time, frames), event.area)
-    raise InvalidTimelineError(f"unknown event {event!r}")
+    return _apply(_as_state(state), event, time, frames, sri_axis_angle)
+
+
+def _walk(timeline: Timeline, frames: FrameSet, v):
+    """Yield the state after each event, starting from the checked state ``v``."""
+    fire_times = iter(timeline.pulse_times())
+    for event in timeline:
+        v = _apply(v, event, next(fire_times) if isinstance(event, Pulse) else None, frames)
+        yield v
 
 
 def trajectory(timeline: Timeline, frames: FrameSet, state=GROUND) -> list:
@@ -179,19 +211,17 @@ def trajectory(timeline: Timeline, frames: FrameSet, state=GROUND) -> list:
     Element 0 is the initial state; element i is the state after event i.
     """
     v = validate_state(state)
-    out = [v]
-    t = 0.0
-    for event in timeline:
-        v = apply_event(v, event, t, frames)
-        if isinstance(event, Wait):
-            t += event.duration
-        out.append(v)
-    return out
+    return [v, *_walk(timeline, frames, v)]
 
 
 def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):
     """Final state of a timeline; equals ``trajectory(...)[-1]`` exactly."""
-    return trajectory(timeline, frames, state)[-1]
+    v = validate_state(state)
+    for v in _walk(timeline, frames, v):
+        pass
+    if not np.all(np.isfinite(v)):
+        raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
+    return v
 
 
 def ramsey(interval: float) -> Timeline:

@@ -7,7 +7,6 @@ from scipy.spatial.transform import Rotation
 from scramsey.bloch import (
     EXCITED,
     GROUND,
-    InPlaneAxis,
     excitation_probability,
     precess,
     rotate_inplane,
@@ -111,14 +110,6 @@ def test_wrap_angle():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert 0.0 <= wrap_angle(-1e-20) < 2 * np.pi
     assert np.all(wrap_angle(np.array([-1e-20, 7.0])) < 2 * np.pi)
-
-
-def test_inplane_axis_reduces_and_exposes_vector():
-    ax = InPlaneAxis(2 * np.pi + 0.5)
-    assert ax.azimuth == pytest.approx(0.5)
-    assert np.allclose(ax.vector, [np.cos(0.5), np.sin(0.5), 0.0])
-    with pytest.raises(ValueError):
-        InPlaneAxis(np.inf)
 
 
 # ------------------------------------------------------------ oracle checks

@@ -391,6 +391,34 @@ def test_cli_rejects_bad_json(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ('{"version": 1, "mode": "normal", "frames": {"delta_w_hz": NaN}}', "NaN"),
+        ('{"version": 1, "mode": "retrieved", "timing": {"t1_s": Infinity}}', "Infinity"),
+        ('{"version": 1, "mode": "normal", "intervals": {"start_s": -Infinity, "stop_s": 0.02}}', "-Infinity"),
+    ],
+)
+def test_cli_non_finite_json_numbers_are_exit_2(tmp_path, capsys, text, token):
+    # Python's json accepts these tokens, RFC 8259 does not; they must not
+    # reach the engine as a traceback or a simulation error
+    path = tmp_path / "non_finite.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["flop", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error") and f"{token} is not valid JSON" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_time_is_a_simulation_error(tmp_path, capsys):
+    path = tmp_path / "huge_hold.json"
+    path.write_text(json.dumps(_scenario(mode="scrambled", timing={"t1_s": 1e308})), encoding="utf-8")
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert main(["flop", "--config", str(path), "-o", str(tmp_path / "out")]) == 3
+    assert "overflowed" in capsys.readouterr().err
+
+
 def test_cli_empty_interval_grid_is_exit_2(tmp_path, capsys):
     scenario = _scenario(intervals={"start_s": 0.0, "stop_s": 0.02, "count": 0})
     path = tmp_path / "empty_grid.json"
