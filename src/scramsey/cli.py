@@ -5,7 +5,8 @@
 Each subcommand accepts scenarios of matching mode: ``flop`` runs
 normal, scrambled and retrieved fringe scans; the others map one to
 one.  Exit codes: 0 success (including runs with warnings), 2 scenario
-problems, 3 simulation or protocol errors, 4 fit did not converge.
+problems (including an output directory that cannot be created or
+written), 3 simulation or protocol errors, 4 fit did not converge.
 """
 
 from __future__ import annotations

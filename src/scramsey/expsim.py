@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .analysis import _as_intervals, _freeze
 from .bloch import excitation_probability, precess
@@ -277,6 +276,10 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
     Non-convergence is reported through ``converged``, never raised.
     Constant data short-circuits to a zero-amplitude degenerate result.
     """
+    # imported here, not at module level: scipy.optimize takes longer to
+    # load than most scenario runs take, and only a fit needs it
+    from scipy.optimize import least_squares
+
     x, y = _validate_xy(x, y)
     scale = max(1.0, float(np.abs(y).max()))
     if np.ptp(y) <= 1e-12 * scale:

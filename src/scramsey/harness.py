@@ -77,6 +77,7 @@ _PULSE_KEYS = {
 }
 
 _schema_cache = None
+_validator_cache = None
 
 
 def scenario_schema() -> dict:
@@ -88,6 +89,15 @@ def scenario_schema() -> dict:
     return _schema_cache
 
 
+def _validator() -> jsonschema.Draft202012Validator:
+    """A validator for :func:`scenario_schema`; the schema itself is checked once, on first use."""
+    global _validator_cache
+    if _validator_cache is None:
+        jsonschema.Draft202012Validator.check_schema(scenario_schema())
+        _validator_cache = jsonschema.Draft202012Validator(scenario_schema())
+    return _validator_cache
+
+
 def validate_scenario(scenario) -> None:
     """Structural (JSON schema) then semantic validation.
 
@@ -95,11 +105,10 @@ def validate_scenario(scenario) -> None:
     """
     if not isinstance(scenario, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
-    try:
-        jsonschema.validate(scenario, scenario_schema())
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(scenario))
+    if err is not None:
         field = ".".join(str(part) for part in err.absolute_path) or "<root>"
-        raise ScenarioError(field, err.message) from None
+        raise ScenarioError(field, err.message)
 
     mode = scenario["mode"]
     allowed = _TOP_KEYS[mode] | {"version", "mode"}
@@ -222,12 +231,6 @@ def _store_time(scenario, frames: FrameSet) -> float:
 # --------------------------------------------------------------- writing
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
@@ -235,13 +238,22 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _cells(rows, nulls: bool) -> list:
+    """Each column of ``rows`` (a 2-D array or a sequence of rows) as text, formatted a column at a time:
+    integers by ``str(int)``, floats by shortest round-trip ``repr``, non-finite ones as ``null`` if ``nulls``."""
+    out = []
+    for column in rows.T if isinstance(rows, np.ndarray) else map(np.asarray, zip(*rows)):
+        ints = column.dtype.kind in "biu"
+        out.append(list(map(str, map(int, column.tolist())) if ints else map(repr, column.astype(float).tolist())))
+        for i in np.flatnonzero(~np.isfinite(column)).tolist() if nulls else ():
+            out[-1][i] = "null"
+    return out
+
+
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers with shortest round-trip float formatting."""
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write rows of numbers (a 2-D array or a sequence of rows) with shortest round-trip float formatting."""
+    lines = [",".join(header), *map(",".join, zip(*_cells(rows, False)))]
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def _json_safe(value):
@@ -262,32 +274,40 @@ def _json_safe(value):
 
 
 def write_json(path, payload) -> None:
-    """Canonical JSON: sorted keys, two-space indent, non-finite -> null."""
-    _write_text(Path(path), json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Canonical JSON: sorted keys, two-space indent, non-finite -> null.
+
+    A table ``{"columns": names, "rows": 2-D array}`` is formatted a column
+    at a time, to the same bytes.
+    """
+    table = payload["rows"] if isinstance(payload, dict) and payload.keys() == {"columns", "rows"} else None
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iuf" and table.size:
+        names = ",\n    ".join(map(json.dumps, payload["columns"]))
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*_cells(table, True))))
+        text = f'{{\n  "columns": [\n    {names}\n  ],\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}'
+    else:
+        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(Path(path), text + "\n")
 
 
-def _write_table(out: Path, stem: str, header, rows, fmt: str) -> str:
-    """Write one data table as ``stem.csv`` or ``stem.json``; returns the file name."""
-    rows = [list(row) for row in rows]
+def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
+    """Write equal-length numeric columns as ``stem.csv`` or ``stem.json``; returns the file name."""
+    name, rows = f"{stem}.{fmt}", np.column_stack(columns)
     if fmt == "json":
-        name = f"{stem}.json"
         write_json(out / name, {"columns": list(header), "rows": rows})
     else:
-        name = f"{stem}.csv"
         write_csv(out / name, header, rows)
     return name
 
 
-def _flop_rows(delta_w: float, intervals, phis, p_e):
-    """Long-format fringe rows, one contiguous block per shot phase.
+def _write_flop(out: Path, delta_w: float, intervals, phis, p_e, fmt: str) -> str:
+    """Write the long-format fringe table, one contiguous block per shot phase.
 
     ``p_e`` has shape (len(phis), len(intervals)); the normalized column
     is the interval in units of the fringe period 2*pi/delta_w.
     """
-    normalized = np.asarray(intervals) * delta_w / TWO_PI
-    for i, phi in enumerate(np.atleast_1d(phis)):
-        for j, interval in enumerate(intervals):
-            yield [interval, normalized[j], phi, p_e[i, j]]
+    n, normalized = np.size(phis), intervals * delta_w / TWO_PI
+    columns = [np.tile(intervals, n), np.tile(normalized, n), np.repeat(phis, intervals.size), p_e.ravel()]
+    return _write_table(out, "flop", FLOP_COLUMNS, columns, fmt)
 
 
 def _resolved_frames(frames: FrameSet) -> dict:
@@ -324,11 +344,7 @@ def _maybe_trials(scenario, builder, frames, intervals, out: Path, report: dict,
     randomize = cfg.get("randomize_phi", True)
     stats = expsim.run_trials(builder, frames, noise, cfg["count"], intervals, randomize)
     header = ["T_seconds"] + [f"trial_{i:03d}" for i in range(stats.trials)] + ["mean", "std"]
-    rows = [
-        [stats.intervals[j], *stats.samples[:, j], stats.mean[j], stats.std[j]]
-        for j in range(stats.intervals.size)
-    ]
-    name = _write_table(out, "trials", header, rows, fmt)
+    name = _write_table(out, "trials", header, [stats.intervals, *stats.samples, stats.mean, stats.std], fmt)
     report["results"]["trials"] = {
         "count": stats.trials,
         "seed": noise.seed,
@@ -346,8 +362,7 @@ def _run_normal(scenario, out: Path, report: dict, fmt: str) -> list:
     curve = analysis.normal_flop(frames.delta_w, intervals)
     # no scramble pulse fires here; the phi_S column just echoes the
     # configured frame phase so every fringe table shares one layout
-    rows = _flop_rows(frames.delta_w, curve.intervals, [frames.phi_s], curve.p_e[None, :])
-    name = _write_table(out, "flop", FLOP_COLUMNS, rows, fmt)
+    name = _write_flop(out, frames.delta_w, curve.intervals, frames.phi_s, curve.p_e, fmt)
     report["resolved"] = {
         "frames": _resolved_frames(frames),
         "intervals": _resolved_intervals(intervals),
@@ -361,18 +376,13 @@ def _run_normal(scenario, out: Path, report: dict, fmt: str) -> list:
     return [name] + _maybe_trials(scenario, ramsey, frames, intervals, out, report, fmt)
 
 
-def _write_flop_family(out: Path, frames: FrameSet, family: analysis.FlopFamily, fmt: str) -> str:
-    rows = _flop_rows(frames.delta_w, family.intervals, family.phis, family.p_e)
-    return _write_table(out, "flop", FLOP_COLUMNS, rows, fmt)
-
-
 def _run_scrambled(scenario, out: Path, report: dict, fmt: str) -> list:
     frames = _frames(scenario)
     intervals = _intervals(scenario, frames)
     area = _scramble_area(scenario)
     t1 = scenario.get("timing", {}).get("t1_s", 5e-3)
     family = analysis.scrambled_flop(area, t1, intervals, _phi_samples(scenario), frames)
-    name = _write_flop_family(out, frames, family, fmt)
+    name = _write_flop(out, frames.delta_w, family.intervals, family.phis, family.p_e, fmt)
     ranges = family.ranges()
     report["resolved"] = {
         "frames": _resolved_frames(frames),
@@ -404,7 +414,7 @@ def _run_retrieved(scenario, out: Path, report: dict, fmt: str) -> list:
             f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
         )
     family = analysis.retrieved_flop(area, t1, t2, intervals, _phi_samples(scenario), frames)
-    name = _write_flop_family(out, frames, family, fmt)
+    name = _write_flop(out, frames.delta_w, family.intervals, family.phis, family.p_e, fmt)
     target = analysis.normal_flop(frames.delta_w, t1 + t2 + intervals).p_e
     report["resolved"] = {
         "frames": _resolved_frames(frames),
@@ -431,11 +441,9 @@ def _run_sdbv(scenario, out: Path, report: dict, fmt: str) -> list:
     area = _scramble_area(scenario)
     samples = _phi_samples(scenario)
     result = analysis.sdbv(recorded, area, samples)
-    rows = [[result.phis[i], *result.points[i]] for i in range(result.phis.size)]
-    cloud_name = _write_table(out, "sdbv", ["phi_S", "x", "y", "z"], rows, fmt)
+    cloud_name = _write_table(out, "sdbv", ["phi_S", "x", "y", "z"], [result.phis, *result.points.T], fmt)
     projection = analysis.sdbv_projection_xz(recorded, area, 0.0, samples)
-    proj_rows = [[result.phis[i], *projection[i]] for i in range(result.phis.size)]
-    proj_name = _write_table(out, "projection", ["phi_S", "x", "z"], proj_rows, fmt)
+    proj_name = _write_table(out, "projection", ["phi_S", "x", "z"], [result.phis, *projection.T], fmt)
     z = result.points[:, 2]
     report["resolved"] = {
         "record": [float(v) for v in recorded],
@@ -463,8 +471,8 @@ def _run_ambiguity(scenario, out: Path, report: dict, fmt: str) -> list:
     recorded = _record(scenario)
     result = analysis.ambiguity_report(recorded, _scramble_area(scenario), intervals, _phi_samples(scenario), frames)
     normalized = result.intervals * frames.delta_w / TWO_PI
-    rows = zip(result.intervals, normalized, result.ranges)
-    name = _write_table(out, "ambiguity", ["T_seconds", "T_normalized", "P_e_range"], rows, fmt)
+    columns = [result.intervals, normalized, result.ranges]
+    name = _write_table(out, "ambiguity", ["T_seconds", "T_normalized", "P_e_range"], columns, fmt)
     report["resolved"] = {
         "frames": _resolved_frames(frames),
         "intervals": _resolved_intervals(intervals),
@@ -535,7 +543,7 @@ def _run_secure_choice(scenario, out: Path, report: dict, fmt: str) -> list:
     samples = _phi_samples(scenario)
     grid = analysis.phi_grid(samples)
     p = protocol.run_secure_choice(choice, grid, config)
-    name = _write_table(out, "readout", ["phi_S", "P_e"], zip(grid, p), fmt)
+    name = _write_table(out, "readout", ["phi_S", "P_e"], [grid, p], fmt)
     decoded = protocol.decode_choice(float(np.mean(p)))
     total = t1 + t2 + t3
     report["resolved"] = {
@@ -605,7 +613,7 @@ def _run_fit(scenario, out: Path, report: dict, base_dir, fmt: str) -> list:
     except ValueError as err:
         raise ScenarioError("fit", str(err)) from None
     model = fit.evaluate(x)
-    name = _write_table(out, "fit", ["x", "y", "model", "residual"], zip(x, y, model, model - y), fmt)
+    name = _write_table(out, "fit", ["x", "y", "model", "residual"], [x, y, model, model - y], fmt)
     if not fit.converged:
         report["warnings"].append("fit did not converge within the iteration budget")
     report["resolved"] = {
@@ -640,22 +648,26 @@ def run_scenario(scenario: dict, out_dir, base_dir=None, fmt: str = "csv") -> di
         raise ScenarioError("format", f"must be one of {TABLE_FORMATS}, got {fmt!r}")
     validate_scenario(scenario)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mode = scenario["mode"]
     report = {"version": SCENARIO_VERSION, "mode": mode, "scenario": scenario, "resolved": {}, "warnings": []}
-    if mode == "fit":
-        outputs = _run_fit(scenario, out, report, base_dir, fmt)
-    else:
-        runner = {
-            "normal": _run_normal,
-            "scrambled": _run_scrambled,
-            "retrieved": _run_retrieved,
-            "sdbv": _run_sdbv,
-            "ambiguity-sweep": _run_ambiguity,
-            "optimize": _run_optimize,
-            "secure-choice": _run_secure_choice,
-        }[mode]
-        outputs = runner(scenario, out, report, fmt)
-    report["outputs"] = sorted(outputs + ["report.json"])
-    write_json(out / "report.json", report)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if mode == "fit":
+            outputs = _run_fit(scenario, out, report, base_dir, fmt)
+        else:
+            runner = {
+                "normal": _run_normal,
+                "scrambled": _run_scrambled,
+                "retrieved": _run_retrieved,
+                "sdbv": _run_sdbv,
+                "ambiguity-sweep": _run_ambiguity,
+                "optimize": _run_optimize,
+                "secure-choice": _run_secure_choice,
+            }[mode]
+            outputs = runner(scenario, out, report, fmt)
+        report["outputs"] = sorted(outputs + ["report.json"])
+        write_json(out / "report.json", report)
+    except OSError as err:
+        # the fit input is read with its own message; what is left is the output directory
+        raise ScenarioError("out", f"cannot write to {out} ({err})") from None
     return report

@@ -65,6 +65,20 @@ def _event_value(value, lowest: float):
     return v, math.isfinite(v) and v >= lowest
 
 
+def _value_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _value_key(value):
+    """A hashable key that agrees with :func:`_value_equal`."""
+    if isinstance(value, np.ndarray):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return value.shape, (value + 0.0).tobytes()
+    return value
+
+
 @dataclass(frozen=True)
 class Pulse:
     """Instantaneous rotation by ``area`` radians (float or array), driven by ``frame``."""
@@ -79,6 +93,14 @@ class Pulse:
         if not ok:
             raise InvalidTimelineError("pulse area must be finite")
         object.__setattr__(self, "area", area)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.frame is other.frame and _value_equal(self.area, other.area)
+
+    def __hash__(self):
+        return hash((self.frame, _value_key(self.area)))
 
     @classmethod
     def wri(cls, area: float) -> "Pulse":
@@ -100,6 +122,14 @@ class Wait:
         if not ok:
             raise InvalidTimelineError(f"wait duration must be finite and >= 0, got {self.duration!r}")
         object.__setattr__(self, "duration", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _value_equal(self.duration, other.duration)
+
+    def __hash__(self):
+        return hash((_value_key(self.duration),))
 
 
 SequenceEvent = Union[Pulse, Wait]

@@ -1,15 +1,18 @@
 """Scenario validation, artifact writing, CLI behavior and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+import scramsey
 from scramsey.analysis import default_intervals, normal_flop
-from scramsey.cli import main
+from scramsey.cli import COMMANDS, main
 from scramsey.errors import ScenarioError
 from scramsey.harness import (
     load_scenario,
@@ -109,6 +112,35 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"mode": "normal"},
+        {"version": 2, "mode": "normal"},
+        {"version": 1, "mode": "bogus"},
+        _scenario(bogus=1),
+        _scenario(phi_samples=3),
+        _scenario(phi_samples=8.5),
+        _scenario(seed=-1),
+        _scenario(frames={"delta_w_hz": 0}),
+        _scenario(frames={"delta_w_hz": "fast", "phi_s_pi": []}),
+        _scenario(intervals={"count": 1, "periods": -1}),
+        _scenario(record=[0.0, 1.0]),
+        _scenario(trials={}),
+        _scenario(noise={"atom_count": 0, "phase_jitter_sigma": -1}),
+        {"version": 1, "mode": "fit", "fit": {"data": {"x": [1], "y": "no"}}},
+        {},
+    ],
+)
+def test_structural_errors_match_jsonschema_validate(scenario):
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(scenario, scenario_schema())
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(scenario)
+    expected = ".".join(str(part) for part in oracle.value.absolute_path) or "<root>"
+    assert (err.value.field, err.value.constraint) == (expected, oracle.value.message)
+
+
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -144,6 +176,74 @@ def test_write_json_is_canonical(tmp_path):
     # keys sorted in the serialized text
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e-17, 0.1 + 0.2, 1.0 / 3.0, -2.5e300, 5e-324, np.nan, np.inf, -np.inf]
+
+
+def _per_value_cell(value) -> str:
+    # the rule tables were written with one value at a time
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _per_value_csv(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(_per_value_cell(v) for v in row) for row in rows]) + "\n"
+
+
+def _row_list_json(header, rows) -> str:
+    rows = [[v if isinstance(v, int) or np.isfinite(v) else None for v in row] for row in rows]
+    return json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def test_csv_writer_matches_per_value_rule(tmp_path):
+    floats = np.array(EDGE_FLOATS)
+    header = ["n", "v", "neg"]
+    rows = [[i - 3, f, -f] for i, f in enumerate(floats.tolist())]
+    write_csv(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "rows.csv").read_text() == _per_value_csv(header, rows)
+    table = np.column_stack([floats, -floats, 3.0 * floats])
+    write_csv(tmp_path / "array.csv", header, table)
+    assert (tmp_path / "array.csv").read_text() == _per_value_csv(header, table)
+    ints = np.arange(-4, 8).reshape(4, 3)
+    write_csv(tmp_path / "ints.csv", header, ints)
+    assert (tmp_path / "ints.csv").read_text() == _per_value_csv(header, ints)
+    write_csv(tmp_path / "empty.csv", header, np.empty((0, 3)))
+    assert (tmp_path / "empty.csv").read_text() == "n,v,neg\n"
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (1, 1), (0, 3)])
+def test_json_table_matches_canonical_encoder(tmp_path, shape):
+    rng = np.random.default_rng(5)
+    table = rng.choice(np.array(EDGE_FLOATS), size=shape)
+    header = ["T_seconds", "phi_\u03a9", 'q"uote'][: shape[1]]
+    write_json(tmp_path / "t.json", {"columns": header, "rows": table})
+    assert (tmp_path / "t.json").read_text() == _row_list_json(header, table.tolist())
+    # the row-list form goes through the generic encoder and must agree
+    write_json(tmp_path / "rows.json", {"columns": header, "rows": table.tolist()})
+    assert (tmp_path / "rows.json").read_text() == (tmp_path / "t.json").read_text()
+
+
+def test_json_table_writes_int_columns_as_ints(tmp_path):
+    table = np.arange(-3, 3).reshape(3, 2)
+    write_json(tmp_path / "t.json", {"columns": ["a", "b"], "rows": table})
+    assert (tmp_path / "t.json").read_text() == _row_list_json(["a", "b"], table.tolist())
+
+
+@pytest.mark.parametrize(
+    "payload,plain",
+    [
+        ({"columns": ["a", "b"], "rows": [[1, 2.5], [np.nan, 3]]}, {"columns": ["a", "b"], "rows": [[1, 2.5], [None, 3]]}),
+        ({"columns": ["a"], "rows": np.array([[True], [False]])}, {"columns": ["a"], "rows": [[True], [False]]}),
+        ({"columns": [], "rows": np.empty((2, 0))}, {"columns": [], "rows": [[], []]}),
+        ({"columns": ["a"], "rows": np.arange(3.0)}, {"columns": ["a"], "rows": [0.0, 1.0, 2.0]}),
+        ({"columns": ["a"], "rows": np.ones((1, 1)), "x": 1}, {"columns": ["a"], "rows": [[1.0]], "x": 1}),
+    ],
+)
+def test_write_json_other_payloads_keep_the_generic_encoder(tmp_path, payload, plain):
+    write_json(tmp_path / "t.json", payload)
+    assert (tmp_path / "t.json").read_text() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -482,3 +582,47 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "flop.csv").exists()
+
+
+def test_cli_unwritable_out_is_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["flop", "--config", str(SCENARIOS / "normal.json"), "-o", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: out: cannot write to")
+    assert len(err.strip().splitlines()) == 1
+    assert main(["flop", "--config", str(SCENARIOS / "normal.json"), "-o", str(blocker)]) == 2
+
+
+def _fresh_python(code: str, *args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(scramsey.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+def test_scipy_optimize_loads_only_for_fits(tmp_path):
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
+        command = next(name for name, modes in COMMANDS.items() if mode in modes)
+        if command != "fit":
+            runs.append([command, "--config", str(path), "-o", str(tmp_path / path.stem)])
+    code = (
+        "import json, sys\n"
+        "import scramsey\n"
+        "from scramsey.cli import main\n"
+        "assert 'scipy.optimize' not in sys.modules, 'import scramsey loaded scipy.optimize'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy.optimize' not in sys.modules, argv\n"
+    )
+    result = _fresh_python(code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    assert len(runs) == 8
+
+    fit = _fresh_python(
+        "import sys\nfrom scramsey.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "fit", "--config", str(SCENARIOS / "fit.json"), "-o", str(tmp_path / "fit"),
+    )
+    assert fit.returncode == 0, fit.stderr
+    assert (tmp_path / "fit" / "fit.csv").exists()

@@ -57,6 +57,33 @@ def test_pulse_rejects_bad_inputs():
         Pulse(Frame.W, np.inf)
 
 
+def test_array_events_compare_and_hash_by_value():
+    a = np.array([1e-3, 2e-3])
+    assert Wait(a) == Wait(a.copy())
+    assert Wait(a) != Wait(np.array([1e-3, 3e-3]))
+    assert Wait(a) != Wait(1e-3)
+    assert hash(Wait(a)) == hash(Wait(a.copy()))
+    assert Pulse.sri(a) == Pulse.sri(a.copy())
+    assert Pulse.sri(a) != Pulse.wri(a)
+    assert Pulse.sri(a) != Wait(a)
+    assert hash(Pulse.sri(a)) == hash(Pulse.sri(a.copy()))
+    # -0.0 == 0.0, so their hashes must agree too
+    assert Pulse.wri(np.array([-0.0, 1.0])) == Pulse.wri(np.array([0.0, 1.0]))
+    assert hash(Pulse.wri(np.array([-0.0, 1.0]))) == hash(Pulse.wri(np.array([0.0, 1.0])))
+    assert Timeline((Pulse.wri(a), Wait(a))) == Timeline((Pulse.wri(a.copy()), Wait(a.copy())))
+    assert len({Wait(a), Wait(a.copy()), Wait(2 * a)}) == 2
+
+
+def test_scalar_events_compare_and_hash_as_before():
+    assert Wait(1e-3) == Wait(1e-3)
+    assert Wait(0.0) == Wait(-0.0)
+    assert Wait(1e-3) != Wait(2e-3)
+    assert hash(Wait(1e-3)) == hash((1e-3,))
+    assert hash(Pulse.wri(0.5)) == hash((Frame.W, 0.5))
+    assert Pulse.wri(0.5) == Pulse(Frame.W, 0.5) != Pulse.sri(0.5)
+    assert Wait(1.0).__eq__(1.0) is NotImplemented
+
+
 def test_timeline_rejects_foreign_events():
     with pytest.raises(InvalidTimelineError):
         Timeline((Pulse.wri(1.0), "wait"))
