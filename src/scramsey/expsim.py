@@ -9,7 +9,14 @@ every result is reproducible bit for bit.
 Draw order within a shot is fixed: shot phase (only when the timeline
 contains an S pulse and randomization is on), then phase jitter (only
 when sigma > 0), then the projection sample (only with a finite atom
-count).
+count).  Each trial stream draws all of shot j before anything of shot
+j + 1.
+
+:func:`run_trials` walks the interval grid once.  Per interval it builds
+one timeline, draws every stream's shot phase and jitter, and evaluates
+all trials in one engine call with a (trials,) axis of shot phases and
+jitters; the streams are independent, so this keeps each stream's draw
+order, and every sample, exactly as a shot-by-shot loop would.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals, _freeze
-from .bloch import excitation_probability, precess
-from .sequence import Frame, FrameSet, Pulse, Timeline, apply_event, default_frames, simulate
+from .bloch import _precess, excitation_probability
+from .sequence import Frame, FrameSet, Pulse, Timeline, _apply, default_frames, simulate
 
 
 @dataclass(frozen=True)
@@ -82,11 +89,15 @@ def project_noise(p_e, atom_count: int, rng: np.random.Generator):
     p = np.asarray(p_e, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    counts = rng.binomial(int(atom_count), p)
-    fraction = counts / float(atom_count)
+    fraction = _binomial_fraction(p, int(atom_count), rng)
     if np.ndim(p_e) == 0 and np.ndim(fraction) == 0:
         return float(fraction)
     return fraction
+
+
+def _binomial_fraction(p, atom_count: int, rng: np.random.Generator):
+    """Unchecked core of :func:`project_noise`."""
+    return rng.binomial(atom_count, p) / float(atom_count)
 
 
 @dataclass(frozen=True)
@@ -128,16 +139,20 @@ class TrialStats:
 
 
 def _has_s_pulse(timeline: Timeline) -> bool:
-    return any(isinstance(ev, Pulse) and ev.frame is Frame.S for ev in timeline.events)
+    """Whether ``timeline`` fires an S pulse; rejects array-valued events.
 
-
-def _run_shot(timeline: Timeline, frames: FrameSet, jitter: float):
-    """Simulate one shot, with an extra precession just before the last event."""
-    if jitter == 0.0 or len(timeline) == 0:
-        return simulate(timeline, frames)
-    head = Timeline(timeline.events[:-1])
-    state = precess(simulate(head, frames), jitter)
-    return apply_event(state, timeline.events[-1], head.duration, frames)
+    An array event would broadcast against the trial axis and silently
+    give each trial its own value.
+    """
+    has_s = False
+    for ev in timeline.events:
+        if isinstance(ev, Pulse):
+            value, has_s = ev.area, has_s or ev.frame is Frame.S
+        else:
+            value = ev.duration
+        if isinstance(value, np.ndarray):
+            raise ValueError("builder must return a timeline of scalar events: one shot per interval")
+    return has_s
 
 
 def run_trials(
@@ -150,32 +165,50 @@ def run_trials(
 ) -> TrialStats:
     """Measure builder(T) over the interval grid, ``trials`` times.
 
-    builder maps an interval to a Timeline; frames supplies detunings
-    and the baseline shot phase (None: reference frames).  When
+    builder maps an interval to a Timeline of scalar events; it is
+    called once per interval (not once per shot), and its timeline
+    serves every trial, so it must not depend on how often it is
+    called.  The pure builders of :mod:`scramsey.sequence` qualify.
+    frames supplies detunings and the one baseline shot phase (None:
+    reference frames); an array ``phi_s`` is rejected.  When
     randomize_phi is set, shots whose timeline contains an S pulse get
     a fresh uniform shot phase each time.  Each trial consumes an
-    independent child stream of noise.seed.
+    independent child stream of noise.seed, in the draw order the
+    module docstring gives; all trials of one interval are evaluated
+    in one engine call.
     """
-    if int(trials) != trials or trials < 1:
+    if isinstance(trials, bool) or int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if frames is None:
         frames = default_frames()
+    if np.ndim(frames.phi_s):
+        raise ValueError("run_trials needs one scalar shot phase; frames.phi_s is an array")
     intervals = _as_intervals(intervals)
-    streams = np.random.SeedSequence(noise.seed).spawn(int(trials))
-    samples = np.empty((int(trials), intervals.shape[0]))
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        for j, interval in enumerate(intervals):
-            timeline = builder(float(interval))
-            shot_frames = frames
-            if randomize_phi and _has_s_pulse(timeline):
-                shot_frames = replace(frames, phi_s=rng.uniform(0.0, 2.0 * np.pi))
-            jitter = rng.normal(0.0, noise.phase_jitter_sigma) if noise.phase_jitter_sigma > 0.0 else 0.0
-            p = excitation_probability(_run_shot(timeline, shot_frames, jitter))
-            p = damp_contrast(p, timeline.duration, noise.contrast_decay_tau)
-            if noise.atom_count is not None:
-                p = project_noise(p, noise.atom_count, rng)
-            samples[i, j] = p
+    trials = int(trials)
+    rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(noise.seed).spawn(trials)]
+    sigma, atoms = noise.phase_jitter_sigma, noise.atom_count
+    samples = np.empty((trials, intervals.shape[0]))
+    phis, jitters = np.empty(trials), np.empty(trials)
+    for j, interval in enumerate(intervals):
+        timeline = builder(float(interval))
+        draw_phi = _has_s_pulse(timeline) and randomize_phi
+        for i, rng in enumerate(rngs):
+            if draw_phi:
+                phis[i] = rng.uniform(0.0, 2.0 * np.pi)
+            if sigma > 0.0:
+                jitters[i] = rng.normal(0.0, sigma)
+        shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
+        if sigma > 0.0 and len(timeline):
+            # the jitter is an extra precession just before the last event
+            head = Timeline(timeline.events[:-1])
+            v = _precess(simulate(head, shot_frames), jitters)
+            v = _apply(v, timeline.events[-1], head.duration, shot_frames)
+        else:
+            v = simulate(timeline, shot_frames)
+        p = damp_contrast(excitation_probability(v), timeline.duration, noise.contrast_decay_tau)
+        if atoms is not None:
+            p = [_binomial_fraction(q, atoms, rng) for q, rng in zip(np.broadcast_to(p, trials), rngs)]
+        samples[:, j] = p
     return TrialStats(intervals=intervals, samples=samples)
 
 

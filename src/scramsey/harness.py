@@ -90,10 +90,13 @@ def scenario_schema() -> dict:
 
 
 def _validator() -> jsonschema.Draft202012Validator:
-    """A validator for :func:`scenario_schema`; the schema itself is checked once, on first use."""
+    """A validator for :func:`scenario_schema`, built once per process.
+
+    The packaged schema is not meta-validated here, on every process
+    start; a test checks the shipped file instead.
+    """
     global _validator_cache
     if _validator_cache is None:
-        jsonschema.Draft202012Validator.check_schema(scenario_schema())
         _validator_cache = jsonschema.Draft202012Validator(scenario_schema())
     return _validator_cache
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scramsey.analysis import normal_flop
+from scramsey.bloch import excitation_probability, precess
 from scramsey.expsim import (
     FitResult,
     NoiseModel,
@@ -17,10 +18,17 @@ from scramsey.expsim import (
 )
 from scramsey.sequence import (
     DELTA_W_REF,
+    Frame,
+    FrameSet,
+    Pulse,
+    Timeline,
+    Wait,
+    apply_event,
     default_frames,
     ramsey,
     retrieved_ramsey,
     scrambled_ramsey,
+    simulate,
 )
 
 PERIOD = 2 * np.pi / DELTA_W_REF
@@ -207,6 +215,76 @@ def test_phase_jitter_blurs_the_fringe():
 def test_run_trials_rejects_bad_trials():
     with pytest.raises(ValueError):
         run_trials(ramsey, None, NoiseModel(), 0, T17)
+    with pytest.raises(ValueError):
+        run_trials(ramsey, None, NoiseModel(), True, T17)
+
+
+def test_run_trials_rejects_an_array_of_shot_phases():
+    frames = FrameSet(DELTA_W_REF, DELTA_W_REF, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="one scalar shot phase"):
+        run_trials(ramsey, frames, NoiseModel(), 2, T17, randomize_phi=False)
+
+
+def test_run_trials_rejects_array_valued_events():
+    builder = lambda T: Timeline((Pulse.wri(np.pi / 2), Wait(np.array([T, T])), Pulse.wri(np.pi / 2)))
+    with pytest.raises(ValueError, match="scalar events"):
+        run_trials(builder, None, NoiseModel(), 2, T17)
+
+
+def _per_shot_reference(builder, frames, noise, trials, intervals, randomize_phi):
+    """Shot by shot, in the documented draw order, through the public kernels only."""
+    samples = np.empty((trials, len(intervals)))
+    for i, stream in enumerate(np.random.SeedSequence(noise.seed).spawn(trials)):
+        rng = np.random.default_rng(stream)
+        for j, interval in enumerate(intervals):
+            timeline = builder(float(interval))
+            shot = frames
+            if randomize_phi and any(isinstance(e, Pulse) and e.frame is Frame.S for e in timeline):
+                shot = FrameSet(frames.delta_w, frames.delta_s, rng.uniform(0.0, 2.0 * np.pi))
+            jitter = rng.normal(0.0, noise.phase_jitter_sigma) if noise.phase_jitter_sigma > 0.0 else 0.0
+            if jitter == 0.0 or len(timeline) == 0:
+                v = simulate(timeline, shot)
+            else:
+                head = Timeline(timeline.events[:-1])
+                v = apply_event(precess(simulate(head, shot), jitter), timeline.events[-1], head.duration, shot)
+            p = damp_contrast(excitation_probability(v), timeline.duration, noise.contrast_decay_tau)
+            samples[i, j] = project_noise(p, noise.atom_count, rng) if noise.atom_count is not None else p
+    return samples
+
+
+REFERENCE_BUILDERS = {
+    "ramsey": ramsey,
+    "scrambled": lambda T: scrambled_ramsey(2.1, T1_REF, T),
+    "retrieved": lambda T: retrieved_ramsey(2.1, T1_REF, 3.3e-3, T),
+    # an S pulse for only some intervals: phases are drawn for those alone
+    "s_pulse_sometimes": lambda T: scrambled_ramsey(2.1, T1_REF, T) if T > PERIOD else ramsey(T),
+    "empty": lambda T: Timeline(),
+}
+REFERENCE_NOISE = {
+    "none": {},
+    "atoms_tau": {"atom_count": 37, "contrast_decay_tau": 0.02},
+    "sigma_atoms": {"phase_jitter_sigma": 0.2, "atom_count": 300},
+    "all": {"phase_jitter_sigma": 0.3, "atom_count": 500, "contrast_decay_tau": 0.05},
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7])
+@pytest.mark.parametrize("randomize_phi", [True, False])
+@pytest.mark.parametrize("noise", REFERENCE_NOISE)
+@pytest.mark.parametrize("builder", REFERENCE_BUILDERS)
+def test_run_trials_matches_the_per_shot_reference(builder, noise, randomize_phi, trials):
+    frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
+    model = NoiseModel(seed=1234, **REFERENCE_NOISE[noise])
+    build = REFERENCE_BUILDERS[builder]
+    stats = run_trials(build, frames, model, trials, T17, randomize_phi)
+    assert np.array_equal(stats.samples, _per_shot_reference(build, frames, model, trials, T17, randomize_phi))
+
+
+def test_run_trials_calls_the_builder_once_per_interval():
+    calls = []
+    builder = lambda T: calls.append(T) or scrambled_ramsey(np.pi, T1_REF, T)
+    run_trials(builder, None, NoiseModel(seed=1, atom_count=10, phase_jitter_sigma=0.1), 7, T17)
+    assert calls == [float(T) for T in T17]
 
 
 # ----------------------------------------------------------------- fitting

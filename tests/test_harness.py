@@ -141,6 +141,11 @@ def test_structural_errors_match_jsonschema_validate(scenario):
     assert (err.value.field, err.value.constraint) == (expected, oracle.value.message)
 
 
+def test_shipped_schema_is_a_valid_draft_2020_12_schema():
+    # validate_scenario trusts the packaged schema and never meta-validates it
+    jsonschema.Draft202012Validator.check_schema(scenario_schema())
+
+
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
