@@ -16,6 +16,7 @@ only in the tests as independent checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -306,11 +307,15 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi]; ties keep the left end."""
+    """Golden-section maximization on [lo, hi]; ties keep the left end.
+
+    Stops at ``tol`` or once no float lies strictly inside the bracket,
+    so a tolerance below the float spacing there cannot loop forever.
+    """
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)

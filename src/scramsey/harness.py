@@ -6,6 +6,13 @@ detunings in Hz (delta = 2*pi*f), pulse areas and phases in units of
 pi, times in seconds.  Everything the engine needs is derived from
 those at run time.
 
+Three key tables (``_TOP_KEYS``, ``_TIMING_KEYS``, ``_PULSE_KEYS``)
+list what each mode accepts, and drive both validation (any other key
+is rejected) and resolution: every accepted section is converted to
+engine units once, in one place, and echoed in the report.  A value
+that overflows once converted is a scenario error, like a schema
+violation.
+
 Every run writes a ``report.json`` plus mode-specific data tables with
 fixed names into the output directory; tables are CSV by default or
 JSON (``{"columns": ..., "rows": ...}``) when asked.  Fringe scans are
@@ -24,21 +31,22 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
+import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 
 from . import analysis, expsim, protocol
 from .bloch import EXCITED, GROUND, TWO_PI, _freeze, validate_state
-from .errors import ScenarioError
+from .errors import ScenarioError, SimulationError
 from .sequence import FrameSet, ramsey, retrieved_ramsey, scrambled_ramsey
 
 SCENARIO_VERSION = 1
-
-MODES = ("normal", "scrambled", "retrieved", "sdbv", "ambiguity-sweep", "optimize", "secure-choice", "fit")
 
 TABLE_FORMATS = ("csv", "json")
 
@@ -122,6 +130,16 @@ def validate_scenario(scenario) -> None:
         for key in scenario.get(section, {}):
             if key not in table.get(mode, set()):
                 raise ScenarioError(f"{section}.{key}", f"not valid in mode '{mode}'")
+    # JSON integers are unbounded; one beyond the float range would overflow deep in the engine
+    stack = [("<root>", scenario)]
+    while stack:
+        field, value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend((key if field == "<root>" else f"{field}.{key}", item) for key, item in value.items())
+        elif isinstance(value, list):
+            stack.extend((field, item) for item in value)
+        elif isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ScenarioError(field, "integer too large to convert to float")
 
     intervals = scenario.get("intervals", {})
     ranged = {"start_s", "stop_s"} & intervals.keys()
@@ -140,6 +158,8 @@ def validate_scenario(scenario) -> None:
 
     if mode == "secure-choice" and "choice" not in scenario:
         raise ScenarioError("choice", "required in mode 'secure-choice'")
+    if mode == "secure-choice" and scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES) < 16:
+        raise ScenarioError("phi_samples", "must be >= 16 in mode 'secure-choice' (the secrecy check needs them)")
     if mode == "fit":
         fit = scenario.get("fit")
         if fit is None:
@@ -173,62 +193,113 @@ def load_scenario(path) -> dict:
 # ------------------------------------------------------------ resolution
 
 
-def _frames(scenario) -> FrameSet:
-    cfg = scenario.get("frames", {})
-    return FrameSet(
-        TWO_PI * cfg.get("delta_w_hz", 100.0),
-        TWO_PI * cfg.get("delta_s_hz", 100.0),
-        np.pi * cfg.get("phi_s_pi", 0.0),
-    )
+def _converted(field: str, convert, *args):
+    """``convert(*args)``, an engine input derived from ``field``.
 
-
-def _intervals(scenario, frames: FrameSet) -> np.ndarray:
-    cfg = scenario.get("intervals", {})
-    count = cfg.get("count", analysis.DEFAULT_INTERVAL_POINTS)
-    if "start_s" in cfg:
-        return np.linspace(cfg["start_s"], cfg["stop_s"], count)
-    return analysis.default_intervals(frames.delta_w, cfg.get("periods", analysis.DEFAULT_PERIODS), count)
-
-
-def _record(scenario) -> np.ndarray:
-    value = scenario.get("record", "excited")
-    if isinstance(value, str):
-        return RECORD_STATES[value]
-    state = np.asarray(value, dtype=float)
+    A result that is not finite, or an overflow or domain error on the
+    way, is a :class:`ScenarioError`; simulation errors (an infeasible
+    read turn, say) pass through.
+    """
     try:
-        return validate_state(state)
-    except ValueError as err:
-        raise ScenarioError("record", str(err)) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = convert(*args)
+    except SimulationError:
+        raise
+    except (OverflowError, ValueError) as err:
+        raise ScenarioError(field, str(err)) from None
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(field, "overflows once converted to engine units")
+    return value
 
 
-def _phi_samples(scenario) -> int:
-    return scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES)
+def _read_columns(path: Path, x_column: str, y_column: str) -> tuple:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+            columns = reader.fieldnames or []
+    except OSError as err:
+        raise ScenarioError("fit.input_csv", f"cannot read {path} ({err})") from None
+    for column in (x_column, y_column):
+        if column not in columns:
+            raise ScenarioError("fit", f"column {column!r} not found in {path} (has {columns})")
+    try:
+        x = np.array([float(row[x_column]) for row in rows])
+        y = np.array([float(row[y_column]) for row in rows])
+    except (TypeError, ValueError):
+        raise ScenarioError("fit", f"non-numeric values in columns {x_column!r}/{y_column!r} of {path}") from None
+    return x, y
 
 
-def _scramble_area(scenario) -> float:
-    return np.pi * scenario.get("pulses", {}).get("scramble_area_pi", 1.0)
+def _resolve(scenario: dict, base_dir) -> tuple:
+    """Engine inputs of every section the scenario's mode accepts, and their echo.
 
-
-def _read_area(scenario) -> float:
-    return np.pi * scenario.get("pulses", {}).get("read_area_pi", 0.5)
-
-
-def _noise(scenario) -> expsim.NoiseModel:
-    cfg = scenario.get("noise", {})
-    tau = cfg.get("contrast_decay_tau_s")
-    return expsim.NoiseModel(
-        seed=scenario.get("seed", 0),
-        atom_count=cfg.get("atom_count"),
-        contrast_decay_tau=np.inf if tau is None else tau,
-        phase_jitter_sigma=cfg.get("phase_jitter_sigma", 0.0),
-    )
-
-
-def _store_time(scenario, frames: FrameSet) -> float:
-    timing = scenario.get("timing", {})
-    if "t2_s" in timing:
-        return float(timing["t2_s"])
-    return protocol.retrieve_delay(frames.delta_s, timing.get("store_halfturns_m", 0))
+    The key tables that :func:`validate_scenario` checks decide what is
+    resolved here, once, for every mode.  Returns a namespace of inputs
+    in engine units (rad/s, rad, s) and the ``report["resolved"]`` dict.
+    """
+    mode, top = scenario["mode"], _TOP_KEYS[scenario["mode"]]
+    timing_keys, timing = _TIMING_KEYS.get(mode, set()), scenario.get("timing", {})
+    pulse_keys, pulses = _PULSE_KEYS.get(mode, set()), scenario.get("pulses", {})
+    r, echo = SimpleNamespace(), {}
+    if "frames" in top:
+        cfg = scenario.get("frames", {})
+        r.frames = FrameSet(
+            _converted("frames.delta_w_hz", operator.mul, TWO_PI, cfg.get("delta_w_hz", 100.0)),
+            _converted("frames.delta_s_hz", operator.mul, TWO_PI, cfg.get("delta_s_hz", 100.0)),
+            _converted("frames.phi_s_pi", operator.mul, np.pi, cfg.get("phi_s_pi", 0.0)),
+        )
+        echo["frames"] = {"delta_w_rad_s": r.frames.delta_w, "delta_s_rad_s": r.frames.delta_s, "phi_s_rad": r.frames.phi_s}
+    if "intervals" in top:
+        cfg = scenario.get("intervals", {})
+        count = int(cfg.get("count", analysis.DEFAULT_INTERVAL_POINTS))
+        if "start_s" in cfg:
+            r.intervals = _converted("intervals", np.linspace, cfg["start_s"], cfg["stop_s"], count)
+        else:
+            periods = cfg.get("periods", analysis.DEFAULT_PERIODS)
+            r.intervals = _converted("intervals", analysis.default_intervals, r.frames.delta_w, periods, count)
+        # grids are always uniform, so endpoints plus count reproduce them
+        echo["intervals"] = {"start_s": float(r.intervals[0]), "stop_s": float(r.intervals[-1]), "count": count}
+    if "phi_samples" in top:
+        r.phi_samples = echo["phi_samples"] = int(scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES))
+    if "record" in top:
+        value = scenario.get("record", "excited")
+        try:
+            r.record = RECORD_STATES[value] if isinstance(value, str) else validate_state(np.asarray(value, dtype=float))
+        except ValueError as err:
+            raise ScenarioError("record", str(err)) from None
+        echo["record"] = [float(v) for v in r.record]
+    for key, name, default in (("scramble_area_pi", "scramble_area", 1.0), ("read_area_pi", "read_area", 0.5)):
+        if key in pulse_keys:
+            area = _converted(f"pulses.{key}", operator.mul, np.pi, pulses.get(key, default))
+            setattr(r, name, area)
+            echo[f"{name}_rad"] = area
+    if "t1_s" in timing_keys:
+        r.t1 = echo["t1_s"] = timing.get("t1_s", 5e-3)
+    if "t2_s" in timing_keys:
+        if "t2_s" in timing:
+            r.t2 = float(timing["t2_s"])
+        else:
+            r.t2 = _converted("timing", protocol.retrieve_delay, r.frames.delta_s, timing.get("store_halfturns_m", 0))
+        echo["t2_s"] = r.t2
+    if "t3_s" in timing_keys:
+        if "t3_s" in timing:
+            r.t3 = float(timing["t3_s"])
+        else:
+            r.t3 = _converted("timing", protocol.secure_read_delay, r.frames, r.t1, r.t2, timing.get("read_turns_k"))
+        echo["t3_s"] = r.t3
+    if "fit" in top:
+        cfg = scenario["fit"]
+        if "data" in cfg:
+            r.x, r.y = (np.asarray(cfg["data"][axis], dtype=float) for axis in "xy")
+            echo["data_points"] = int(r.x.size)
+        else:
+            columns = {"x_column": cfg.get("x_column", "T_seconds"), "y_column": cfg.get("y_column", "mean")}
+            echo.update(input_csv=cfg["input_csv"], **columns)
+            r.x, r.y = _read_columns(Path(base_dir or ".") / cfg["input_csv"], *columns.values())
+        echo["guess"] = None if cfg.get("guess") is None else [float(v) for v in cfg["guess"]]
+        echo["max_iterations"] = cfg.get("max_iterations")
+    return r, echo
 
 
 # --------------------------------------------------------------- writing
@@ -302,50 +373,34 @@ def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
     return name
 
 
-def _write_flop(out: Path, delta_w: float, intervals, phis, p_e, fmt: str) -> str:
-    """Write the long-format fringe table, one contiguous block per shot phase.
+def _write_flop(out: Path, r, phis, p_e, fmt: str) -> str:
+    """Write the long-format fringe table of ``r.intervals``, one contiguous block per shot phase.
 
     ``p_e`` has shape (len(phis), len(intervals)); the normalized column
     is the interval in units of the fringe period 2*pi/delta_w.
     """
-    n, normalized = np.size(phis), intervals * delta_w / TWO_PI
-    columns = [np.tile(intervals, n), np.tile(normalized, n), np.repeat(phis, intervals.size), p_e.ravel()]
+    n, normalized = np.size(phis), r.intervals * r.frames.delta_w / TWO_PI
+    columns = [np.tile(r.intervals, n), np.tile(normalized, n), np.repeat(phis, r.intervals.size), p_e.ravel()]
     return _write_table(out, "flop", FLOP_COLUMNS, columns, fmt)
-
-
-def _resolved_frames(frames: FrameSet) -> dict:
-    return {
-        "delta_w_rad_s": frames.delta_w,
-        "delta_s_rad_s": frames.delta_s,
-        "phi_s_rad": frames.phi_s,
-    }
-
-
-def _resolved_intervals(intervals) -> dict:
-    # grids are always uniform, so endpoints plus count reproduce them
-    return {"start_s": float(intervals[0]), "stop_s": float(intervals[-1]), "count": int(intervals.size)}
-
-
-def _resolved_noise(noise: expsim.NoiseModel) -> dict:
-    tau = noise.contrast_decay_tau
-    return {
-        "seed": noise.seed,
-        "atom_count": noise.atom_count,
-        "contrast_decay_tau_s": None if np.isinf(tau) else float(tau),
-        "phase_jitter_sigma": noise.phase_jitter_sigma,
-    }
 
 
 # ---------------------------------------------------------------- runners
 
 
-def _maybe_trials(scenario, builder, frames, intervals, out: Path, report: dict, fmt: str) -> list:
+def _maybe_trials(scenario, builder, r, out: Path, report: dict, fmt: str) -> list:
     cfg = scenario.get("trials")
     if cfg is None:
         return []
-    noise = _noise(scenario)
+    noise_cfg = scenario.get("noise", {})
+    tau = noise_cfg.get("contrast_decay_tau_s")
+    noise = expsim.NoiseModel(
+        seed=scenario.get("seed", 0),
+        atom_count=noise_cfg.get("atom_count"),
+        contrast_decay_tau=np.inf if tau is None else tau,
+        phase_jitter_sigma=noise_cfg.get("phase_jitter_sigma", 0.0),
+    )
     randomize = cfg.get("randomize_phi", True)
-    stats = expsim.run_trials(builder, frames, noise, cfg["count"], intervals, randomize)
+    stats = expsim.run_trials(builder, r.frames, noise, cfg["count"], r.intervals, randomize)
     header = ["T_seconds"] + [f"trial_{i:03d}" for i in range(stats.trials)] + ["mean", "std"]
     name = _write_table(out, "trials", header, [stats.intervals, *stats.samples, stats.mean, stats.std], fmt)
     report["results"]["trials"] = {
@@ -355,108 +410,69 @@ def _maybe_trials(scenario, builder, frames, intervals, out: Path, report: dict,
         "range_max": float((stats.samples.max(axis=0) - stats.samples.min(axis=0)).max()),
     }
     report["resolved"]["trials"] = {"count": stats.trials, "randomize_phi": randomize}
-    report["resolved"]["noise"] = _resolved_noise(noise)
+    report["resolved"]["noise"] = {
+        "seed": noise.seed,
+        "atom_count": noise.atom_count,
+        "contrast_decay_tau_s": None if tau is None else noise.contrast_decay_tau,
+        "phase_jitter_sigma": noise.phase_jitter_sigma,
+    }
     return [name]
 
 
-def _run_normal(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    intervals = _intervals(scenario, frames)
-    curve = analysis.normal_flop(frames.delta_w, intervals)
+def _run_normal(scenario, r, out: Path, report: dict, fmt: str) -> list:
+    p_e = analysis.normal_flop(r.frames.delta_w, r.intervals).p_e
+    report["results"] = {
+        "interval_count": int(r.intervals.size),
+        "interval_stop_s": float(r.intervals[-1]),
+        "p_e_min": float(p_e.min()),
+        "p_e_max": float(p_e.max()),
+    }
     # no scramble pulse fires here; the phi_S column just echoes the
     # configured frame phase so every fringe table shares one layout
-    name = _write_flop(out, frames.delta_w, curve.intervals, frames.phi_s, curve.p_e, fmt)
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "intervals": _resolved_intervals(intervals),
-    }
-    report["results"] = {
-        "interval_count": int(intervals.size),
-        "interval_stop_s": float(intervals[-1]),
-        "p_e_min": float(curve.p_e.min()),
-        "p_e_max": float(curve.p_e.max()),
-    }
-    return [name] + _maybe_trials(scenario, ramsey, frames, intervals, out, report, fmt)
+    return [_write_flop(out, r, r.frames.phi_s, p_e, fmt)] + _maybe_trials(scenario, ramsey, r, out, report, fmt)
 
 
-def _run_scrambled(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    intervals = _intervals(scenario, frames)
-    area = _scramble_area(scenario)
-    t1 = scenario.get("timing", {}).get("t1_s", 5e-3)
-    family = analysis.scrambled_flop(area, t1, intervals, _phi_samples(scenario), frames)
-    name = _write_flop(out, frames.delta_w, family.intervals, family.phis, family.p_e, fmt)
+def _run_scrambled(scenario, r, out: Path, report: dict, fmt: str) -> list:
+    family = analysis.scrambled_flop(r.scramble_area, r.t1, r.intervals, r.phi_samples, r.frames)
     ranges = family.ranges()
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "intervals": _resolved_intervals(intervals),
-        "phi_samples": int(family.phis.size),
-        "scramble_area_rad": area,
-        "t1_s": t1,
-    }
     report["results"] = {
-        "scramble_area_pi": area / np.pi,
-        "t1_s": t1,
-        "phi_samples": int(family.phis.size),
+        "scramble_area_pi": r.scramble_area / np.pi,
+        "t1_s": r.t1,
+        "phi_samples": r.phi_samples,
         "ambiguity": float(ranges.min()),
         "range_max": float(ranges.max()),
     }
-    builder = lambda interval: scrambled_ramsey(area, t1, interval)
-    return [name] + _maybe_trials(scenario, builder, frames, intervals, out, report, fmt)
+    builder = lambda interval: scrambled_ramsey(r.scramble_area, r.t1, interval)
+    return [_write_flop(out, r, family.phis, family.p_e, fmt)] + _maybe_trials(scenario, builder, r, out, report, fmt)
 
 
-def _run_retrieved(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    intervals = _intervals(scenario, frames)
-    area = _scramble_area(scenario)
-    t1 = scenario.get("timing", {}).get("t1_s", 5e-3)
-    t2 = _store_time(scenario, frames)
-    store_phase = frames.delta_s * t2
-    if protocol._phase_gap(store_phase, np.pi) > protocol._phase_tol(store_phase):
-        report["warnings"].append(
-            f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
-        )
-    family = analysis.retrieved_flop(area, t1, t2, intervals, _phi_samples(scenario), frames)
-    name = _write_flop(out, frames.delta_w, family.intervals, family.phis, family.p_e, fmt)
-    target = analysis.normal_flop(frames.delta_w, t1 + t2 + intervals).p_e
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "intervals": _resolved_intervals(intervals),
-        "phi_samples": int(family.phis.size),
-        "scramble_area_rad": area,
-        "t1_s": t1,
-        "t2_s": t2,
-    }
+def _run_retrieved(scenario, r, out: Path, report: dict, fmt: str) -> list:
+    if warning := protocol.store_phase_problem(r.frames.delta_s, r.t2):
+        report["warnings"].append(warning)
+    family = analysis.retrieved_flop(r.scramble_area, r.t1, r.t2, r.intervals, r.phi_samples, r.frames)
+    target = analysis.normal_flop(r.frames.delta_w, r.t1 + r.t2 + r.intervals).p_e
     report["results"] = {
-        "scramble_area_pi": area / np.pi,
-        "t1_s": t1,
-        "t2_s": t2,
-        "phi_samples": int(family.phis.size),
+        "scramble_area_pi": r.scramble_area / np.pi,
+        "t1_s": r.t1,
+        "t2_s": r.t2,
+        "phi_samples": r.phi_samples,
         "range_max": float(family.ranges().max()),
         "max_deviation_from_normal": float(np.abs(family.p_e - target[None, :]).max()),
     }
-    builder = lambda interval: retrieved_ramsey(area, t1, t2, interval)
-    return [name] + _maybe_trials(scenario, builder, frames, intervals, out, report, fmt)
+    builder = lambda interval: retrieved_ramsey(r.scramble_area, r.t1, r.t2, interval)
+    return [_write_flop(out, r, family.phis, family.p_e, fmt)] + _maybe_trials(scenario, builder, r, out, report, fmt)
 
 
-def _run_sdbv(scenario, out: Path, report: dict, fmt: str) -> list:
-    recorded = _record(scenario)
-    area = _scramble_area(scenario)
-    samples = _phi_samples(scenario)
-    result = analysis.sdbv(recorded, area, samples)
+def _run_sdbv(scenario, r, out: Path, report: dict, fmt: str) -> list:
+    result = analysis.sdbv(r.record, r.scramble_area, r.phi_samples)
     cloud_name = _write_table(out, "sdbv", ["phi_S", "x", "y", "z"], [result.phis, *result.points.T], fmt)
-    projection = analysis.sdbv_projection_xz(recorded, area, 0.0, samples)
+    projection = analysis.sdbv_projection_xz(r.record, r.scramble_area, 0.0, r.phi_samples)
     proj_name = _write_table(out, "projection", ["phi_S", "x", "z"], [result.phis, *projection.T], fmt)
     z = result.points[:, 2]
-    report["resolved"] = {
-        "record": [float(v) for v in recorded],
-        "scramble_area_rad": area,
-        "phi_samples": int(samples),
-        "projection_wait_phase_rad": 0.0,
-    }
+    report["resolved"]["projection_wait_phase_rad"] = 0.0
     report["results"] = {
-        "scramble_area_pi": area / np.pi,
-        "phi_samples": int(samples),
+        "scramble_area_pi": r.scramble_area / np.pi,
+        "phi_samples": r.phi_samples,
         "z_min": float(z.min()),
         "z_max": float(z.max()),
         "z_extent": float(np.ptp(z)),
@@ -468,21 +484,11 @@ def _run_sdbv(scenario, out: Path, report: dict, fmt: str) -> list:
     return [cloud_name, proj_name]
 
 
-def _run_ambiguity(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    intervals = _intervals(scenario, frames)
-    recorded = _record(scenario)
-    result = analysis.ambiguity_report(recorded, _scramble_area(scenario), intervals, _phi_samples(scenario), frames)
-    normalized = result.intervals * frames.delta_w / TWO_PI
+def _run_ambiguity(scenario, r, out: Path, report: dict, fmt: str) -> list:
+    result = analysis.ambiguity_report(r.record, r.scramble_area, r.intervals, r.phi_samples, r.frames)
+    normalized = result.intervals * r.frames.delta_w / TWO_PI
     columns = [result.intervals, normalized, result.ranges]
     name = _write_table(out, "ambiguity", ["T_seconds", "T_normalized", "P_e_range"], columns, fmt)
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "intervals": _resolved_intervals(intervals),
-        "phi_samples": int(_phi_samples(scenario)),
-        "record": [float(v) for v in recorded],
-        "scramble_area_rad": result.scramble_area,
-    }
     report["results"] = {
         "scramble_area_pi": result.scramble_area / np.pi,
         "ambiguity": result.ambiguity,
@@ -492,29 +498,13 @@ def _run_ambiguity(scenario, out: Path, report: dict, fmt: str) -> list:
     return [name]
 
 
-def _run_optimize(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    intervals = _intervals(scenario, frames)
-    recorded = _record(scenario)
+def _run_optimize(scenario, r, out: Path, report: dict, fmt: str) -> list:
     cfg = scenario.get("optimizer", {})
-    tolerance = cfg.get("tolerance_rad", 1e-6)
-    coarse_points = cfg.get("coarse_points", 181)
+    tolerance, coarse_points = cfg.get("tolerance_rad", 1e-6), cfg.get("coarse_points", 181)
     result = analysis.optimize_scramble_area(
-        recorded,
-        intervals,
-        _phi_samples(scenario),
-        frames,
-        tolerance=tolerance,
-        coarse_points=coarse_points,
+        r.record, r.intervals, r.phi_samples, r.frames, tolerance=tolerance, coarse_points=coarse_points
     )
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "intervals": _resolved_intervals(intervals),
-        "phi_samples": int(_phi_samples(scenario)),
-        "record": [float(v) for v in recorded],
-        "tolerance_rad": tolerance,
-        "coarse_points": coarse_points,
-    }
+    report["resolved"].update(tolerance_rad=tolerance, coarse_points=coarse_points)
     report["results"] = {
         "theta_star_rad": result.theta_star,
         "theta_star_pi": result.theta_star / np.pi,
@@ -525,107 +515,45 @@ def _run_optimize(scenario, out: Path, report: dict, fmt: str) -> list:
     return []
 
 
-def _run_secure_choice(scenario, out: Path, report: dict, fmt: str) -> list:
-    frames = _frames(scenario)
-    timing = scenario.get("timing", {})
-    t1 = timing.get("t1_s", 5e-3)
-    t2 = _store_time(scenario, frames)
-    if "t3_s" in timing:
-        t3 = float(timing["t3_s"])
-    else:
-        t3 = protocol.secure_read_delay(frames, t1, t2, timing.get("read_turns_k"))
+def _run_secure_choice(scenario, r, out: Path, report: dict, fmt: str) -> list:
     config = protocol.ProtocolConfig(
-        frames=frames,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        scramble_area=_scramble_area(scenario),
-        read_area=_read_area(scenario),
+        frames=r.frames, t1=r.t1, t2=r.t2, t3=r.t3, scramble_area=r.scramble_area, read_area=r.read_area
     )
     choice = scenario["choice"]
-    samples = _phi_samples(scenario)
-    grid = analysis.phi_grid(samples)
+    grid = analysis.phi_grid(r.phi_samples)
     p = protocol.run_secure_choice(choice, grid, config)
     name = _write_table(out, "readout", ["phi_S", "P_e"], [grid, p], fmt)
     decoded = protocol.decode_choice(float(np.mean(p)))
-    total = t1 + t2 + t3
-    report["resolved"] = {
-        "frames": _resolved_frames(frames),
-        "choice": choice,
-        "phi_samples": int(samples),
-        "write_area_rad": protocol.encode_choice(choice),
-        "scramble_area_rad": config.scramble_area,
-        "read_area_rad": config.read_area,
-        "t1_s": t1,
-        "t2_s": t2,
-        "t3_s": t3,
-    }
+    total = r.t1 + r.t2 + r.t3
+    report["resolved"].update(choice=choice, write_area_rad=protocol.encode_choice(choice))
     report["results"] = {
         "choice": choice,
         "decoded": decoded,
         "match": decoded == choice,
         "readout_min": float(p.min()),
         "readout_max": float(p.max()),
-        "secrecy_gap": protocol.secrecy_check(config, samples),
-        "t1_s": t1,
-        "t2_s": t2,
-        "t3_s": t3,
+        "secrecy_gap": protocol.secrecy_check(config, r.phi_samples),
+        "t1_s": r.t1,
+        "t2_s": r.t2,
+        "t3_s": r.t3,
         "total_s": total,
-        "read_turns_k": int(round(frames.delta_w * total / TWO_PI)),
+        "read_turns_k": int(round(r.frames.delta_w * total / TWO_PI)),
     }
     return [name]
 
 
-def _read_fit_csv(cfg, base_dir) -> tuple:
-    path = Path(base_dir or ".") / cfg["input_csv"]
-    x_column = cfg.get("x_column", "T_seconds")
-    y_column = cfg.get("y_column", "mean")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            rows = list(reader)
-            columns = reader.fieldnames or []
-    except OSError as err:
-        raise ScenarioError("fit.input_csv", f"cannot read {path} ({err})") from None
-    for column in (x_column, y_column):
-        if column not in columns:
-            raise ScenarioError("fit", f"column {column!r} not found in {path} (has {columns})")
-    try:
-        x = np.array([float(row[x_column]) for row in rows])
-        y = np.array([float(row[y_column]) for row in rows])
-    except (TypeError, ValueError):
-        raise ScenarioError("fit", f"non-numeric values in columns {x_column!r}/{y_column!r} of {path}") from None
-    return x, y
-
-
-def _run_fit(scenario, out: Path, report: dict, base_dir, fmt: str) -> list:
+def _run_fit(scenario, r, out: Path, report: dict, fmt: str) -> list:
     cfg = scenario["fit"]
-    if "data" in cfg:
-        x = np.asarray(cfg["data"]["x"], dtype=float)
-        y = np.asarray(cfg["data"]["y"], dtype=float)
-        source = {"data_points": int(x.size)}
-    else:
-        x, y = _read_fit_csv(cfg, base_dir)
-        source = {
-            "input_csv": cfg["input_csv"],
-            "x_column": cfg.get("x_column", "T_seconds"),
-            "y_column": cfg.get("y_column", "mean"),
-        }
     try:
-        fit = expsim.fit_damped_sinusoid(x, y, cfg.get("guess"), cfg.get("max_iterations"))
+        fit = expsim.fit_damped_sinusoid(r.x, r.y, cfg.get("guess"), cfg.get("max_iterations"))
     except ValueError as err:
         raise ScenarioError("fit", str(err)) from None
-    model = fit.evaluate(x)
-    name = _write_table(out, "fit", ["x", "y", "model", "residual"], [x, y, model, model - y], fmt)
+    model = fit.evaluate(r.x)
+    name = _write_table(out, "fit", ["x", "y", "model", "residual"], [r.x, r.y, model, model - r.y], fmt)
     if not fit.converged:
         report["warnings"].append("fit did not converge within the iteration budget")
-    report["resolved"] = {
-        **source,
-        "guess": None if cfg.get("guess") is None else [float(v) for v in cfg["guess"]],
-        "max_iterations": cfg.get("max_iterations"),
-    }
     report["results"] = {
-        "n_points": int(x.size),
+        "n_points": int(r.x.size),
         "offset": fit.offset,
         "amplitude": fit.amplitude,
         "decay_time_s": fit.decay_time,
@@ -637,6 +565,19 @@ def _run_fit(scenario, out: Path, report: dict, base_dir, fmt: str) -> list:
         "degenerate_amplitude": fit.degenerate_amplitude,
     }
     return [name]
+
+
+#: The runner of each mode: (scenario, resolved inputs, out, report, fmt) -> names of the tables it wrote.
+_RUNNERS = {
+    "normal": _run_normal,
+    "scrambled": _run_scrambled,
+    "retrieved": _run_retrieved,
+    "sdbv": _run_sdbv,
+    "ambiguity-sweep": _run_ambiguity,
+    "optimize": _run_optimize,
+    "secure-choice": _run_secure_choice,
+    "fit": _run_fit,
+}
 
 
 def run_scenario(scenario: dict, out_dir, base_dir=None, fmt: str = "csv") -> dict:
@@ -652,25 +593,14 @@ def run_scenario(scenario: dict, out_dir, base_dir=None, fmt: str = "csv") -> di
     validate_scenario(scenario)
     out = Path(out_dir)
     mode = scenario["mode"]
-    report = {"version": SCENARIO_VERSION, "mode": mode, "scenario": scenario, "resolved": {}, "warnings": []}
+    inputs, resolved = _resolve(scenario, base_dir)
+    report = {"version": SCENARIO_VERSION, "mode": mode, "scenario": scenario, "resolved": resolved, "warnings": []}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if mode == "fit":
-            outputs = _run_fit(scenario, out, report, base_dir, fmt)
-        else:
-            runner = {
-                "normal": _run_normal,
-                "scrambled": _run_scrambled,
-                "retrieved": _run_retrieved,
-                "sdbv": _run_sdbv,
-                "ambiguity-sweep": _run_ambiguity,
-                "optimize": _run_optimize,
-                "secure-choice": _run_secure_choice,
-            }[mode]
-            outputs = runner(scenario, out, report, fmt)
+        outputs = _RUNNERS[mode](scenario, inputs, out, report, fmt)
         report["outputs"] = sorted(outputs + ["report.json"])
         write_json(out / "report.json", report)
     except OSError as err:
-        # the fit input is read with its own message; what is left is the output directory
+        # inputs were read while resolving, with their own messages; what is left is the output directory
         raise ScenarioError("out", f"cannot write to {out} ({err})") from None
     return report

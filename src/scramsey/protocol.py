@@ -154,17 +154,22 @@ def encode_choice(choice: str) -> float:
     raise ValueError(f"choice must be one of {Choice.ALL}, got {choice!r}")
 
 
+def store_phase_problem(delta_s: float, t2: float) -> str | None:
+    """Why a store time ``t2`` will not descramble, or None when delta_s * t2 is an odd multiple of pi."""
+    store_phase = delta_s * t2
+    if _phase_gap(store_phase, np.pi) > _phase_tol(store_phase):
+        return f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
+    return None
+
+
 def validate_secure_config(config: ProtocolConfig) -> None:
     """Check the three phase conditions the deterministic readout needs.
 
     Raises :class:`ProtocolMisconfigurationError` naming the violated
     condition; tolerances are TIMING_RTOL relative to the checked phase.
     """
-    store_phase = config.frames.delta_s * config.t2
-    if _phase_gap(store_phase, np.pi) > _phase_tol(store_phase):
-        raise ProtocolMisconfigurationError(
-            f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
-        )
+    if problem := store_phase_problem(config.frames.delta_s, config.t2):
+        raise ProtocolMisconfigurationError(problem)
     total_phase = config.frames.delta_w * (config.t1 + config.t2 + config.t3)
     if _phase_gap(total_phase, 0.0) > _phase_tol(total_phase):
         raise ProtocolMisconfigurationError(

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scramsey
 from scramsey.analysis import (
     AmbiguityReport,
     FlopCurve,
@@ -270,3 +277,28 @@ def test_optimizer_validation():
         optimize_scramble_area(EXCITED, T33, phi_samples=64, tolerance=0.0)
     with pytest.raises(ValueError):
         optimize_scramble_area(EXCITED, T33, phi_samples=64, coarse_points=2)
+
+
+@pytest.mark.parametrize("tolerance", [1e-16, 1e-320])
+def test_optimizer_terminates_below_float_resolution(tolerance):
+    # the golden-section bracket near pi/2 cannot shrink below ~2e-16; a
+    # tolerance under that once looped forever, so run it where a hang
+    # fails the test instead of stalling the suite
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from scramsey.analysis import default_intervals, optimize_scramble_area\n"
+        "from scramsey.bloch import EXCITED\n"
+        "from scramsey.sequence import DELTA_W_REF\n"
+        "T = default_intervals(DELTA_W_REF, 2.0, 9)\n"
+        "res = optimize_scramble_area(EXCITED, T, 16, tolerance=float(sys.argv[1]), coarse_points=33)\n"
+        "print(json.dumps([res.theta_star, res.ambiguity]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scramsey.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, repr(tolerance)], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert result.returncode == 0, result.stderr
+    theta_star, ambiguity = json.loads(result.stdout)
+    assert theta_star == pytest.approx(np.pi / 2, abs=1e-6)
+    assert ambiguity == pytest.approx(1.0, abs=1e-9)

@@ -532,6 +532,70 @@ def test_cli_empty_interval_grid_is_exit_2(tmp_path, capsys):
     assert "intervals.count" in capsys.readouterr().err
 
 
+# (subcommand, scenario keys, field named): each value is schema-valid but
+# overflows, or is out of the engine's domain, once converted to engine units
+HOSTILE = [
+    ("flop", {"frames": {"delta_w_hz": 1e308}}, "frames.delta_w_hz"),
+    ("flop", {"frames": {"phi_s_pi": 1e308}}, "frames.phi_s_pi"),
+    ("flop", {"intervals": {"periods": 1e308}}, "intervals"),
+    ("flop", {"mode": "scrambled", "pulses": {"scramble_area_pi": 1e308}}, "pulses.scramble_area_pi"),
+    ("flop", {"mode": "scrambled", "timing": {"t1_s": 10**310}}, "timing.t1_s"),
+    ("flop", {"mode": "retrieved", "timing": {"store_halfturns_m": 10**310}}, "timing.store_halfturns_m"),
+    ("flop", {"mode": "retrieved", "timing": {"store_halfturns_m": 10**308}}, "timing"),
+    ("flop", {"mode": "retrieved", "frames": {"delta_s_hz": 1e-320}}, "timing"),
+    ("sdbv", {"mode": "sdbv", "record": [10**310, 0, 0]}, "record"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "pulses": {"read_area_pi": 1e308}}, "pulses.read_area_pi"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"t1_s": 1e307}}, "timing"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "no", "timing": {"store_halfturns_m": 10**310}}, "timing.store_halfturns_m"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"read_turns_k": 10**310}}, "timing.read_turns_k"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"read_turns_k": 10**308}}, "timing"),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 8}, "phi_samples"),
+    ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 10**310], "y": [0, 1, 0, 1, 0, 1]}}}, "fit.data.x"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, field", HOSTILE)
+def test_cli_hostile_values_are_exit_2(tmp_path, capsys, command, overrides, field):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_scenario(**overrides)), encoding="utf-8")
+    assert main([command, "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {field}: ")
+    assert err.count("\n") == 1
+
+
+def test_hostile_values_exit_2_in_a_fresh_interpreter(tmp_path):
+    # a fresh process shows what a user sees: numpy warnings and tracebacks included
+    runs = []
+    for i, (command, overrides, _) in enumerate(HOSTILE):
+        path = tmp_path / f"hostile_{i}.json"
+        path.write_text(json.dumps(_scenario(**overrides)), encoding="utf-8")
+        runs.append([command, "--config", str(path), "-o", str(tmp_path / f"out_{i}")])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from scramsey.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        status = main(argv)\n"
+        "    print(json.dumps([status, err.getvalue()]))\n"
+    )
+    result = _fresh_python(code, json.dumps(runs))
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    outcomes = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [status for status, _ in outcomes] == [2] * len(HOSTILE)
+    for (status, err), (_, _, field) in zip(outcomes, HOSTILE):
+        assert err.startswith(f"scenario error: {field}: ") and err.count("\n") == 1, err
+
+
+def test_integral_float_counts_behave_like_ints(tmp_path):
+    for name, count in (("int", 5), ("float", 5.0)):
+        grid = {"start_s": 0.0, "stop_s": 0.02, "count": count}
+        run_scenario(_scenario(mode="scrambled", intervals=grid, phi_samples=8, trials={"count": 2}), tmp_path / name)
+    for table in ("flop.csv", "trials.csv"):
+        assert (tmp_path / "int" / table).read_bytes() == (tmp_path / "float" / table).read_bytes()
+
+
 def test_cli_rejects_mode_mismatch(tmp_path, capsys):
     assert main(["flop", "--config", str(SCENARIOS / "sdbv.json"), "-o", str(tmp_path)]) == 2
     assert "subcommand" in capsys.readouterr().err
@@ -555,6 +619,17 @@ def test_cli_protocol_error_is_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(scenario), encoding="utf-8")
     assert main(["secure-choice", "--config", str(path), "-o", str(tmp_path / "out")]) == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+def test_cli_infeasible_read_turn_stays_exit_3(tmp_path, capsys):
+    # resolving t3 maps overflow to exit 2, but an infeasible turn count is a simulation error
+    scenario = load_scenario(SCENARIOS / "secure_choice.json")
+    scenario["timing"] = {"t1_s": 0.005, "store_halfturns_m": 0, "read_turns_k": 0}
+    path = tmp_path / "infeasible_k.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["secure-choice", "--config", str(path), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: 2*pi*k = ") and err.count("\n") == 1
 
 
 def test_cli_fit_nonconvergence_is_exit_4(tmp_path, capsys):

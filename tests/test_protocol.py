@@ -25,6 +25,7 @@ from scramsey.protocol import (
     secure_choice_timeline,
     secure_read_delay,
     smallest_secure_k,
+    store_phase_problem,
     validate_secure_config,
 )
 from scramsey.sequence import (
@@ -170,6 +171,20 @@ def test_validate_secure_config_rejects(patch):
     kwargs.update(patch)
     with pytest.raises(ProtocolMisconfigurationError):
         validate_secure_config(ProtocolConfig(**kwargs))
+
+
+def test_store_phase_problem_is_the_message_validation_raises():
+    base = default_config()
+    assert store_phase_problem(base.frames.delta_s, base.t2) is None
+    problem = store_phase_problem(base.frames.delta_s, 2.5e-3)
+    assert problem == (
+        f"delta_s * t2 = {base.frames.delta_s * 2.5e-3!r} rad is not an odd multiple of pi; "
+        "the retrieve pulse will not descramble"
+    )
+    detuned = ProtocolConfig(frames=base.frames, t1=base.t1, t2=2.5e-3, t3=base.t3)
+    with pytest.raises(ProtocolMisconfigurationError) as err:
+        validate_secure_config(detuned)
+    assert str(err.value) == problem
 
 
 def test_validate_secure_config_accepts_coterminal_areas():
