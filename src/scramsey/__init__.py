@@ -73,8 +73,6 @@ from .protocol import (
 from .sequence import (
     DELTA_S_REF,
     DELTA_W_REF,
-    SRI_PULSE_SECONDS,
-    WRI_PULSE_SECONDS,
     Frame,
     FrameSet,
     Pulse,
@@ -87,7 +85,6 @@ from .sequence import (
     scrambled_ramsey,
     simulate,
     sri_axis_angle,
-    trajectory,
 )
 
 __version__ = "0.1.0"

@@ -43,6 +43,9 @@ P_TOL = 1e-12
 #: Most final states one engine evaluation of a grid holds; bounds peak memory.
 _BLOCK_STATES = 2**14
 
+#: Coarse-scan ambiguities within this of the optimum form the reported plateau.
+_PLATEAU_TOL = 1e-9
+
 
 def default_intervals(delta_w: float, periods: float = DEFAULT_PERIODS, count: int = DEFAULT_INTERVAL_POINTS) -> np.ndarray:
     """Uniform interval grid covering ``periods`` fringe periods of delta_w."""
@@ -244,6 +247,15 @@ def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_sa
     return _rotate_inplane(_precess(cloud, wait_phase), 0.0, np.pi / 2)[:, [0, 2]]
 
 
+def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frames: FrameSet | None) -> FlopFamily:
+    """P_e of ``build(area, T)`` on the interval grid, one row per phi_s on a uniform grid."""
+    t = _as_intervals(intervals)
+    phis = phi_grid(phi_samples)
+    area = _as_area(scramble_area)
+    p = _scan(np.empty((phis.size, t.size)), lambda b: build(area, t[b]), _phi_rows(frames, phis))
+    return FlopFamily(t, phis, p)
+
+
 def scrambled_flop(
     scramble_area: float,
     t1: float,
@@ -255,11 +267,7 @@ def scrambled_flop(
 
     ``frames.phi_s`` is ignored; the family sweeps the uniform grid.
     """
-    t = _as_intervals(intervals)
-    phis = phi_grid(phi_samples)
-    area = _as_area(scramble_area)
-    p = _scan(np.empty((phis.size, t.size)), lambda b: scrambled_ramsey(area, t1, t[b]), _phi_rows(frames, phis))
-    return FlopFamily(t, phis, p)
+    return _flop_family(lambda area, t: scrambled_ramsey(area, t1, t), scramble_area, intervals, phi_samples, frames)
 
 
 def retrieved_flop(
@@ -276,11 +284,7 @@ def retrieved_flop(
     an odd multiple of pi; no condition is enforced here so detuned
     stores can be studied.
     """
-    t = _as_intervals(intervals)
-    phis = phi_grid(phi_samples)
-    area = _as_area(scramble_area)
-    p = _scan(np.empty((phis.size, t.size)), lambda b: retrieved_ramsey(area, t1, t2, t[b]), _phi_rows(frames, phis))
-    return FlopFamily(t, phis, p)
+    return _flop_family(lambda area, t: retrieved_ramsey(area, t1, t2, t), scramble_area, intervals, phi_samples, frames)
 
 
 def ambiguity_report(
@@ -335,7 +339,6 @@ def optimize_scramble_area(
     frames: FrameSet | None = None,
     tolerance: float = 1e-6,
     coarse_points: int = 181,
-    plateau_tol: float = 1e-9,
 ) -> ScrambleAreaResult:
     """Scramble area on [0, 2*pi] that maximizes the readout ambiguity.
 
@@ -343,8 +346,8 @@ def optimize_scramble_area(
     candidate, a golden-section refinement narrows it to ``tolerance``.
     Coarse values within 1e-12 of the best are treated as exact ties and
     resolved toward the smaller area.  ``plateau`` is the contiguous
-    coarse-scan interval whose ambiguity stays within ``plateau_tol`` of
-    the optimum (degenerate when only the winning point qualifies).
+    coarse-scan interval whose ambiguity stays within 1e-9 of the
+    optimum (degenerate when only the winning point qualifies).
     """
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
@@ -366,7 +369,7 @@ def optimize_scramble_area(
     hi = thetas[min(idx + 1, thetas.size - 1)]
     theta_star, a_star = _golden_max(objective, float(lo), float(hi), tolerance)
 
-    mask = values >= a_star - plateau_tol
+    mask = values >= a_star - _PLATEAU_TOL
     if mask[idx]:
         gaps = np.flatnonzero(~mask)  # the plateau is the run of True around idx
         left = gaps[gaps < idx].max(initial=-1) + 1

@@ -53,6 +53,11 @@ def wrap_angle(angle):
     return np.where(a >= TWO_PI, 0.0, a) if np.ndim(a) else (0.0 if a >= TWO_PI else float(a))
 
 
+def _wrap_centred(angle):
+    """Reduce an angle to [-pi, pi)."""
+    return (angle + np.pi) % TWO_PI - np.pi
+
+
 def _as_state(state) -> np.ndarray:
     v = np.asarray(state, dtype=float)
     if v.shape[-1:] != (3,):

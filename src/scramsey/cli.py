@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ScenarioError, SimulationError
 from .harness import load_scenario, run_scenario
 
@@ -97,7 +99,9 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**64:
                 raise ScenarioError("seed", "must fit an unsigned 64-bit integer")
             scenario["seed"] = args.seed
-        report = run_scenario(scenario, args.out, base_dir=args.config.parent, fmt=args.format)
+        # a phase overflow is reported once, as exit 3, not also as numpy warnings
+        with np.errstate(all="ignore"):
+            report = run_scenario(scenario, args.out, base_dir=args.config.parent, fmt=args.format)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return 2

@@ -27,8 +27,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals, _freeze
-from .bloch import _precess, excitation_probability
-from .sequence import Frame, FrameSet, Pulse, Timeline, _apply, default_frames, simulate
+from .bloch import _precess, _wrap_centred, excitation_probability
+from .sequence import Frame, FrameSet, Pulse, Timeline, _apply, _check_finite, default_frames, simulate
+
+#: Largest ensemble the binomial draw can count (it counts in int64).
+_MAX_ATOMS = int(np.iinfo(np.int64).max)
+
+
+def _atom_count(count) -> int:
+    """``count`` as an int, checked to be a positive ensemble size the binomial draw accepts."""
+    if int(count) != count or not 1 <= count <= _MAX_ATOMS:
+        raise ValueError(f"atom_count must be an integer in [1, {_MAX_ATOMS}], got {count!r}")
+    return int(count)
 
 
 @dataclass(frozen=True)
@@ -51,9 +61,7 @@ class NoiseModel:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if self.atom_count is not None:
-            if int(self.atom_count) != self.atom_count or self.atom_count < 1:
-                raise ValueError(f"atom_count must be a positive integer or None, got {self.atom_count!r}")
-            object.__setattr__(self, "atom_count", int(self.atom_count))
+            object.__setattr__(self, "atom_count", _atom_count(self.atom_count))
         tau = float(self.contrast_decay_tau)
         if np.isnan(tau) or tau <= 0.0:
             raise ValueError(f"contrast_decay_tau must be positive (inf allowed), got {self.contrast_decay_tau!r}")
@@ -84,12 +92,11 @@ def damp_contrast(p_e, hold_time, tau: float):
 
 def project_noise(p_e, atom_count: int, rng: np.random.Generator):
     """Replace probabilities by binomial excitation fractions of the ensemble."""
-    if int(atom_count) != atom_count or atom_count < 1:
-        raise ValueError(f"atom_count must be a positive integer, got {atom_count!r}")
+    atom_count = _atom_count(atom_count)
     p = np.asarray(p_e, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    fraction = _binomial_fraction(p, int(atom_count), rng)
+    fraction = _binomial_fraction(p, atom_count, rng)
     if np.ndim(p_e) == 0 and np.ndim(fraction) == 0:
         return float(fraction)
     return fraction
@@ -202,7 +209,7 @@ def run_trials(
             # the jitter is an extra precession just before the last event
             head = Timeline(timeline.events[:-1])
             v = _precess(simulate(head, shot_frames), jitters)
-            v = _apply(v, timeline.events[-1], head.duration, shot_frames)
+            v = _check_finite(_apply(v, timeline.events[-1], head.duration, shot_frames))
         else:
             v = simulate(timeline, shot_frames)
         p = damp_contrast(excitation_probability(v), timeline.duration, noise.contrast_decay_tau)
@@ -245,10 +252,6 @@ class FitResult:
         return damped_sinusoid(x, self.offset, self.amplitude, self.decay_time, self.angular_frequency, self.phase)
 
 
-def _wrap_phase(phase: float) -> float:
-    return float((phase + np.pi) % (2.0 * np.pi) - np.pi)
-
-
 def _validate_xy(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -288,7 +291,7 @@ def initial_guess(x, y) -> tuple[float, float, float, float, float]:
             refined = k + 0.5 * float((alpha - gamma) / denom)
     step = span / (x.shape[0] - 1)
     omega = 2.0 * np.pi * refined / (x.shape[0] * step)
-    phase = _wrap_phase(float(np.angle(spectrum[k])) - omega * float(x[0])) if k > 0 else 0.0
+    phase = _wrap_centred(float(np.angle(spectrum[k])) - omega * float(x[0])) if k > 0 else 0.0
 
     blocks = min(8, max(2, x.shape[0] // 8))
     edges = np.array_split(np.arange(x.shape[0]), blocks)
@@ -355,7 +358,7 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         amplitude=amplitude,
         decay_time=decay_time,
         angular_frequency=omega,
-        phase=_wrap_phase(phase),
+        phase=_wrap_centred(phase),
         residual_rms=rms,
         converged=bool(result.status > 0),
         degenerate_amplitude=bool(amplitude <= 3.0 * rms),

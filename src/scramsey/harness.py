@@ -30,6 +30,7 @@ so rerunning a scenario reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import operator
 import os
@@ -84,29 +85,22 @@ _PULSE_KEYS = {
     "secure-choice": {"scramble_area_pi", "read_area_pi"},
 }
 
-_schema_cache = None
-_validator_cache = None
 
-
+@functools.cache
 def scenario_schema() -> dict:
     """The JSON schema scenario files are validated against."""
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("scramsey.schema").joinpath("scenario-v1.schema.json").read_text("utf-8")
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    text = resources.files("scramsey.schema").joinpath("scenario-v1.schema.json").read_text("utf-8")
+    return json.loads(text)
 
 
+@functools.cache
 def _validator() -> jsonschema.Draft202012Validator:
     """A validator for :func:`scenario_schema`, built once per process.
 
     The packaged schema is not meta-validated here, on every process
     start; a test checks the shipped file instead.
     """
-    global _validator_cache
-    if _validator_cache is None:
-        _validator_cache = jsonschema.Draft202012Validator(scenario_schema())
-    return _validator_cache
+    return jsonschema.Draft202012Validator(scenario_schema())
 
 
 def validate_scenario(scenario) -> None:
@@ -260,6 +254,18 @@ def _resolve(scenario: dict, base_dir) -> tuple:
             r.intervals = _converted("intervals", analysis.default_intervals, r.frames.delta_w, periods, count)
         # grids are always uniform, so endpoints plus count reproduce them
         echo["intervals"] = {"start_s": float(r.intervals[0]), "stop_s": float(r.intervals[-1]), "count": count}
+    if "noise" in top:
+        cfg = scenario.get("noise", {})
+        tau = cfg.get("contrast_decay_tau_s")
+        try:
+            r.noise = expsim.NoiseModel(
+                seed=scenario.get("seed", 0),
+                atom_count=cfg.get("atom_count"),
+                contrast_decay_tau=np.inf if tau is None else tau,
+                phase_jitter_sigma=cfg.get("phase_jitter_sigma", 0.0),
+            )
+        except ValueError as err:  # the schema bounds every other noise field
+            raise ScenarioError("noise.atom_count", str(err)) from None
     if "phi_samples" in top:
         r.phi_samples = echo["phi_samples"] = int(scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES))
     if "record" in top:
@@ -391,15 +397,7 @@ def _maybe_trials(scenario, builder, r, out: Path, report: dict, fmt: str) -> li
     cfg = scenario.get("trials")
     if cfg is None:
         return []
-    noise_cfg = scenario.get("noise", {})
-    tau = noise_cfg.get("contrast_decay_tau_s")
-    noise = expsim.NoiseModel(
-        seed=scenario.get("seed", 0),
-        atom_count=noise_cfg.get("atom_count"),
-        contrast_decay_tau=np.inf if tau is None else tau,
-        phase_jitter_sigma=noise_cfg.get("phase_jitter_sigma", 0.0),
-    )
-    randomize = cfg.get("randomize_phi", True)
+    noise, randomize = r.noise, cfg.get("randomize_phi", True)
     stats = expsim.run_trials(builder, r.frames, noise, cfg["count"], r.intervals, randomize)
     header = ["T_seconds"] + [f"trial_{i:03d}" for i in range(stats.trials)] + ["mean", "std"]
     name = _write_table(out, "trials", header, [stats.intervals, *stats.samples, stats.mean, stats.std], fmt)
@@ -413,7 +411,7 @@ def _maybe_trials(scenario, builder, r, out: Path, report: dict, fmt: str) -> li
     report["resolved"]["noise"] = {
         "seed": noise.seed,
         "atom_count": noise.atom_count,
-        "contrast_decay_tau_s": None if tau is None else noise.contrast_decay_tau,
+        "contrast_decay_tau_s": None if np.isinf(noise.contrast_decay_tau) else noise.contrast_decay_tau,
         "phase_jitter_sigma": noise.phase_jitter_sigma,
     }
     return [name]

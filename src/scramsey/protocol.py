@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import phi_grid
-from .bloch import TWO_PI, excitation_probability
+from .bloch import TWO_PI, _wrap_centred, excitation_probability
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -39,11 +39,21 @@ class Choice:
 
 def _phase_gap(phase: float, target: float) -> float:
     """Distance from ``phase`` to ``target`` modulo 2*pi."""
-    return abs((phase - target + np.pi) % TWO_PI - np.pi)
+    return abs(_wrap_centred(phase - target))
 
 
 def _phase_tol(phase: float) -> float:
     return TIMING_RTOL * max(1.0, abs(phase))
+
+
+def _half_turns_delay(delta_name: str, delta: float, count_name: str, count: int) -> float:
+    """Delay t with delta * t = (2 * count + 1) * pi; errors name the caller's arguments."""
+    delta = float(delta)
+    if not np.isfinite(delta) or delta <= 0.0:
+        raise ValueError(f"{delta_name} must be finite and positive, got {delta!r}")
+    if int(count) != count or count < 0:
+        raise ValueError(f"{count_name} must be an integer >= 0, got {count!r}")
+    return (2 * int(count) + 1) * np.pi / delta
 
 
 def retrieve_delay(delta_s: float, m: int = 0) -> float:
@@ -53,12 +63,7 @@ def retrieve_delay(delta_s: float, m: int = 0) -> float:
     frame undoes the scramble pulse exactly, for any pulse area and any
     shot phase.
     """
-    delta_s = float(delta_s)
-    if not np.isfinite(delta_s) or delta_s <= 0.0:
-        raise ValueError(f"delta_s must be finite and positive, got {delta_s!r}")
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
-    return (2 * int(m) + 1) * np.pi / delta_s
+    return _half_turns_delay("delta_s", delta_s, "m", m)
 
 
 def faithful_read_delay(delta_w: float, n: int = 0) -> float:
@@ -67,12 +72,7 @@ def faithful_read_delay(delta_w: float, n: int = 0) -> float:
     A normal write/read pair separated by this interval returns a ground
     state to the ground state (P_e = 0), the faithful-recording check.
     """
-    delta_w = float(delta_w)
-    if not np.isfinite(delta_w) or delta_w <= 0.0:
-        raise ValueError(f"delta_w must be finite and positive, got {delta_w!r}")
-    if int(n) != n or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    return (2 * int(n) + 1) * np.pi / delta_w
+    return _half_turns_delay("delta_w", delta_w, "n", n)
 
 
 def smallest_secure_k(frames: FrameSet, t1: float, t2: float) -> int:
@@ -114,13 +114,12 @@ def secure_read_delay(frames: FrameSet, t1: float, t2: float, k: int | None = No
 
 @dataclass
 class ProtocolConfig:
-    """Frames, timings and pulse areas of one secure-choice run."""
+    """Frames, timings and pulse areas of one secure-choice run; the write area encodes the choice."""
 
     frames: FrameSet
     t1: float
     t2: float
     t3: float
-    write_area: float = np.pi / 2
     scramble_area: float = np.pi
     read_area: float = np.pi / 2
 
@@ -130,7 +129,7 @@ class ProtocolConfig:
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
             setattr(self, name, value)
-        for name in ("write_area", "scramble_area", "read_area"):
+        for name in ("scramble_area", "read_area"):
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

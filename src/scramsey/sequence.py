@@ -16,8 +16,6 @@ the same ``phi_s`` and only the deterministic drift
 ``(delta_w - delta_s) * t`` separates their axes.
 
 Pulses are instantaneous: time advances through ``Wait`` events only.
-The physical pulse lengths (``WRI_PULSE_SECONDS``, ``SRI_PULSE_SECONDS``)
-are carried as metadata for reporting and never enter the dynamics.
 
 Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
 together: ``phi_s`` of shape (P, 1) against waits of shape (B,) gives a
@@ -42,11 +40,6 @@ from .errors import InvalidTimelineError
 #: Reference detunings used throughout the examples and tests, rad/s.
 DELTA_W_REF = 2.0 * np.pi * 100.0
 DELTA_S_REF = 2.0 * np.pi * 100.0
-
-# Physical pulse lengths of the reference apparatus.  Metadata only: the
-# engine treats every pulse as instantaneous.
-WRI_PULSE_SECONDS = 0.45e-3
-SRI_PULSE_SECONDS = 2.75e-3
 
 
 class Frame(Enum):
@@ -227,31 +220,20 @@ def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):
     return _apply(_as_state(state), event, time, frames, sri_axis_angle)
 
 
-def _walk(timeline: Timeline, frames: FrameSet, v):
-    """Yield the state after each event, starting from the checked state ``v``."""
-    fire_times = iter(timeline.pulse_times())
-    for event in timeline:
-        v = _apply(v, event, next(fire_times) if isinstance(event, Pulse) else None, frames)
-        yield v
-
-
-def trajectory(timeline: Timeline, frames: FrameSet, state=GROUND) -> list:
-    """States along a timeline.
-
-    Element 0 is the initial state; element i is the state after event i.
-    """
-    v = validate_state(state)
-    return [v, *_walk(timeline, frames, v)]
-
-
-def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):
-    """Final state of a timeline; equals ``trajectory(...)[-1]`` exactly."""
-    v = validate_state(state)
-    for v in _walk(timeline, frames, v):
-        pass
+def _check_finite(v):
+    """``v``, unless a phase overflowed on the way and left a component non-finite."""
     if not np.all(np.isfinite(v)):
         raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
     return v
+
+
+def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):
+    """Final state of a timeline: each event applied in order, every S pulse at its fire time."""
+    v = validate_state(state)
+    fire_times = iter(timeline.pulse_times())
+    for event in timeline:
+        v = _apply(v, event, next(fire_times) if isinstance(event, Pulse) else None, frames)
+    return _check_finite(v)
 
 
 def ramsey(interval: float) -> Timeline:

@@ -5,6 +5,7 @@ import pytest
 
 from scramsey.analysis import normal_flop
 from scramsey.bloch import excitation_probability, precess
+from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import (
     FitResult,
     NoiseModel,
@@ -56,6 +57,8 @@ def test_noise_model_defaults_are_noiseless():
         {"seed": 0.5},
         {"atom_count": 0},
         {"atom_count": 2.5},
+        {"atom_count": 2**63},  # past int64, which the binomial draw counts in
+        {"atom_count": 1e20},
         {"contrast_decay_tau": 0.0},
         {"contrast_decay_tau": -1.0},
         {"phase_jitter_sigma": -0.1},
@@ -109,6 +112,10 @@ def test_project_noise_rejects_out_of_range():
         project_noise(1.5, 10, rng)
     with pytest.raises(ValueError):
         project_noise(0.5, 0, rng)
+    with pytest.raises(ValueError):
+        project_noise(0.5, 2**63, rng)
+    assert 0.0 <= project_noise(0.5, 2**63 - 1, rng) <= 1.0
+    assert NoiseModel(atom_count=2**63 - 1).atom_count == 2**63 - 1
 
 
 # -------------------------------------------------------------- TrialStats
@@ -229,6 +236,12 @@ def test_run_trials_rejects_array_valued_events():
     builder = lambda T: Timeline((Pulse.wri(np.pi / 2), Wait(np.array([T, T])), Pulse.wri(np.pi / 2)))
     with pytest.raises(ValueError, match="scalar events"):
         run_trials(builder, None, NoiseModel(), 2, T17)
+
+
+def test_run_trials_jitter_overflow_is_an_invalid_timeline():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            run_trials(ramsey, None, NoiseModel(phase_jitter_sigma=1e308), 2, T17)
 
 
 def _per_shot_reference(builder, frames, noise, trials, intervals, randomize_phi):

@@ -551,6 +551,7 @@ HOSTILE = [
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"read_turns_k": 10**308}}, "timing"),
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 8}, "phi_samples"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 10**310], "y": [0, 1, 0, 1, 0, 1]}}}, "fit.data.x"),
+    ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"atom_count": 10**20}}, "noise.atom_count"),
 ]
 
 
@@ -564,16 +565,21 @@ def test_cli_hostile_values_are_exit_2(tmp_path, capsys, command, overrides, fie
     assert err.count("\n") == 1
 
 
-def test_hostile_values_exit_2_in_a_fresh_interpreter(tmp_path):
-    # a fresh process shows what a user sees: numpy warnings and tracebacks included
+def _fresh_cli_runs(tmp_path, cases) -> list:
+    """[exit status, stderr] of ``main`` on each (subcommand, scenario keys) case, all in one fresh interpreter.
+
+    A fresh process shows what a user sees: numpy warnings and tracebacks
+    included.  Every warning is shown, so none hides behind an earlier run.
+    """
     runs = []
-    for i, (command, overrides, _) in enumerate(HOSTILE):
-        path = tmp_path / f"hostile_{i}.json"
+    for i, (command, overrides, *_) in enumerate(cases):
+        path = tmp_path / f"case_{i}.json"
         path.write_text(json.dumps(_scenario(**overrides)), encoding="utf-8")
         runs.append([command, "--config", str(path), "-o", str(tmp_path / f"out_{i}")])
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, warnings\n"
         "from scramsey.cli import main\n"
+        "warnings.simplefilter('always')\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    err = io.StringIO()\n"
         "    with contextlib.redirect_stderr(err):\n"
@@ -582,10 +588,31 @@ def test_hostile_values_exit_2_in_a_fresh_interpreter(tmp_path):
     )
     result = _fresh_python(code, json.dumps(runs))
     assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
-    outcomes = [json.loads(line) for line in result.stdout.splitlines()]
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def test_hostile_values_exit_2_in_a_fresh_interpreter(tmp_path):
+    outcomes = _fresh_cli_runs(tmp_path, HOSTILE)
     assert [status for status, _ in outcomes] == [2] * len(HOSTILE)
     for (status, err), (_, _, field) in zip(outcomes, HOSTILE):
         assert err.startswith(f"scenario error: {field}: ") and err.count("\n") == 1, err
+
+
+# (subcommand, scenario keys): each value is schema-valid and resolves,
+# but a phase overflows in the engine
+OVERFLOWING = [
+    ("flop", {"mode": "retrieved", "timing": {"t2_s": 1e308}}),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"t3_s": 1e308}}),
+    ("flop", {"intervals": {"start_s": 0.0, "stop_s": 1e308, "count": 3}}),
+    ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"phase_jitter_sigma": 1e308}}),
+]
+
+
+def test_phase_overflows_exit_3_in_a_fresh_interpreter(tmp_path):
+    outcomes = _fresh_cli_runs(tmp_path, OVERFLOWING)
+    assert [status for status, _ in outcomes] == [3] * len(OVERFLOWING)
+    for _, err in outcomes:
+        assert err.startswith("simulation error: ") and err.count("\n") == 1, err
 
 
 def test_integral_float_counts_behave_like_ints(tmp_path):

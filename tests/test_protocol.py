@@ -164,7 +164,6 @@ def test_validate_secure_config_rejects(patch):
         t1=base.t1,
         t2=base.t2,
         t3=base.t3,
-        write_area=base.write_area,
         scramble_area=base.scramble_area,
         read_area=base.read_area,
     )
