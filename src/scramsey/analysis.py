@@ -21,17 +21,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import GROUND, TWO_PI, _excitation_probability, _freeze, _precess, _rotate_inplane, validate_state
+from .bloch import GROUND, TWO_PI, _components, _excitation_probability, _freeze, _precess, _rotate, _stack, validate_state
 from .sequence import (
     FrameSet,
     Pulse,
     Timeline,
     Wait,
+    _walk,
     default_frames,
     ramsey,
     retrieved_ramsey,
     scrambled_ramsey,
-    simulate,
 )
 
 DEFAULT_INTERVAL_POINTS = 201
@@ -89,10 +89,15 @@ def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
 
 
 def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p) -> np.ndarray:
-    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states."""
+    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states.
+
+    P_e is read from the final ``z`` alone, broadcast to the block shape
+    ``simulate`` would have returned.
+    """
     step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
     for i in range(0, out.shape[-1], step):
-        out[..., i : i + step] = reduce(_excitation_probability(simulate(build(slice(i, i + step)), frames, state)))
+        x, y, z = _walk(build(slice(i, i + step)), frames, _components(validate_state(state)))
+        out[..., i : i + step] = reduce(np.broadcast_to(_excitation_probability(z), np.broadcast(x, y, z).shape))
     return out
 
 
@@ -229,7 +234,7 @@ def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES)
     """
     rec = validate_state(recorded)
     phis = phi_grid(phi_samples)
-    points = _rotate_inplane(rec, phis, _as_area(scramble_area))
+    points = _stack(_rotate(*_components(rec), phis, _as_area(scramble_area)))
     return SDBV(rec, scramble_area, phis, points)
 
 
@@ -244,7 +249,7 @@ def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_sa
     if not np.isfinite(wait_phase):
         raise ValueError("wait_phase must be finite")
     cloud = sdbv(recorded, scramble_area, phi_samples).points
-    return _rotate_inplane(_precess(cloud, wait_phase), 0.0, np.pi / 2)[:, [0, 2]]
+    return np.column_stack(_rotate(*_precess(*_components(cloud), wait_phase), 0.0, np.pi / 2)[::2])  # x and z
 
 
 def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frames: FrameSet | None) -> FlopFamily:

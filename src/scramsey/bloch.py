@@ -16,9 +16,13 @@ Every operation broadcasts over leading axes, so a stack of states with
 shape (n, 3), or a single state paired with an (n,) stack of axis
 azimuths, is processed in one call.
 
-The public functions check their inputs, then call unchecked private
-cores (``_rotate_inplane``, ...).  The timeline engine checks its inputs
-once and calls the cores directly, on whole blocks of a grid.
+The public functions check their inputs, split the state into its
+components, call an unchecked private core (``_rotate``, ``_precess``)
+and stack the result once, broadcast to the full (..., 3) shape.  The
+cores take and return component triples ``(x, y, z)`` that need not share
+a shape: a precession leaves ``z`` as it was.  The timeline engine checks
+its inputs once and carries the triple through the cores on whole blocks
+of a grid, stacking only when a caller asks for states.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ def _freeze(a) -> np.ndarray:
 
 GROUND = _freeze([0.0, 0.0, 1.0])
 EXCITED = _freeze([0.0, 0.0, -1.0])
+
+#: GROUND as a component triple of scalars, the start of every shot.
+_GROUND_XYZ = tuple(GROUND)
 
 
 def wrap_angle(angle):
@@ -101,6 +108,16 @@ def validate_state(state) -> np.ndarray:
     return v
 
 
+def _components(v):
+    """The (x, y, z) triple of a (..., 3) state array, as views."""
+    return v[..., 0], v[..., 1], v[..., 2]
+
+
+def _stack(xyz):
+    """A component triple as one (..., 3) array, every component broadcast to the full shape."""
+    return np.stack(np.broadcast_arrays(*xyz), axis=-1)
+
+
 def rotate_inplane(state, axis_azimuth, angle):
     """Rotate Bloch vectors about an equatorial axis.
 
@@ -126,19 +143,20 @@ def rotate_inplane(state, axis_azimuth, angle):
     ValueError
         On non-finite input or a state of the wrong shape.
     """
-    return _rotate_inplane(_as_state(state), _as_angle(axis_azimuth, "axis_azimuth"), _as_angle(angle, "angle"))
+    xyz = _components(_as_state(state))
+    return _stack(_rotate(*xyz, _as_angle(axis_azimuth, "axis_azimuth"), _as_angle(angle, "angle")))
 
 
-def _rotate_inplane(v, axis_azimuth, angle):
+def _rotate(x, y, z, axis_azimuth, angle):
+    """Unchecked core of :func:`rotate_inplane` on the components; returns the rotated triple."""
     ax, ay = np.cos(axis_azimuth), np.sin(axis_azimuth)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
     ct, st = np.cos(angle), np.sin(angle)
     along = ax * x + ay * y
     rise = 1.0 - ct
     rx = x * ct + ay * z * st + ax * along * rise
     ry = y * ct - ax * z * st + ay * along * rise
     rz = z * ct + (ax * y - ay * x) * st
-    return np.stack(np.broadcast_arrays(rx, ry, rz), axis=-1)
+    return rx, ry, rz
 
 
 def precess(state, phase):
@@ -157,15 +175,13 @@ def precess(state, phase):
     -------
     ndarray of the broadcast shape, trailing axis 3.
     """
-    return _precess(_as_state(state), _as_angle(phase, "phase"))
+    return _stack(_precess(*_components(_as_state(state)), _as_angle(phase, "phase")))
 
 
-def _precess(v, phase):
+def _precess(x, y, z, phase):
+    """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was."""
     cb, sb = np.cos(phase), np.sin(phase)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    rx = x * cb - y * sb
-    ry = x * sb + y * cb
-    return np.stack(np.broadcast_arrays(rx, ry, z), axis=-1)
+    return x * cb - y * sb, x * sb + y * cb, z
 
 
 def excitation_probability(state):
@@ -177,13 +193,16 @@ def excitation_probability(state):
         If |z| exceeds 1 + Z_TOL; small numerical overshoot inside that
         band is clipped instead.
     """
-    v = _as_state(state)
-    z = v[..., 2]
-    if np.any(np.abs(z) > 1.0 + Z_TOL):
+    return _checked_probability(_as_state(state)[..., 2])
+
+
+def _checked_probability(z):
+    """Checked core of :func:`excitation_probability` on ``z`` components: a float for one state."""
+    if (np.abs(z) > 1.0 + Z_TOL).any():
         raise InvalidStateError(f"z component {float(np.max(np.abs(z)))!r} outside [-1, 1]")
-    p = _excitation_probability(v)
+    p = _excitation_probability(z)
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _excitation_probability(v):
-    return np.clip((1.0 - v[..., 2]) / 2.0, 0.0, 1.0)
+def _excitation_probability(z):
+    return np.clip((1.0 - z) / 2.0, 0.0, 1.0)

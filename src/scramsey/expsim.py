@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals, _freeze
-from .bloch import _precess, _wrap_centred, excitation_probability
-from .sequence import Frame, FrameSet, Pulse, Timeline, _apply, _check_finite, default_frames, simulate
+from .bloch import _GROUND_XYZ, _checked_probability, _precess, _wrap_centred
+from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -208,11 +208,11 @@ def run_trials(
         if sigma > 0.0 and len(timeline):
             # the jitter is an extra precession just before the last event
             head = Timeline(timeline.events[:-1])
-            v = _precess(simulate(head, shot_frames), jitters)
-            v = _check_finite(_apply(v, timeline.events[-1], head.duration, shot_frames))
+            xyz = _precess(*_walk(head, shot_frames, _GROUND_XYZ), jitters)
+            xyz = _walk(timeline.events[-1:], shot_frames, xyz, head.duration)
         else:
-            v = simulate(timeline, shot_frames)
-        p = damp_contrast(excitation_probability(v), timeline.duration, noise.contrast_decay_tau)
+            xyz = _walk(timeline, shot_frames, _GROUND_XYZ)
+        p = damp_contrast(_checked_probability(xyz[2]), timeline.duration, noise.contrast_decay_tau)
         if atoms is not None:
             p = [_binomial_fraction(q, atoms, rng) for q, rng in zip(np.broadcast_to(p, trials), rngs)]
         samples[:, j] = p

@@ -21,10 +21,14 @@ per interval and shot phase, the normalized column counts fringe
 periods 2*pi/delta_w), state clouds as ``phi_S, x, y, z`` and their
 readout projections as ``phi_S, x, z``.  The report echoes the scenario
 verbatim and also records the fully resolved configuration (rad/s, rad,
-seconds) actually simulated.  Writes are atomic (temp file then
-rename), floats are serialized with their shortest round-trip
-representation, and nothing time- or host-dependent is ever written,
-so rerunning a scenario reproduces every artifact byte for byte.
+seconds) actually simulated.  A run finishes every engine evaluation
+before it creates the output directory, so a simulation error writes
+nothing, and it refuses, before allocating anything, a scenario whose
+largest grid exceeds ``MAX_GRID_STATES`` final states.  Writes are
+atomic (temp file then rename), floats are serialized with their
+shortest round-trip representation, and nothing time- or host-dependent
+is ever written, so rerunning a scenario reproduces every artifact byte
+for byte.
 """
 
 from __future__ import annotations
@@ -52,6 +56,14 @@ SCENARIO_VERSION = 1
 TABLE_FORMATS = ("csv", "json")
 
 FLOP_COLUMNS = ("T_seconds", "T_normalized", "phi_S", "P_e")
+
+#: Most final Bloch states one grid of a scenario may ask for: intervals x phi samples (x coarse
+#: areas in ``optimize``), or trials x intervals.  Bounds the engine's run time and the size of its
+#: results; a larger grid exits 2.
+MAX_GRID_STATES = 2**24
+
+#: Coarse scramble areas ``optimize`` scans when the scenario does not say.
+_COARSE_POINTS = 181
 
 #: Named record states a scenario may ask to scramble.
 RECORD_STATES = {
@@ -225,6 +237,15 @@ def _read_columns(path: Path, x_column: str, y_column: str) -> tuple:
     return x, y
 
 
+def _grid_states(scenario: dict) -> int:
+    """Final Bloch states of the largest grid ``scenario`` asks for, counted from its inputs alone."""
+    top = _TOP_KEYS[scenario["mode"]]
+    count = int(scenario.get("intervals", {}).get("count", analysis.DEFAULT_INTERVAL_POINTS)) if "intervals" in top else 1
+    phis = int(scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES)) if "phi_samples" in top else 1
+    areas = int(scenario.get("optimizer", {}).get("coarse_points", _COARSE_POINTS)) if "optimizer" in top else 1
+    return max(count * phis * areas, int(scenario.get("trials", {}).get("count", 0)) * count)
+
+
 def _resolve(scenario: dict, base_dir) -> tuple:
     """Engine inputs of every section the scenario's mode accepts, and their echo.
 
@@ -232,6 +253,8 @@ def _resolve(scenario: dict, base_dir) -> tuple:
     resolved here, once, for every mode.  Returns a namespace of inputs
     in engine units (rad/s, rad, s) and the ``report["resolved"]`` dict.
     """
+    if (states := _grid_states(scenario)) > MAX_GRID_STATES:
+        raise ScenarioError("grid", f"asks for {states} final states on one grid; at most {MAX_GRID_STATES} are allowed")
     mode, top = scenario["mode"], _TOP_KEYS[scenario["mode"]]
     timing_keys, timing = _TIMING_KEYS.get(mode, set()), scenario.get("timing", {})
     pulse_keys, pulses = _PULSE_KEYS.get(mode, set()), scenario.get("pulses", {})
@@ -379,28 +402,29 @@ def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
     return name
 
 
-def _write_flop(out: Path, r, phis, p_e, fmt: str) -> str:
-    """Write the long-format fringe table of ``r.intervals``, one contiguous block per shot phase.
+def _flop_table(r, phis, p_e) -> tuple:
+    """The long-format fringe table of ``r.intervals``, one contiguous block per shot phase.
 
     ``p_e`` has shape (len(phis), len(intervals)); the normalized column
     is the interval in units of the fringe period 2*pi/delta_w.
     """
-    n, normalized = np.size(phis), r.intervals * r.frames.delta_w / TWO_PI
-    columns = [np.tile(r.intervals, n), np.tile(normalized, n), np.repeat(phis, r.intervals.size), p_e.ravel()]
-    return _write_table(out, "flop", FLOP_COLUMNS, columns, fmt)
+    def columns():
+        n, normalized = np.size(phis), r.intervals * r.frames.delta_w / TWO_PI
+        return [np.tile(r.intervals, n), np.tile(normalized, n), np.repeat(phis, r.intervals.size), p_e.ravel()]
+
+    return "flop", FLOP_COLUMNS, columns
 
 
 # ---------------------------------------------------------------- runners
 
 
-def _maybe_trials(scenario, builder, r, out: Path, report: dict, fmt: str) -> list:
+def _maybe_trials(scenario, builder, r, report: dict) -> list:
     cfg = scenario.get("trials")
     if cfg is None:
         return []
     noise, randomize = r.noise, cfg.get("randomize_phi", True)
     stats = expsim.run_trials(builder, r.frames, noise, cfg["count"], r.intervals, randomize)
     header = ["T_seconds"] + [f"trial_{i:03d}" for i in range(stats.trials)] + ["mean", "std"]
-    name = _write_table(out, "trials", header, [stats.intervals, *stats.samples, stats.mean, stats.std], fmt)
     report["results"]["trials"] = {
         "count": stats.trials,
         "seed": noise.seed,
@@ -414,10 +438,10 @@ def _maybe_trials(scenario, builder, r, out: Path, report: dict, fmt: str) -> li
         "contrast_decay_tau_s": None if np.isinf(noise.contrast_decay_tau) else noise.contrast_decay_tau,
         "phase_jitter_sigma": noise.phase_jitter_sigma,
     }
-    return [name]
+    return [("trials", header, lambda: [stats.intervals, *stats.samples, stats.mean, stats.std])]
 
 
-def _run_normal(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_normal(scenario, r, report: dict) -> list:
     p_e = analysis.normal_flop(r.frames.delta_w, r.intervals).p_e
     report["results"] = {
         "interval_count": int(r.intervals.size),
@@ -427,10 +451,10 @@ def _run_normal(scenario, r, out: Path, report: dict, fmt: str) -> list:
     }
     # no scramble pulse fires here; the phi_S column just echoes the
     # configured frame phase so every fringe table shares one layout
-    return [_write_flop(out, r, r.frames.phi_s, p_e, fmt)] + _maybe_trials(scenario, ramsey, r, out, report, fmt)
+    return [_flop_table(r, r.frames.phi_s, p_e)] + _maybe_trials(scenario, ramsey, r, report)
 
 
-def _run_scrambled(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_scrambled(scenario, r, report: dict) -> list:
     family = analysis.scrambled_flop(r.scramble_area, r.t1, r.intervals, r.phi_samples, r.frames)
     ranges = family.ranges()
     report["results"] = {
@@ -441,10 +465,10 @@ def _run_scrambled(scenario, r, out: Path, report: dict, fmt: str) -> list:
         "range_max": float(ranges.max()),
     }
     builder = lambda interval: scrambled_ramsey(r.scramble_area, r.t1, interval)
-    return [_write_flop(out, r, family.phis, family.p_e, fmt)] + _maybe_trials(scenario, builder, r, out, report, fmt)
+    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, builder, r, report)
 
 
-def _run_retrieved(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_retrieved(scenario, r, report: dict) -> list:
     if warning := protocol.store_phase_problem(r.frames.delta_s, r.t2):
         report["warnings"].append(warning)
     family = analysis.retrieved_flop(r.scramble_area, r.t1, r.t2, r.intervals, r.phi_samples, r.frames)
@@ -458,14 +482,12 @@ def _run_retrieved(scenario, r, out: Path, report: dict, fmt: str) -> list:
         "max_deviation_from_normal": float(np.abs(family.p_e - target[None, :]).max()),
     }
     builder = lambda interval: retrieved_ramsey(r.scramble_area, r.t1, r.t2, interval)
-    return [_write_flop(out, r, family.phis, family.p_e, fmt)] + _maybe_trials(scenario, builder, r, out, report, fmt)
+    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, builder, r, report)
 
 
-def _run_sdbv(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_sdbv(scenario, r, report: dict) -> list:
     result = analysis.sdbv(r.record, r.scramble_area, r.phi_samples)
-    cloud_name = _write_table(out, "sdbv", ["phi_S", "x", "y", "z"], [result.phis, *result.points.T], fmt)
     projection = analysis.sdbv_projection_xz(r.record, r.scramble_area, 0.0, r.phi_samples)
-    proj_name = _write_table(out, "projection", ["phi_S", "x", "z"], [result.phis, *projection.T], fmt)
     z = result.points[:, 2]
     report["resolved"]["projection_wait_phase_rad"] = 0.0
     report["results"] = {
@@ -479,26 +501,27 @@ def _run_sdbv(scenario, r, out: Path, report: dict, fmt: str) -> list:
         "projection_z_min": float(projection[:, 1].min()),
         "projection_z_max": float(projection[:, 1].max()),
     }
-    return [cloud_name, proj_name]
+    return [
+        ("sdbv", ["phi_S", "x", "y", "z"], lambda: [result.phis, *result.points.T]),
+        ("projection", ["phi_S", "x", "z"], lambda: [result.phis, *projection.T]),
+    ]
 
 
-def _run_ambiguity(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_ambiguity(scenario, r, report: dict) -> list:
     result = analysis.ambiguity_report(r.record, r.scramble_area, r.intervals, r.phi_samples, r.frames)
-    normalized = result.intervals * r.frames.delta_w / TWO_PI
-    columns = [result.intervals, normalized, result.ranges]
-    name = _write_table(out, "ambiguity", ["T_seconds", "T_normalized", "P_e_range"], columns, fmt)
     report["results"] = {
         "scramble_area_pi": result.scramble_area / np.pi,
         "ambiguity": result.ambiguity,
         "range_max": float(result.ranges.max()),
         "argmin_interval_s": float(result.intervals[int(np.argmin(result.ranges))]),
     }
-    return [name]
+    columns = lambda: [result.intervals, result.intervals * r.frames.delta_w / TWO_PI, result.ranges]
+    return [("ambiguity", ["T_seconds", "T_normalized", "P_e_range"], columns)]
 
 
-def _run_optimize(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_optimize(scenario, r, report: dict) -> list:
     cfg = scenario.get("optimizer", {})
-    tolerance, coarse_points = cfg.get("tolerance_rad", 1e-6), cfg.get("coarse_points", 181)
+    tolerance, coarse_points = cfg.get("tolerance_rad", 1e-6), cfg.get("coarse_points", _COARSE_POINTS)
     result = analysis.optimize_scramble_area(
         r.record, r.intervals, r.phi_samples, r.frames, tolerance=tolerance, coarse_points=coarse_points
     )
@@ -513,14 +536,13 @@ def _run_optimize(scenario, r, out: Path, report: dict, fmt: str) -> list:
     return []
 
 
-def _run_secure_choice(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_secure_choice(scenario, r, report: dict) -> list:
     config = protocol.ProtocolConfig(
         frames=r.frames, t1=r.t1, t2=r.t2, t3=r.t3, scramble_area=r.scramble_area, read_area=r.read_area
     )
     choice = scenario["choice"]
     grid = analysis.phi_grid(r.phi_samples)
     p = protocol.run_secure_choice(choice, grid, config)
-    name = _write_table(out, "readout", ["phi_S", "P_e"], [grid, p], fmt)
     decoded = protocol.decode_choice(float(np.mean(p)))
     total = r.t1 + r.t2 + r.t3
     report["resolved"].update(choice=choice, write_area_rad=protocol.encode_choice(choice))
@@ -537,17 +559,16 @@ def _run_secure_choice(scenario, r, out: Path, report: dict, fmt: str) -> list:
         "total_s": total,
         "read_turns_k": int(round(r.frames.delta_w * total / TWO_PI)),
     }
-    return [name]
+    return [("readout", ["phi_S", "P_e"], lambda: [grid, p])]
 
 
-def _run_fit(scenario, r, out: Path, report: dict, fmt: str) -> list:
+def _run_fit(scenario, r, report: dict) -> list:
     cfg = scenario["fit"]
     try:
         fit = expsim.fit_damped_sinusoid(r.x, r.y, cfg.get("guess"), cfg.get("max_iterations"))
     except ValueError as err:
         raise ScenarioError("fit", str(err)) from None
     model = fit.evaluate(r.x)
-    name = _write_table(out, "fit", ["x", "y", "model", "residual"], [r.x, r.y, model, model - r.y], fmt)
     if not fit.converged:
         report["warnings"].append("fit did not converge within the iteration budget")
     report["results"] = {
@@ -562,10 +583,11 @@ def _run_fit(scenario, r, out: Path, report: dict, fmt: str) -> list:
         "converged": fit.converged,
         "degenerate_amplitude": fit.degenerate_amplitude,
     }
-    return [name]
+    return [("fit", ["x", "y", "model", "residual"], lambda: [r.x, r.y, model, model - r.y])]
 
 
-#: The runner of each mode: (scenario, resolved inputs, out, report, fmt) -> names of the tables it wrote.
+#: The runner of each mode: (scenario, resolved inputs, report) -> the tables to write, each a
+#: (stem, header, columns) triple whose ``columns()`` builds the numeric columns when written.
 _RUNNERS = {
     "normal": _run_normal,
     "scrambled": _run_scrambled,
@@ -593,9 +615,11 @@ def run_scenario(scenario: dict, out_dir, base_dir=None, fmt: str = "csv") -> di
     mode = scenario["mode"]
     inputs, resolved = _resolve(scenario, base_dir)
     report = {"version": SCENARIO_VERSION, "mode": mode, "scenario": scenario, "resolved": resolved, "warnings": []}
+    # every engine run happens here, so a simulation error leaves the output directory untouched
+    tables = _RUNNERS[mode](scenario, inputs, report)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        outputs = _RUNNERS[mode](scenario, inputs, out, report, fmt)
+        outputs = [_write_table(out, stem, header, columns(), fmt) for stem, header, columns in tables]
         report["outputs"] = sorted(outputs + ["report.json"])
         write_json(out / "report.json", report)
     except OSError as err:

@@ -11,19 +11,20 @@ choices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import phi_grid
-from .bloch import TWO_PI, _wrap_centred, excitation_probability
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _wrap_centred
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
     ProtocolMisconfigurationError,
 )
-from .sequence import FrameSet, Pulse, Timeline, Wait, default_frames, simulate
+from .sequence import FrameSet, Pulse, Timeline, Wait, _walk, default_frames
 
 #: Relative tolerance for all phase-condition checks.
 TIMING_RTOL = 1e-9
@@ -186,15 +187,25 @@ def validate_secure_config(config: ProtocolConfig) -> None:
 
 def secure_choice_timeline(choice: str, config: ProtocolConfig) -> Timeline:
     """Write/scramble/retrieve/read timeline for one choice."""
+    return _secure_choice_timeline(choice, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
+
+
+@functools.lru_cache(maxsize=64)
+def _secure_choice_timeline(choice: str, t1: float, t2: float, t3: float, scramble_area: float, read_area: float):
+    """The timeline of :func:`secure_choice_timeline`, built once per distinct set of values while cached.
+
+    The key is the values, not the mutable config, so a changed config
+    gets its own timeline; a Timeline is immutable, so sharing it is safe.
+    """
     return Timeline(
         (
             Pulse.wri(encode_choice(choice)),
-            Wait(config.t1),
-            Pulse.sri(config.scramble_area),
-            Wait(config.t2),
-            Pulse.sri(config.scramble_area),
-            Wait(config.t3),
-            Pulse.wri(config.read_area),
+            Wait(t1),
+            Pulse.sri(scramble_area),
+            Wait(t2),
+            Pulse.sri(scramble_area),
+            Wait(t3),
+            Pulse.wri(read_area),
         )
     )
 
@@ -206,8 +217,8 @@ def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> floa
     of phi_s.  An array of phases gives an array of readouts.
     """
     validate_secure_config(config)
-    frames = replace(config.frames, phi_s=phi_s)
-    return excitation_probability(simulate(secure_choice_timeline(choice, config), frames))
+    frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi_s)
+    return _checked_probability(_walk(secure_choice_timeline(choice, config), frames, _GROUND_XYZ)[2])
 
 
 def decode_choice(p_e: float, threshold: float = 0.5) -> str:
@@ -245,5 +256,5 @@ def secrecy_check(config: ProtocolConfig, phi_samples: int = 256) -> float:
     frames = replace(config.frames, phi_s=phi_grid(phi_samples))
     writes = np.array([[encode_choice(Choice.YES)], [encode_choice(Choice.NO)]])  # one row per choice
     timeline = Timeline((Pulse.wri(writes), Wait(config.t1), Pulse.sri(config.scramble_area), Pulse.wri(config.read_area)))
-    yes, no = np.sort(excitation_probability(simulate(timeline, frames)), axis=-1)
+    yes, no = np.sort(_checked_probability(_walk(timeline, frames, _GROUND_XYZ)[2]), axis=-1)
     return float(np.abs(yes - no).max())

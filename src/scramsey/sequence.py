@@ -21,8 +21,12 @@ Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
 together: ``phi_s`` of shape (P, 1) against waits of shape (B,) gives a
 (P, B) grid from one ``simulate`` call; :mod:`scramsey.analysis` feeds
 it blocks of about 2**14 states.  Inputs are checked once: events and
-frames when built, the start state in ``simulate``.  The walk over the
-events then calls the unchecked kernel cores of :mod:`scramsey.bloch`.
+frames when built, the start state in ``simulate``.  One private walk
+(``_walk``) then carries the state as a component triple ``(x, y, z)``
+through the unchecked kernel cores of :mod:`scramsey.bloch` and checks
+the final components are finite.  ``simulate`` and ``apply_event`` stack
+its result into (..., 3) states; the analysis, trial and protocol layers
+read ``z`` from the triple and never stack.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .bloch import GROUND, _as_state, _freeze, _precess, _rotate_inplane, validate_state, wrap_angle
+from .bloch import GROUND, _as_state, _components, _freeze, _precess, _rotate, _stack, validate_state, wrap_angle
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -206,34 +210,33 @@ def sri_axis_angle(t: float, frames: FrameSet):
     return _sri_axis(t, frames)
 
 
-def _apply(v, event, time, frames: FrameSet, sri_axis=_sri_axis):
-    """Unchecked core of :func:`apply_event`; ``sri_axis`` maps a fire time to an S-pulse azimuth."""
-    if isinstance(event, Wait):
-        return _precess(v, frames.delta_w * event.duration)
-    if isinstance(event, Pulse):
-        return _rotate_inplane(v, 0.0 if event.frame is Frame.W else sri_axis(time, frames), event.area)
-    raise InvalidTimelineError(f"unknown event {event!r}")
+def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
+    """Component triple after ``events`` from ``xyz``, the first event at absolute time ``time``.
+
+    Unchecked core of :func:`simulate` and :func:`apply_event`: every
+    event must be a Pulse or a Wait.  ``sri_axis`` maps a fire time to an
+    S-pulse azimuth.  Raises :class:`InvalidTimelineError` when a phase
+    overflowed on the way and left a final component non-finite.
+    """
+    for event in events:
+        if isinstance(event, Wait):
+            xyz = _precess(*xyz, frames.delta_w * event.duration)
+            time = time + event.duration
+        else:
+            xyz = _rotate(*xyz, 0.0 if event.frame is Frame.W else sri_axis(time, frames), event.area)
+    if not all(np.isfinite(c).all() for c in xyz):
+        raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
+    return xyz
 
 
 def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):
     """Apply one event to ``state`` at absolute time ``time``."""
-    return _apply(_as_state(state), event, time, frames, sri_axis_angle)
-
-
-def _check_finite(v):
-    """``v``, unless a phase overflowed on the way and left a component non-finite."""
-    if not np.all(np.isfinite(v)):
-        raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
-    return v
+    return _stack(_walk(Timeline((event,)), frames, _components(_as_state(state)), time, sri_axis_angle))
 
 
 def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):
     """Final state of a timeline: each event applied in order, every S pulse at its fire time."""
-    v = validate_state(state)
-    fire_times = iter(timeline.pulse_times())
-    for event in timeline:
-        v = _apply(v, event, next(fire_times) if isinstance(event, Pulse) else None, frames)
-    return _check_finite(v)
+    return _stack(_walk(timeline, frames, _components(validate_state(state))))
 
 
 def ramsey(interval: float) -> Timeline:

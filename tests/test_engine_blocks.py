@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from scramsey import analysis
 from scramsey.analysis import ambiguity_report, normal_flop, phi_grid, retrieved_flop, scrambled_flop
@@ -24,6 +25,7 @@ from scramsey.sequence import (
     Pulse,
     Timeline,
     Wait,
+    apply_event,
     default_frames,
     ramsey,
     retrieved_ramsey,
@@ -202,3 +204,132 @@ def test_simulate_rejects_an_overflowing_phase():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(InvalidTimelineError):
             simulate(Timeline((Wait(1e307), Wait(1e307))), default_frames(), [1.0, 0.0, 0.0])
+
+
+# ------------------------------------------------------- component triples
+
+# The engine carries (x, y, z) through the walk and stacks only at the
+# public boundary.  The public functions must still return the full
+# broadcast (..., 3) shape, also where only some components broadcast, and
+# the grid scans' z-only read must equal P_e of the stacked states.
+
+
+def unit_states(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_public_kernels_return_the_full_broadcast_shape(shapes, seed):
+    rng = np.random.default_rng(seed)
+    (state_shape, axis_shape, angle_shape), result_shape = shapes
+    state = unit_states(rng, state_shape)
+    axis, angle = rng.uniform(0.0, 2 * np.pi, axis_shape), rng.uniform(-np.pi, np.pi, angle_shape)
+    assert rotate_inplane(state, axis, angle).shape == result_shape + (3,)
+    assert precess(state, axis).shape == np.broadcast_shapes(state_shape, axis_shape) + (3,)
+    assert apply_event(state, Pulse.wri(angle), 0.0, default_frames()).shape == np.broadcast_shapes(state_shape, angle_shape) + (3,)
+    assert apply_event(state, Wait(np.abs(angle)), 0.0, default_frames()).shape == np.broadcast_shapes(state_shape, angle_shape) + (3,)
+
+
+# each template names the shapes that reach the final state: the start
+# state, the area, the wait and, only through an S pulse, the phi column
+TEMPLATES = {
+    "wait only": (lambda area, wait: Timeline((Wait(wait),)), ("state", "wait")),
+    "W pulse only": (lambda area, wait: Timeline((Pulse.wri(area),)), ("state", "area")),
+    "pulse then wait": (lambda area, wait: Timeline((Pulse.wri(area), Wait(wait))), ("state", "area", "wait")),
+    "read after scramble": (
+        lambda area, wait: Timeline((Pulse.sri(area), Wait(wait), Pulse.wri(np.pi / 2))),
+        ("state", "area", "wait", "phi"),
+    ),
+    "empty": (lambda area, wait: Timeline(), ("state",)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mutually_broadcastable_shapes(num_shapes=4, max_dims=3, max_side=3),
+    st.sampled_from(sorted(TEMPLATES)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_simulate_returns_the_full_broadcast_shape(shapes, template, seed):
+    rng = np.random.default_rng(seed)
+    (state_shape, area_shape, wait_shape, phi_shape), _ = shapes
+    build, used = TEMPLATES[template]
+    area, wait = rng.uniform(-np.pi, np.pi, area_shape), rng.uniform(0.0, 1e-2, wait_shape)
+    frames = FrameSet(2 * np.pi * 100.0, 2 * np.pi * 120.0, rng.uniform(0.0, 2 * np.pi, phi_shape))
+    named = {"state": state_shape, "area": area_shape, "wait": wait_shape, "phi": phi_shape}
+    got = simulate(build(area, wait), frames, unit_states(rng, state_shape))
+    assert got.shape == np.broadcast_shapes(*(named[name] for name in used)) + (3,)
+
+
+def test_precess_broadcasts_the_untouched_z_column():
+    phases = np.linspace(0.0, 2 * np.pi, 7)
+    got = precess(GROUND, phases)
+    assert got.shape == (7, 3)
+    assert np.array_equal(got[:, 2], np.ones(7))
+    assert np.array_equal(got[:, :2], np.zeros((7, 2)))
+
+
+def test_wait_only_timeline_over_an_array_duration_has_one_state_per_duration():
+    durations = np.array([0.0, 1e-3, 2e-3, 5e-3])
+    want = np.broadcast_to(GROUND, (4, 3))
+    assert np.array_equal(simulate(Timeline((Wait(durations),)), default_frames()), want)
+    assert np.array_equal(apply_event(GROUND, Wait(durations), 0.0, default_frames()), want)
+    v = [0.6, 0.0, 0.8]
+    got = simulate(Timeline((Wait(durations),)), default_frames(), v)
+    assert got.shape == (4, 3) and np.array_equal(got[:, 2], np.full(4, 0.8))
+
+
+def stacked_scan(out, build, frames, state, reduce, step):
+    """``analysis._scan`` as it read P_e before: from the stacked states ``simulate`` returns."""
+    for i in range(0, out.shape[-1], step):
+        out[..., i : i + step] = reduce(excitation_probability(simulate(build(slice(i, i + step)), frames, state)))
+    return out
+
+
+SCAN_BUILDS = {
+    # z is never broadcast: the walk leaves it a scalar
+    "wait only": lambda g, t: Timeline((Wait(t),)),
+    "read after scramble": lambda g, t: Timeline((Pulse.sri(g["area"]), Wait(t), Pulse.wri(np.pi / 2))),
+    "scrambled": lambda g, t: scrambled_ramsey(g["area"], g["t1"], t),
+    "retrieved, array areas": lambda g, t: retrieved_ramsey(t * 1e3, g["t1"], g["t2"], g["t2"]),
+    "ramsey": lambda g, t: ramsey(t),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SCAN_BUILDS)),
+    st.sampled_from([1, 5, 16]),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([8, 64, BUDGET]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_scan_z_read_equals_p_e_of_stacked_states(name, phi_samples, interval_count, budget, spread, seed):
+    g = grid(seed, interval_count)
+    T, fr = g["intervals"], g["frames"]
+    frames = FrameSet(fr.delta_w, fr.delta_s, phi_grid(phi_samples)[:, None])
+    build = lambda b: SCAN_BUILDS[name](g, T[b])
+    shape = (T.size,) if spread else (phi_samples, T.size)
+
+    def recorded(seen):
+        """The reduce, recording the shape of each block it is handed."""
+
+        def reduce(p):
+            seen.append(np.shape(p))
+            return np.ptp(p, axis=0) if spread else p
+
+        return reduce
+
+    got_shapes, want_shapes = [], []
+    with mock.patch.object(analysis, "_BLOCK_STATES", budget):
+        got = analysis._scan(np.empty(shape), build, frames, g["record"], recorded(got_shapes))
+    step = max(1, budget // phi_samples)
+    want = stacked_scan(np.empty(shape), build, frames, g["record"], recorded(want_shapes), step)
+    assert np.array_equal(got, want)
+    assert got_shapes == want_shapes

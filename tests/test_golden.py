@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scramsey.harness import load_scenario, run_scenario
+from scramsey.harness import MAX_GRID_STATES, _grid_states, load_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -152,6 +152,11 @@ def _digests(scenario, out, fmt) -> dict:
 
 def _variant(name) -> dict:
     return {"version": 1, **VARIANTS[name]}
+
+
+def test_every_shipped_scenario_and_variant_fits_the_grid_budget():
+    scenarios = [load_scenario(path) for path in SCENARIOS.glob("*.json")] + [_variant(name) for name in VARIANTS]
+    assert max(_grid_states(scenario) for scenario in scenarios) <= MAX_GRID_STATES
 
 
 def test_every_variant_is_pinned():

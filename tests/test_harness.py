@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
 import scramsey
+from scramsey import harness
 from scramsey.analysis import default_intervals, normal_flop
 from scramsey.cli import COMMANDS, main
 from scramsey.errors import ScenarioError
@@ -613,6 +615,64 @@ def test_phase_overflows_exit_3_in_a_fresh_interpreter(tmp_path):
     assert [status for status, _ in outcomes] == [3] * len(OVERFLOWING)
     for _, err in outcomes:
         assert err.startswith("simulation error: ") and err.count("\n") == 1, err
+
+
+def test_phase_overflows_leave_the_output_directory_untouched(tmp_path):
+    # every engine run happens before the output directory is made, so an
+    # exit 3 writes nothing: neither an empty directory (the t2 overflow)
+    # nor a flop table without its report (the jitter overflow in the trials)
+    outcomes = _fresh_cli_runs(tmp_path, OVERFLOWING)
+    assert [status for status, _ in outcomes] == [3] * len(OVERFLOWING)
+    for i in range(len(OVERFLOWING)):
+        assert not (tmp_path / f"out_{i}").exists()
+
+
+# (subcommand, scenario keys, largest grid): every grid a scenario can ask for
+GRIDS = [
+    ("flop", {"intervals": {"count": 7}}, 7),
+    ("flop", {"intervals": {"count": 7}, "trials": {"count": 5}}, 35),
+    ("flop", {"mode": "scrambled", "intervals": {"count": 7}, "phi_samples": 4, "trials": {"count": 3}}, 28),
+    ("flop", {"mode": "retrieved", "intervals": {"count": 7}, "phi_samples": 4, "trials": {"count": 5}}, 35),
+    ("flop", {"mode": "scrambled"}, 201 * 256),
+    ("sdbv", {"mode": "sdbv", "phi_samples": 9}, 9),
+    ("ambiguity", {"mode": "ambiguity-sweep", "intervals": {"count": 7}, "phi_samples": 4}, 28),
+    ("optimize", {"mode": "optimize", "intervals": {"count": 7}, "phi_samples": 4, "optimizer": {"coarse_points": 16}}, 448),
+    ("optimize", {"mode": "optimize"}, 181 * 201 * 256),
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 32}, 32),
+]
+
+
+@pytest.mark.parametrize("command, overrides, states", GRIDS)
+def test_grid_states_are_counted_from_the_inputs(command, overrides, states):
+    assert harness._grid_states(_scenario(**overrides)) == states
+
+
+@pytest.mark.parametrize("command, overrides, states", GRIDS)
+def test_grids_over_the_budget_are_exit_2(tmp_path, capsys, command, overrides, states):
+    # the budget is lowered to the grid's own size, so nothing large is ever allocated
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_scenario(**overrides)), encoding="utf-8")
+    with mock.patch.object(harness, "MAX_GRID_STATES", states - 1):
+        assert main([command, "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: grid: asks for {states} final states") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_at_the_budget_runs(tmp_path):
+    scenario = _scenario(mode="scrambled", intervals={"count": 7}, phi_samples=4, trials={"count": 3})
+    with mock.patch.object(harness, "MAX_GRID_STATES", 28):
+        run_scenario(scenario, tmp_path)
+    assert (tmp_path / "report.json").exists()
+
+
+def test_the_grid_budget_is_checked_before_anything_is_allocated(tmp_path, capsys):
+    # a grid far beyond memory: the check must come before the interval grid exists
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_scenario(mode="scrambled", intervals={"count": 10**15}, phi_samples=10**15)), encoding="utf-8")
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("allocated an interval grid")):
+        assert main(["flop", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: grid: asks for {10**30} final states")
 
 
 def test_integral_float_counts_behave_like_ints(tmp_path):
