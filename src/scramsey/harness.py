@@ -6,12 +6,17 @@ detunings in Hz (delta = 2*pi*f), pulse areas and phases in units of
 pi, times in seconds.  Everything the engine needs is derived from
 those at run time.
 
-Three key tables (``_TOP_KEYS``, ``_TIMING_KEYS``, ``_PULSE_KEYS``)
-list what each mode accepts, and drive both validation (any other key
-is rejected) and resolution: every accepted section is converted to
-engine units once, in one place, and echoed in the report.  A value
-that overflows once converted is a scenario error, like a schema
-violation.
+A scenario is checked against the packaged JSON schema by a small
+Draft 2020-12 checker that walks the schema itself and evaluates only
+the keywords it uses; it refuses a schema with any other keyword.  It
+answers valid or invalid, nothing more: jsonschema is imported only for
+a scenario it rejects, to name the offending field and constraint, and
+its verdict is final.  Three key tables (``_TOP_KEYS``,
+``_TIMING_KEYS``, ``_PULSE_KEYS``) list what each mode accepts, and
+drive both validation (any other key is rejected) and resolution: every
+accepted section is converted to engine units once, in one place, and
+echoed in the report.  A value that overflows once converted is a
+scenario error, like a schema violation.
 
 Every run writes a ``report.json`` plus mode-specific data tables with
 fixed names into the output directory; tables are CSV by default or
@@ -25,7 +30,8 @@ seconds) actually simulated.  A run finishes every engine evaluation
 before it creates the output directory, so a simulation error writes
 nothing, and it refuses, before allocating anything, a scenario whose
 largest grid exceeds ``MAX_GRID_STATES`` final states.  Writes are
-atomic (temp file then rename), floats are serialized with their
+atomic (temp file then rename) and tables are formatted and written
+``_CHUNK_ROWS`` rows at a time, floats are serialized with their
 shortest round-trip representation, and nothing time- or host-dependent
 is ever written, so rerunning a scenario reproduces every artifact byte
 for byte.
@@ -35,7 +41,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
+import numbers
 import operator
 import os
 import sys
@@ -43,7 +51,6 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
-import jsonschema
 import numpy as np
 
 from . import analysis, expsim, protocol
@@ -105,27 +112,100 @@ def scenario_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """A validator for :func:`scenario_schema`, built once per process.
+#: Draft 2020-12 keywords :func:`_conforms` evaluates: those the packaged schema uses, plus the
+#: identifying and annotating ones, which assert nothing.
+_KEYWORDS = frozenset(
+    ("type", "const", "enum", "oneOf", "properties", "additionalProperties", "required", "minimum", "maximum",
+     "exclusiveMinimum", "items", "minItems", "maxItems", "$schema", "$id", "title")
+)
 
-    The packaged schema is not meta-validated here, on every process
-    start; a test checks the shipped file instead.
+#: The 2020-12 instance types, as jsonschema checks them: ``5.0`` is an integer, a bool is no number.
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer(),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+#: Each numeric bound and the comparison with it that makes a number invalid.
+_BOUNDS = (("minimum", operator.lt), ("maximum", operator.gt), ("exclusiveMinimum", operator.le))
+
+
+def _audit(schema) -> None:
+    """Raise ``ValueError`` unless :func:`_conforms` evaluates every keyword of ``schema`` and its subschemas.
+
+    ``const`` and ``enum`` values must be scalars, which :func:`_same` compares.
     """
-    return jsonschema.Draft202012Validator(scenario_schema())
+    if isinstance(schema, bool):
+        return
+    if unknown := schema.keys() - _KEYWORDS:
+        raise ValueError(f"the fast scenario check does not evaluate schema keywords {sorted(unknown)}")
+    if any(isinstance(v, (list, dict)) for v in [*schema.get("enum", ()), schema.get("const")]):
+        raise ValueError("the fast scenario check compares const and enum values as scalars only")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in subschemas + [schema.get("items", True), schema.get("additionalProperties", True)]:
+        _audit(sub)
+
+
+def _same(a, b) -> bool:
+    """2020-12 equality of a value and a scalar: ``1 == 1.0``, but ``true != 1``."""
+    return (a is True, a is False, a) == (b is True, b is False, b)
+
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` is valid under ``schema``, a schema :func:`_audit` accepts (Draft 2020-12)."""
+    if isinstance(schema, bool):
+        return schema
+    types = schema.get("type")
+    if types is not None and not any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types)):
+        return False
+    if "const" in schema and not _same(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_same(value, each) for each in schema["enum"]):
+        return False
+    if "oneOf" in schema and sum(_conforms(value, each) for each in schema["oneOf"]) != 1:
+        return False
+    if _TYPES["number"](value) and any(key in schema and fails(value, schema[key]) for key, fails in _BOUNDS):
+        return False
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return False
+        return all(_conforms(item, schema.get("items", True)) for item in value)
+    if isinstance(value, dict):
+        properties, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        if any(key not in value for key in schema.get("required", ())):
+            return False
+        return all(_conforms(item, properties.get(key, extra)) for key, item in value.items())
+    return True
+
+
+@functools.cache
+def _fast_schema() -> dict:
+    """:func:`scenario_schema`, once :func:`_audit` has found nothing :func:`_conforms` cannot evaluate."""
+    schema = scenario_schema()
+    _audit(schema)
+    return schema
 
 
 def validate_scenario(scenario) -> None:
     """Structural (JSON schema) then semantic validation.
 
-    Raises :class:`ScenarioError` naming the offending field.
+    Raises :class:`ScenarioError` naming the offending field.  A scenario
+    the schema accepts is checked by :func:`_conforms` alone; jsonschema
+    is loaded only to explain a rejection, and its verdict is final.
     """
     if not isinstance(scenario, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
-    err = jsonschema.exceptions.best_match(_validator().iter_errors(scenario))
-    if err is not None:
-        field = ".".join(str(part) for part in err.absolute_path) or "<root>"
-        raise ScenarioError(field, err.message)
+    if not _conforms(scenario, _fast_schema()):
+        import jsonschema
+
+        err = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(scenario_schema()).iter_errors(scenario))
+        if err is not None:
+            field = ".".join(str(part) for part in err.absolute_path) or "<root>"
+            raise ScenarioError(field, err.message)
 
     mode = scenario["mode"]
     allowed = _TOP_KEYS[mode] | {"version", "mode"}
@@ -334,29 +414,45 @@ def _resolve(scenario: dict, base_dir) -> tuple:
 # --------------------------------------------------------------- writing
 
 
-def _write_text(path: Path, text: str) -> None:
+#: Rows the table writers format and write at a time, so the memory a write takes does not grow with the table.
+_CHUNK_ROWS = 65536
+
+
+def _write_text(path: Path, pieces) -> None:
+    """Write the strings of ``pieces`` to ``path`` atomically: a temp file, then a rename."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
     os.replace(tmp, path)
 
 
-def _cells(rows, nulls: bool) -> list:
-    """Each column of ``rows`` (a 2-D array or a sequence of rows) as text, formatted a column at a time:
-    integers by ``str(int)``, floats by shortest round-trip ``repr``, non-finite ones as ``null`` if ``nulls``."""
-    out = []
-    for column in rows.T if isinstance(rows, np.ndarray) else map(np.asarray, zip(*rows)):
-        ints = column.dtype.kind in "biu"
-        out.append(list(map(str, map(int, column.tolist())) if ints else map(repr, column.astype(float).tolist())))
-        for i in np.flatnonzero(~np.isfinite(column)).tolist() if nulls else ():
-            out[-1][i] = "null"
-    return out
+def _column_text(column: np.ndarray, nulls: bool) -> list:
+    """``column`` as text cells: integers by ``str(int)``, floats by shortest round-trip ``repr``,
+    non-finite ones as ``null`` if ``nulls``."""
+    ints = column.dtype.kind in "biu"
+    cells = list(map(str, map(int, column.tolist())) if ints else map(repr, column.astype(float).tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist() if nulls else ():
+        cells[i] = "null"
+    return cells
+
+
+def _text_chunks(rows, nulls: bool, cell_sep: str, row_sep: str):
+    """The text of ``rows`` (a 2-D array or a sequence of rows), ``_CHUNK_ROWS`` rows per yielded string.
+
+    Each chunk is formatted a column at a time by :func:`_column_text`,
+    then its cells are joined by ``cell_sep`` and its rows by ``row_sep``.
+    A column's type is decided over the whole table.
+    """
+    columns = list(rows.T) if isinstance(rows, np.ndarray) else [np.asarray(column) for column in zip(*rows)]
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+        chunk = [_column_text(column[start : start + _CHUNK_ROWS], nulls) for column in columns]
+        yield row_sep.join(map(cell_sep.join, zip(*chunk)))
 
 
 def write_csv(path, header, rows) -> None:
     """Write rows of numbers (a 2-D array or a sequence of rows) with shortest round-trip float formatting."""
-    lines = [",".join(header), *map(",".join, zip(*_cells(rows, False)))]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    body = (text + "\n" for text in _text_chunks(rows, False, ",", "\n"))
+    _write_text(Path(path), itertools.chain([",".join(header) + "\n"], body))
 
 
 def _json_safe(value):
@@ -380,16 +476,25 @@ def write_json(path, payload) -> None:
     """Canonical JSON: sorted keys, two-space indent, non-finite -> null.
 
     A table ``{"columns": names, "rows": 2-D array}`` is formatted a column
-    at a time, to the same bytes.
+    at a time and written in row chunks, to the same bytes.
     """
     table = payload["rows"] if isinstance(payload, dict) and payload.keys() == {"columns", "rows"} else None
     if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iuf" and table.size:
-        names = ",\n    ".join(map(json.dumps, payload["columns"]))
-        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*_cells(table, True))))
-        text = f'{{\n  "columns": [\n    {names}\n  ],\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}'
+        _write_text(Path(path), _json_table(payload["columns"], table))
     else:
-        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_text(Path(path), text + "\n")
+        _write_text(Path(path), [json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False), "\n"])
+
+
+def _json_table(columns, table):
+    """The text of ``{"columns": columns, "rows": table}`` as :func:`write_json` writes it, in pieces."""
+    names = ",\n    ".join(map(json.dumps, columns))
+    yield f'{{\n  "columns": [\n    {names}\n  ],\n  "rows": [\n    [\n      '
+    between = "\n    ],\n    [\n      "
+    for i, text in enumerate(_text_chunks(table, True, ",\n      ", between)):
+        if i:
+            yield between
+        yield text
+    yield "\n    ]\n  ]\n}\n"
 
 
 def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:

@@ -156,16 +156,6 @@ class Timeline:
         """Total wall-clock length: the sum of all wait durations."""
         return sum(e.duration for e in self.events if isinstance(e, Wait))
 
-    def pulse_times(self) -> tuple:
-        """Absolute fire time of each pulse, in event order."""
-        t, out = 0.0, []
-        for e in self.events:
-            if isinstance(e, Wait):
-                t = t + e.duration
-            else:
-                out.append(t)
-        return tuple(out)
-
 
 @dataclass
 class FrameSet:
@@ -182,10 +172,10 @@ class FrameSet:
     def __post_init__(self):
         self.delta_w = float(self.delta_w)
         self.delta_s = float(self.delta_s)
-        if not np.isfinite(self.delta_w) or not np.isfinite(self.delta_s):
+        if not math.isfinite(self.delta_w) or not math.isfinite(self.delta_s):
             raise ValueError("detunings must be finite")
         phi = np.asarray(self.phi_s, dtype=float)
-        if not np.all(np.isfinite(phi)):
+        if not (math.isfinite(phi) if phi.ndim == 0 else np.isfinite(phi).all()):
             raise ValueError("phi_s must be finite")
         self.phi_s = wrap_angle(phi) if phi.ndim else wrap_angle(float(phi))
 
@@ -224,7 +214,8 @@ def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
             time = time + event.duration
         else:
             xyz = _rotate(*xyz, 0.0 if event.frame is Frame.W else sri_axis(time, frames), event.area)
-    if not all(np.isfinite(c).all() for c in xyz):
+    # a scalar component (a Python or numpy float) skips numpy's reduction machinery
+    if not all(math.isfinite(c) if isinstance(c, float) else np.isfinite(c).all() for c in xyz):
         raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
     return xyz
 

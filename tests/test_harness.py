@@ -1,15 +1,21 @@
 """Scenario validation, artifact writing, CLI behavior and exit codes."""
 
+import copy
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scramsey
 from scramsey import harness
@@ -148,6 +154,167 @@ def test_shipped_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(scenario_schema())
 
 
+# the fast check (harness._conforms) against jsonschema's verdict on the same scenario
+
+U64_MAX = 2**64 - 1
+
+_ORACLE = jsonschema.Draft202012Validator(scenario_schema())
+
+
+@pytest.mark.parametrize(
+    "scenario,valid",
+    [
+        (_scenario(version=1.0), True),
+        (_scenario(version=True), False),
+        (_scenario(mode="scrambled", phi_samples=5.0), True),
+        (_scenario(mode="scrambled", phi_samples=5.5), False),
+        (_scenario(mode="scrambled", phi_samples=True), False),
+        (_scenario(seed=U64_MAX), True),
+        (_scenario(seed=U64_MAX + 1), False),
+        (_scenario(seed=float(U64_MAX)), False),  # rounds up to 2**64
+        (_scenario(seed=0), True),
+        (_scenario(seed=-1), False),
+        (_scenario(frames={"delta_w_hz": 5e-324}), True),
+        (_scenario(frames={"delta_w_hz": 0.0}), False),
+        (_scenario(intervals={"start_s": 0.0, "stop_s": 1.0}), True),
+        (_scenario(intervals={"start_s": -5e-324, "stop_s": 1.0}), False),
+        (_scenario(trials={"count": 1, "randomize_phi": 1}), False),
+        (_scenario(trials={"count": True}), False),
+        (_scenario(trials={"randomize_phi": True}), False),
+        (_scenario(noise={"atom_count": None, "contrast_decay_tau_s": None}), True),
+        (_scenario(noise={"phase_jitter_sigma": None}), False),
+        (_scenario(mode="sdbv", record=[0.0, 0.0, 1]), True),
+        (_scenario(mode="sdbv", record=[0.0, 1.0]), False),
+        (_scenario(mode="sdbv", record=[0.0, 0.0, 1.0, 0.0]), False),
+        (_scenario(mode="sdbv", record=[0.0, False, 1.0]), False),
+        (_scenario(mode="sdbv", record="sideways"), False),
+        (_scenario(mode="sdbv", record="ground"), True),
+        (_scenario(frames={"delta_w_hz": 100.0, "bogus": 1}), False),
+        ({"version": 1}, False),
+    ],
+)
+def test_fast_check_follows_draft_2020_12(scenario, valid):
+    assert _ORACLE.is_valid(scenario) is valid
+    assert harness._conforms(scenario, scenario_schema()) is valid
+
+
+@pytest.mark.parametrize("value", [5, 5.0, 5.5, True, "5", None])
+def test_fast_check_one_of_means_exactly_one_branch(value):
+    # the packaged schema's oneOf branches never overlap; these do, for integers
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer", "minimum": 0}]}
+    assert harness._conforms(value, schema) == jsonschema.Draft202012Validator(schema).is_valid(value)
+    assert harness._conforms(value, schema) is (value == 5.5)
+
+
+#: Values a mutation may put anywhere: type swaps, bool/int and int/float twins, and record shapes.
+_MUTANTS = [True, False, 0, 1, 1.0, 5, 5.0, -1, 2.5, None, "x", "ground", "sideways", [], {}]
+_MUTANTS += [[0.0, 1.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8, 0.0], [True, 0.0, 0.0], {"count": 2}]
+
+
+def _edge_values(node) -> list:
+    """Values at the edges of what ``node``, or a ``oneOf`` branch of it, accepts.
+
+    Each bound hit exactly and missed by one or by one ulp, each ``const``
+    or ``enum`` value with its float and bool twins, and arrays of numbers
+    at, one short of and one beyond each item count.
+    """
+    edges = []
+    for branch in [node, *node.get("oneOf", ())]:
+        for key in ("minimum", "maximum", "exclusiveMinimum"):
+            if key in branch:
+                bound = branch[key]
+                edges += [bound, float(bound), bound - 1, bound + 1]
+                edges += [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        for value in [*branch.get("enum", ()), *([branch["const"]] if "const" in branch else [])]:
+            edges += [value, float(value), bool(value)] if isinstance(value, int) else [value]
+        for key in ("minItems", "maxItems"):
+            if key in branch:
+                edges += [[0.5] * count for count in (branch[key] - 1, branch[key], branch[key] + 1)]
+    return edges
+
+
+#: Values of each JSON type, for a field the schema gives a type.
+_OF_TYPE = {
+    "integer": st.integers(-3, 2**65) | st.integers(-3, 3).map(float),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "boolean": st.booleans(),
+    "string": st.text(max_size=3),
+    "null": st.none(),
+}
+
+
+def _mutant(node):
+    """A value for a field governed by ``node``: an edge value, a value of its type, or any mutant."""
+    types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
+    choices = [st.sampled_from(_MUTANTS)] + [_OF_TYPE[name] for name in types if name in _OF_TYPE]
+    if edges := _edge_values(node):
+        choices.append(st.sampled_from(edges))
+    return st.one_of(choices)
+
+
+def _slots(value, node):
+    """Every place in ``value`` a mutation may change, with the schema node that governs it (``{}`` if none).
+
+    A dict offers each key it has, each key the schema knows and one
+    unknown key; a list offers each index.
+    """
+    node = node if isinstance(node, dict) else {}
+    if isinstance(value, dict):
+        properties = node.get("properties", {})
+        for key in sorted(set(value) | set(properties) | {"bogus"}):
+            yield value, key, properties.get(key, {})
+        for key, item in value.items():
+            yield from _slots(item, properties.get(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield value, index, node.get("items", {})
+            yield from _slots(item, node.get("items"))
+
+
+@functools.cache
+def _base_scenarios() -> list:
+    from test_golden import VARIANTS
+
+    shipped = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIOS.glob("*.json"))]
+    return shipped + [{"version": 1, **VARIANTS[name]} for name in sorted(VARIANTS)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fast_check_agrees_with_jsonschema_on_mutated_scenarios(data):
+    schema = scenario_schema()
+    scenario = copy.deepcopy(data.draw(st.sampled_from(_base_scenarios())))
+    for _ in range(data.draw(st.integers(1, 2))):
+        target, key, node = data.draw(st.sampled_from(list(_slots(scenario, schema))))
+        if isinstance(target, dict) and key in target and data.draw(st.booleans()):
+            del target[key]  # required keys among them
+        else:
+            target[key] = copy.deepcopy(data.draw(_mutant(node)))
+    assert harness._conforms(scenario, schema) == _ORACLE.is_valid(scenario)
+
+
+def test_fast_check_refuses_a_schema_keyword_it_does_not_evaluate(monkeypatch):
+    harness._audit(scenario_schema())  # the shipped schema uses only what the check evaluates
+    schema = copy.deepcopy(scenario_schema())
+    schema["properties"]["fit"]["properties"]["input_csv"]["pattern"] = r"\.csv$"
+    with pytest.raises(ValueError, match="pattern"):
+        harness._audit(schema)
+    schema = copy.deepcopy(scenario_schema())
+    schema["properties"]["version"]["const"] = [1]
+    with pytest.raises(ValueError, match="scalars"):
+        harness._audit(schema)
+    # validate_scenario refuses to run the check rather than pass a scenario it cannot judge
+    monkeypatch.setattr(harness, "scenario_schema", lambda: schema)
+    harness._fast_schema.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="scalars"):
+            validate_scenario(MINIMAL)
+    finally:
+        monkeypatch.undo()
+        harness._fast_schema.cache_clear()
+    validate_scenario(MINIMAL)
+
+
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -251,6 +418,53 @@ def test_json_table_writes_int_columns_as_ints(tmp_path):
 def test_write_json_other_payloads_keep_the_generic_encoder(tmp_path, payload, plain):
     write_json(tmp_path / "t.json", payload)
     assert (tmp_path / "t.json").read_text() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def _seeded_tables(rows: int, seed: int) -> tuple:
+    """A float table salted with the edge values, an int table and the row-list form of an int and a float column."""
+    rng = np.random.default_rng(seed)
+    floats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+    salted = rng.random((rows, 3)) < 0.1
+    floats[salted] = rng.choice(np.array(EDGE_FLOATS), size=int(salted.sum()))
+    ints = rng.integers(-(2**62), 2**62, size=(rows, 2))
+    mixed = [[int(i), float(f)] for i, f in zip(ints[:, 0], floats[:, 0])]
+    return floats, ints, mixed
+
+
+def _assert_writers_match_a_single_pass_join(tmp_path, tables):
+    for name, table in tables.items():
+        header = ["a", "b", "c"][: len(table[0]) if len(table) else 3]
+        write_csv(tmp_path / f"{name}.csv", header, table)
+        assert (tmp_path / f"{name}.csv").read_text() == _per_value_csv(header, table), name
+        if isinstance(table, np.ndarray):
+            write_json(tmp_path / f"{name}.json", {"columns": header, "rows": table})
+            assert (tmp_path / f"{name}.json").read_text() == _row_list_json(header, table.tolist()), name
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 13])
+def test_chunked_writers_match_a_single_pass_join(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 4)
+    floats, ints, mixed = _seeded_tables(rows, seed=rows)
+    _assert_writers_match_a_single_pass_join(tmp_path, {"floats": floats, "ints": ints, "mixed": mixed})
+
+
+def test_writers_match_a_single_pass_join_one_row_past_a_chunk(tmp_path):
+    floats, _, _ = _seeded_tables(harness._CHUNK_ROWS + 1, seed=1)
+    _assert_writers_match_a_single_pass_join(tmp_path, {"floats": floats[:, :1]})
+
+
+def test_table_writer_memory_does_not_grow_with_rows(tmp_path):
+    # the peak of a write is a few chunks of text, not every row's cells
+    peaks = {}
+    for rows in (2 * harness._CHUNK_ROWS + 1, 300_000):
+        column = np.random.default_rng(rows).random((rows, 1))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["v"], column)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[300_000] < 1.1 * peaks[2 * harness._CHUNK_ROWS + 1], peaks
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -793,3 +1007,35 @@ def test_scipy_optimize_loads_only_for_fits(tmp_path):
     )
     assert fit.returncode == 0, fit.stderr
     assert (tmp_path / "fit" / "fit.csv").exists()
+
+
+def test_jsonschema_loads_only_to_explain_a_rejection(tmp_path):
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
+        command = next(name for name, modes in COMMANDS.items() if mode in modes)
+        runs.append([command, "--config", str(path), "-o", str(tmp_path / path.stem)])
+    code = (
+        "import json, sys\n"
+        "import scramsey\n"
+        "from scramsey.cli import main\n"
+        "assert 'jsonschema' not in sys.modules, 'import scramsey loaded jsonschema'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'jsonschema' not in sys.modules, argv\n"
+    )
+    result = _fresh_python(code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    assert len(runs) == 9
+
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps({"version": 1, "mode": "scrambled", "phi_samples": 3}), encoding="utf-8")
+    rejected = _fresh_python(
+        "import sys\nfrom scramsey.cli import main\ncode = main(sys.argv[1:])\n"
+        "print('jsonschema' in sys.modules)\nsys.exit(code)",
+        "flop", "--config", str(path), "-o", str(tmp_path / "invalid"),
+    )
+    assert rejected.returncode == 2
+    assert rejected.stderr == "scenario error: phi_samples: 3 is less than the minimum of 4\n"
+    assert rejected.stdout == "True\n"
+    assert not (tmp_path / "invalid").exists()
