@@ -21,7 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import GROUND, TWO_PI, _components, _excitation_probability, _freeze, _precess, _rotate, _stack, validate_state
+from .bloch import (
+    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _rotate, _stack, validate_state
+)
 from .sequence import (
     FrameSet,
     Pulse,
@@ -37,6 +39,8 @@ from .sequence import (
 DEFAULT_INTERVAL_POINTS = 201
 DEFAULT_PHI_SAMPLES = 256
 DEFAULT_PERIODS = 2.0
+DEFAULT_COARSE_POINTS = 181
+DEFAULT_AREA_TOLERANCE = 1e-6
 
 P_TOL = 1e-12
 
@@ -53,16 +57,13 @@ def default_intervals(delta_w: float, periods: float = DEFAULT_PERIODS, count: i
         raise ValueError(f"delta_w must be finite and positive, got {delta_w!r}")
     if not np.isfinite(periods) or periods <= 0.0:
         raise ValueError(f"periods must be finite and positive, got {periods!r}")
-    if int(count) != count or count < 2:
-        raise ValueError(f"count must be an integer >= 2, got {count!r}")
-    return np.linspace(0.0, periods * TWO_PI / delta_w, int(count))
+    return np.linspace(0.0, periods * TWO_PI / delta_w, _count("count", count, 2))
 
 
 def phi_grid(count: int) -> np.ndarray:
     """Uniform shot-phase grid phi_k = 2*pi*k/count, k = 0..count-1."""
-    if int(count) != count or count < 1:
-        raise ValueError(f"phi sample count must be an integer >= 1, got {count!r}")
-    return TWO_PI * np.arange(int(count)) / int(count)
+    count = _count("phi sample count", count, 1)
+    return TWO_PI * np.arange(count) / count
 
 
 def _as_intervals(intervals) -> np.ndarray:
@@ -95,8 +96,9 @@ def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda 
     ``simulate`` would have returned.
     """
     step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
+    start = _components(validate_state(state))
     for i in range(0, out.shape[-1], step):
-        x, y, z = _walk(build(slice(i, i + step)), frames, _components(validate_state(state)))
+        x, y, z = _walk(build(slice(i, i + step)), frames, start)
         out[..., i : i + step] = reduce(np.broadcast_to(_excitation_probability(z), np.broadcast(x, y, z).shape))
     return out
 
@@ -342,13 +344,14 @@ def optimize_scramble_area(
     intervals,
     phi_samples: int = DEFAULT_PHI_SAMPLES,
     frames: FrameSet | None = None,
-    tolerance: float = 1e-6,
-    coarse_points: int = 181,
+    tolerance: float = DEFAULT_AREA_TOLERANCE,
+    coarse_points: int = DEFAULT_COARSE_POINTS,
 ) -> ScrambleAreaResult:
     """Scramble area on [0, 2*pi] that maximizes the readout ambiguity.
 
-    A coarse scan (``coarse_points`` >= 181 by default) locates the best
-    candidate, a golden-section refinement narrows it to ``tolerance``.
+    A coarse scan of ``coarse_points`` areas (``DEFAULT_COARSE_POINTS`` by
+    default) locates the best candidate, a golden-section refinement
+    narrows it to ``tolerance`` (``DEFAULT_AREA_TOLERANCE`` by default).
     Coarse values within 1e-12 of the best are treated as exact ties and
     resolved toward the smaller area.  ``plateau`` is the contiguous
     coarse-scan interval whose ambiguity stays within 1e-9 of the
@@ -356,8 +359,7 @@ def optimize_scramble_area(
     """
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    if int(coarse_points) != coarse_points or coarse_points < 3:
-        raise ValueError(f"coarse_points must be an integer >= 3, got {coarse_points!r}")
+    coarse_points = _count("coarse_points", coarse_points, 3)
 
     t = _as_intervals(intervals)
     fr = _phi_rows(frames, phi_grid(phi_samples))
@@ -365,7 +367,7 @@ def optimize_scramble_area(
     def objective(theta: float) -> float:
         return float(_readout_ranges(recorded, fr, np.array([theta]), t).min())
 
-    thetas = np.linspace(0.0, TWO_PI, int(coarse_points))
+    thetas = np.linspace(0.0, TWO_PI, coarse_points)
     values = _readout_ranges(recorded, fr, thetas, t).min(axis=1)
     best = values.max()
     idx = int(np.argmax(values >= best - 1e-12))  # first tie wins: smaller theta

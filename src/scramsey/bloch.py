@@ -65,6 +65,13 @@ def _wrap_centred(angle):
     return (angle + np.pi) % TWO_PI - np.pi
 
 
+def _count(name: str, value, lowest: int) -> int:
+    """``value`` as an int, checked to be an integer >= ``lowest``; the error names ``name``."""
+    if int(value) != value or value < lowest:
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return int(value)
+
+
 def _as_state(state) -> np.ndarray:
     v = np.asarray(state, dtype=float)
     if v.shape[-1:] != (3,):

@@ -4,7 +4,11 @@
 
 Each subcommand accepts scenarios of matching mode: ``flop`` runs
 normal, scrambled and retrieved fringe scans; the others map one to
-one.  Exit codes: 0 success (including runs with warnings), 2 scenario
+one.  The mode facts live in tables: ``COMMANDS`` maps subcommands to
+modes, ``_SUMMARY`` holds each mode's one-line summary as a template
+over the report's results, and the harness's key tables say which modes
+take ``--seed`` and its ``TABLE_FORMATS`` which ``--format`` values
+exist.  Exit codes: 0 success (including runs with warnings), 2 scenario
 problems (including an output directory that cannot be created or
 written), 3 simulation or protocol errors, 4 fit did not converge.
 """
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError, SimulationError
-from .harness import load_scenario, run_scenario
+from .harness import _TOP_KEYS, TABLE_FORMATS, load_scenario, run_scenario
 
 COMMANDS = {
     "flop": ("normal", "scrambled", "retrieved"),
@@ -28,8 +32,6 @@ COMMANDS = {
     "secure-choice": ("secure-choice",),
     "fit": ("fit",),
 }
-
-_SEEDED_MODES = ("normal", "scrambled", "retrieved")
 
 _HELP = {
     "flop": "excitation probability versus read delay (normal, scrambled or retrieved)",
@@ -49,39 +51,29 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", type=Path, required=True, metavar="PATH", help="scenario JSON file")
         sub.add_argument("-o", "--out", type=Path, default=Path("out"), metavar="DIR", help="output directory (default: ./out)")
         sub.add_argument("--seed", type=int, default=None, metavar="U64", help="override the scenario seed (trial modes only)")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv", help="data table format (default: csv)")
+        sub.add_argument("--format", choices=TABLE_FORMATS, default="csv", help="data table format (default: csv)")
     return parser
 
 
+#: The summary line of each mode: a ``str.format`` template over ``report["results"]`` and ``decay``,
+#: the fit's decay time as text.
+_SUMMARY = {
+    "normal": "normal: {interval_count} intervals, P_e in [{p_e_min:.6f}, {p_e_max:.6f}]",
+    "scrambled": "scrambled: ambiguity {ambiguity:.6f}, widest spread {range_max:.6f}",
+    "retrieved": "retrieved: max deviation from the unscrambled fringe {max_deviation_from_normal:.3e}",
+    "sdbv": "sdbv: z extent {z_extent:.6f} at scramble area {scramble_area_pi:.4f} pi",
+    "ambiguity-sweep": "ambiguity-sweep: {ambiguity:.6f} (widest spread {range_max:.6f})",
+    "optimize": "optimize: theta* = {theta_star_pi:.6f} pi, ambiguity {ambiguity:.6f}",
+    "secure-choice": "secure-choice: stored {choice!r}, read back {decoded!r}, secrecy gap {secrecy_gap:.3e}",
+    "fit": "fit: {frequency_hz:.6g} Hz, amplitude {amplitude:.6g}, decay {decay}, converged={converged}",
+}
+
+
 def _summary_line(report: dict) -> str:
-    mode = report["mode"]
     results = report["results"]
-    if mode == "normal":
-        return (
-            f"normal: {results['interval_count']} intervals, "
-            f"P_e in [{results['p_e_min']:.6f}, {results['p_e_max']:.6f}]"
-        )
-    if mode == "scrambled":
-        return f"scrambled: ambiguity {results['ambiguity']:.6f}, widest spread {results['range_max']:.6f}"
-    if mode == "retrieved":
-        return f"retrieved: max deviation from the unscrambled fringe {results['max_deviation_from_normal']:.3e}"
-    if mode == "sdbv":
-        return f"sdbv: z extent {results['z_extent']:.6f} at scramble area {results['scramble_area_pi']:.4f} pi"
-    if mode == "ambiguity-sweep":
-        return f"ambiguity-sweep: {results['ambiguity']:.6f} (widest spread {results['range_max']:.6f})"
-    if mode == "optimize":
-        return f"optimize: theta* = {results['theta_star_pi']:.6f} pi, ambiguity {results['ambiguity']:.6f}"
-    if mode == "secure-choice":
-        return (
-            f"secure-choice: stored {results['choice']!r}, read back {results['decoded']!r}, "
-            f"secrecy gap {results['secrecy_gap']:.3e}"
-        )
-    tau = results["decay_time_s"]
-    tau_text = f"{tau:.6g} s" if tau is not None and tau < float("inf") else "none"
-    return (
-        f"fit: {results['frequency_hz']:.6g} Hz, amplitude {results['amplitude']:.6g}, "
-        f"decay {tau_text}, converged={results['converged']}"
-    )
+    tau = results.get("decay_time_s")
+    decay = f"{tau:.6g} s" if tau is not None and tau < float("inf") else "none"
+    return _SUMMARY[report["mode"]].format(**results, decay=decay)
 
 
 def main(argv=None) -> int:
@@ -94,7 +86,7 @@ def main(argv=None) -> int:
                 "mode", f"{mode!r} scenarios do not run under the {args.command!r} subcommand"
             )
         if args.seed is not None:
-            if mode not in _SEEDED_MODES:
+            if "seed" not in _TOP_KEYS[mode]:
                 raise ScenarioError("seed", f"--seed does not apply to mode {mode!r}")
             if not 0 <= args.seed < 2**64:
                 raise ScenarioError("seed", "must fit an unsigned 64-bit integer")

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals, _freeze
-from .bloch import _GROUND_XYZ, _checked_probability, _precess, _wrap_centred
+from .bloch import _GROUND_XYZ, _checked_probability, _count, _precess, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
@@ -57,9 +57,7 @@ class NoiseModel:
     phase_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.atom_count is not None:
             object.__setattr__(self, "atom_count", _atom_count(self.atom_count))
         tau = float(self.contrast_decay_tau)

@@ -15,8 +15,10 @@ its verdict is final.  Three key tables (``_TOP_KEYS``,
 ``_TIMING_KEYS``, ``_PULSE_KEYS``) list what each mode accepts, and
 drive both validation (any other key is rejected) and resolution: every
 accepted section is converted to engine units once, in one place, and
-echoed in the report.  A value that overflows once converted is a
-scenario error, like a schema violation.
+echoed in the report.  The CLI reads ``_TOP_KEYS`` to tell which modes
+take a seed, and ``TABLE_FORMATS`` for its format choices.  A value that
+overflows once converted, or an interval grid the engine would refuse,
+is a scenario error, like a schema violation.
 
 Every run writes a ``report.json`` plus mode-specific data tables with
 fixed names into the output directory; tables are CSV by default or
@@ -68,9 +70,6 @@ FLOP_COLUMNS = ("T_seconds", "T_normalized", "phi_S", "P_e")
 #: areas in ``optimize``), or trials x intervals.  Bounds the engine's run time and the size of its
 #: results; a larger grid exits 2.
 MAX_GRID_STATES = 2**24
-
-#: Coarse scramble areas ``optimize`` scans when the scenario does not say.
-_COARSE_POINTS = 181
 
 #: Named record states a scenario may ask to scramble.
 RECORD_STATES = {
@@ -244,8 +243,9 @@ def validate_scenario(scenario) -> None:
 
     if mode == "secure-choice" and "choice" not in scenario:
         raise ScenarioError("choice", "required in mode 'secure-choice'")
-    if mode == "secure-choice" and scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES) < 16:
-        raise ScenarioError("phi_samples", "must be >= 16 in mode 'secure-choice' (the secrecy check needs them)")
+    floor = protocol.SECRECY_MIN_PHI_SAMPLES
+    if mode == "secure-choice" and scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES) < floor:
+        raise ScenarioError("phi_samples", f"must be >= {floor} in mode 'secure-choice' (the secrecy check needs them)")
     if mode == "fit":
         fit = scenario.get("fit")
         if fit is None:
@@ -322,7 +322,7 @@ def _grid_states(scenario: dict) -> int:
     top = _TOP_KEYS[scenario["mode"]]
     count = int(scenario.get("intervals", {}).get("count", analysis.DEFAULT_INTERVAL_POINTS)) if "intervals" in top else 1
     phis = int(scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES)) if "phi_samples" in top else 1
-    areas = int(scenario.get("optimizer", {}).get("coarse_points", _COARSE_POINTS)) if "optimizer" in top else 1
+    areas = int(scenario.get("optimizer", {}).get("coarse_points", analysis.DEFAULT_COARSE_POINTS)) if "optimizer" in top else 1
     return max(count * phis * areas, int(scenario.get("trials", {}).get("count", 0)) * count)
 
 
@@ -351,10 +351,12 @@ def _resolve(scenario: dict, base_dir) -> tuple:
         cfg = scenario.get("intervals", {})
         count = int(cfg.get("count", analysis.DEFAULT_INTERVAL_POINTS))
         if "start_s" in cfg:
-            r.intervals = _converted("intervals", np.linspace, cfg["start_s"], cfg["stop_s"], count)
+            grid = _converted("intervals", np.linspace, cfg["start_s"], cfg["stop_s"], count)
         else:
             periods = cfg.get("periods", analysis.DEFAULT_PERIODS)
-            r.intervals = _converted("intervals", analysis.default_intervals, r.frames.delta_w, periods, count)
+            grid = _converted("intervals", analysis.default_intervals, r.frames.delta_w, periods, count)
+        # a span too narrow for its count repeats points, which the engine refuses
+        r.intervals = _converted("intervals", analysis._as_intervals, grid)
         # grids are always uniform, so endpoints plus count reproduce them
         echo["intervals"] = {"start_s": float(r.intervals[0]), "stop_s": float(r.intervals[-1]), "count": count}
     if "noise" in top:
@@ -626,7 +628,8 @@ def _run_ambiguity(scenario, r, report: dict) -> list:
 
 def _run_optimize(scenario, r, report: dict) -> list:
     cfg = scenario.get("optimizer", {})
-    tolerance, coarse_points = cfg.get("tolerance_rad", 1e-6), cfg.get("coarse_points", _COARSE_POINTS)
+    tolerance = cfg.get("tolerance_rad", analysis.DEFAULT_AREA_TOLERANCE)
+    coarse_points = cfg.get("coarse_points", analysis.DEFAULT_COARSE_POINTS)
     result = analysis.optimize_scramble_area(
         r.record, r.intervals, r.phi_samples, r.frames, tolerance=tolerance, coarse_points=coarse_points
     )

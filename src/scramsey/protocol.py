@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import phi_grid
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _wrap_centred
+from .analysis import DEFAULT_PHI_SAMPLES, phi_grid
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _wrap_centred
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -28,6 +28,9 @@ from .sequence import FrameSet, Pulse, Timeline, Wait, _walk, default_frames
 
 #: Relative tolerance for all phase-condition checks.
 TIMING_RTOL = 1e-9
+
+#: Fewest shot phases :func:`secrecy_check` samples.
+SECRECY_MIN_PHI_SAMPLES = 16
 
 
 class Choice:
@@ -52,9 +55,7 @@ def _half_turns_delay(delta_name: str, delta: float, count_name: str, count: int
     delta = float(delta)
     if not np.isfinite(delta) or delta <= 0.0:
         raise ValueError(f"{delta_name} must be finite and positive, got {delta!r}")
-    if int(count) != count or count < 0:
-        raise ValueError(f"{count_name} must be an integer >= 0, got {count!r}")
-    return (2 * int(count) + 1) * np.pi / delta
+    return (2 * _count(count_name, count, 0) + 1) * np.pi / delta
 
 
 def retrieve_delay(delta_s: float, m: int = 0) -> float:
@@ -99,16 +100,13 @@ def secure_read_delay(frames: FrameSet, t1: float, t2: float, k: int | None = No
     phase = frames.delta_w * (t1 + t2)
     if frames.delta_w <= 0.0:
         raise ValueError(f"delta_w must be positive, got {frames.delta_w!r}")
-    if k is None:
-        k = smallest_secure_k(frames, t1, t2)
-    elif int(k) != k or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    t3 = (TWO_PI * int(k) - phase) / frames.delta_w
+    k = smallest_secure_k(frames, t1, t2) if k is None else _count("k", k, 0)
+    t3 = (TWO_PI * k - phase) / frames.delta_w
     if t3 < 0.0:
-        if TWO_PI * int(k) >= phase - _phase_tol(phase):
+        if TWO_PI * k >= phase - _phase_tol(phase):
             return 0.0  # rounding residue only
         raise InfeasibleTimingError(
-            f"2*pi*k = {TWO_PI * int(k)!r} rad falls short of the {phase!r} rad already accumulated over t1 + t2"
+            f"2*pi*k = {TWO_PI * k!r} rad falls short of the {phase!r} rad already accumulated over t1 + t2"
         )
     return t3
 
@@ -241,7 +239,7 @@ def decode_choice(p_e: float, threshold: float = 0.5) -> str:
     raise IndeterminateReadoutError(f"readout {p_e!r} sits exactly on the threshold {threshold!r}")
 
 
-def secrecy_check(config: ProtocolConfig, phi_samples: int = 256) -> float:
+def secrecy_check(config: ProtocolConfig, phi_samples: int = DEFAULT_PHI_SAMPLES) -> float:
     """Largest gap between the sorted yes and no readout samples.
 
     Both choices are written, held for t1 and scrambled; an adversary
@@ -249,11 +247,10 @@ def secrecy_check(config: ProtocolConfig, phi_samples: int = 256) -> float:
     sorted P_e samples over the phi_s grid are compared elementwise; a
     pi scramble pulse makes the two sample sets identical on the
     shift-closed uniform grid, so the gap vanishes (up to rounding).
-    Detuned scramble areas generally leave a detectable gap.
+    Detuned scramble areas generally leave a detectable gap.  The grid
+    needs at least ``SECRECY_MIN_PHI_SAMPLES`` phases.
     """
-    if int(phi_samples) != phi_samples or phi_samples < 16:
-        raise ValueError(f"phi_samples must be an integer >= 16, got {phi_samples!r}")
-    frames = replace(config.frames, phi_s=phi_grid(phi_samples))
+    frames = replace(config.frames, phi_s=phi_grid(_count("phi_samples", phi_samples, SECRECY_MIN_PHI_SAMPLES)))
     writes = np.array([[encode_choice(Choice.YES)], [encode_choice(Choice.NO)]])  # one row per choice
     timeline = Timeline((Pulse.wri(writes), Wait(config.t1), Pulse.sri(config.scramble_area), Pulse.wri(config.read_area)))
     yes, no = np.sort(_checked_probability(_walk(timeline, frames, _GROUND_XYZ)[2]), axis=-1)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import scramsey
 from scramsey import harness
 from scramsey.analysis import default_intervals, normal_flop
-from scramsey.cli import COMMANDS, main
+from scramsey.cli import _SUMMARY, COMMANDS, _summary_line, main
 from scramsey.errors import ScenarioError
 from scramsey.harness import (
     load_scenario,
@@ -748,6 +748,14 @@ def test_cli_empty_interval_grid_is_exit_2(tmp_path, capsys):
     assert "intervals.count" in capsys.readouterr().err
 
 
+# interval grids that pass the schema and validation, but whose span is too
+# narrow for their count, so the evenly spaced points repeat
+NARROW_GRIDS = [
+    {"start_s": 0, "stop_s": 5e-324, "count": 3},
+    {"start_s": 1.0, "stop_s": 1.0000000000000002, "count": 5},
+    {"periods": 1e-322, "count": 5},
+]
+
 # (subcommand, scenario keys, field named): each value is schema-valid but
 # overflows, or is out of the engine's domain, once converted to engine units
 HOSTILE = [
@@ -768,6 +776,7 @@ HOSTILE = [
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 8}, "phi_samples"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 10**310], "y": [0, 1, 0, 1, 0, 1]}}}, "fit.data.x"),
     ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"atom_count": 10**20}}, "noise.atom_count"),
+    *[("flop", {"intervals": grid}, "intervals") for grid in NARROW_GRIDS],
 ]
 
 
@@ -779,6 +788,16 @@ def test_cli_hostile_values_are_exit_2(tmp_path, capsys, command, overrides, fie
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {field}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, mode", [("flop", "normal"), ("ambiguity", "ambiguity-sweep"), ("optimize", "optimize")])
+@pytest.mark.parametrize("grid", NARROW_GRIDS)
+def test_cli_narrow_interval_grid_is_exit_2_and_writes_nothing(tmp_path, capsys, command, mode, grid):
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(_scenario(mode=mode, intervals=grid)), encoding="utf-8")
+    assert main([command, "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scenario error: intervals: intervals must be strictly increasing\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _fresh_cli_runs(tmp_path, cases) -> list:
@@ -895,6 +914,49 @@ def test_integral_float_counts_behave_like_ints(tmp_path):
         run_scenario(_scenario(mode="scrambled", intervals=grid, phi_samples=8, trials={"count": 2}), tmp_path / name)
     for table in ("flop.csv", "trials.csv"):
         assert (tmp_path / "int" / table).read_bytes() == (tmp_path / "float" / table).read_bytes()
+
+
+def _reference_summary_line(report: dict) -> str:
+    """The summary line as a branch per mode, the reference for the CLI's ``_SUMMARY`` table."""
+    mode = report["mode"]
+    results = report["results"]
+    if mode == "normal":
+        return (
+            f"normal: {results['interval_count']} intervals, "
+            f"P_e in [{results['p_e_min']:.6f}, {results['p_e_max']:.6f}]"
+        )
+    if mode == "scrambled":
+        return f"scrambled: ambiguity {results['ambiguity']:.6f}, widest spread {results['range_max']:.6f}"
+    if mode == "retrieved":
+        return f"retrieved: max deviation from the unscrambled fringe {results['max_deviation_from_normal']:.3e}"
+    if mode == "sdbv":
+        return f"sdbv: z extent {results['z_extent']:.6f} at scramble area {results['scramble_area_pi']:.4f} pi"
+    if mode == "ambiguity-sweep":
+        return f"ambiguity-sweep: {results['ambiguity']:.6f} (widest spread {results['range_max']:.6f})"
+    if mode == "optimize":
+        return f"optimize: theta* = {results['theta_star_pi']:.6f} pi, ambiguity {results['ambiguity']:.6f}"
+    if mode == "secure-choice":
+        return (
+            f"secure-choice: stored {results['choice']!r}, read back {results['decoded']!r}, "
+            f"secrecy gap {results['secrecy_gap']:.3e}"
+        )
+    tau = results["decay_time_s"]
+    tau_text = f"{tau:.6g} s" if tau is not None and tau < float("inf") else "none"
+    return (
+        f"fit: {results['frequency_hz']:.6g} Hz, amplitude {results['amplitude']:.6g}, "
+        f"decay {tau_text}, converged={results['converged']}"
+    )
+
+
+def test_cli_summary_table_matches_a_branch_per_mode(tmp_path):
+    # the reference runs on this machine's numbers: some results sit at rounding level
+    flat_fit = _scenario(mode="fit", fit={"data": {"x": [0, 1, 2, 3, 4, 5], "y": [0.5] * 6}})
+    scenarios = _base_scenarios() + [flat_fit]
+    assert {scenario["mode"] for scenario in scenarios} == set(_SUMMARY)
+    for i, scenario in enumerate(scenarios):
+        report = run_scenario(scenario, tmp_path / str(i), base_dir=SCENARIOS)
+        assert _summary_line(report) == _reference_summary_line(report)
+    assert report["results"]["degenerate_amplitude"] and " decay none, " in _summary_line(report)
 
 
 def test_cli_rejects_mode_mismatch(tmp_path, capsys):
