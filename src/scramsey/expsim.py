@@ -21,6 +21,7 @@ order, and every sample, exactly as a shot-by-shot loop would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -261,16 +262,24 @@ def _validate_xy(x, y):
         raise ValueError("x and y must be finite")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("x must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_span, y_spread, y_mean = x[-1] - x[0], np.ptp(y), y.mean()
+    if not math.isfinite(x_span):
+        raise ValueError("x spans more than the float range: its last minus its first value overflows")
+    if not (math.isfinite(y_spread) and math.isfinite(y_mean)):
+        raise ValueError("y spans more than the float range: its spread or its mean overflows")
     return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def initial_guess(x, y) -> tuple[float, float, float, float, float]:
     """Spectral starting point for :func:`fit_damped_sinusoid`.
 
     Frequency from the tallest nonzero rfft bin with parabolic
     refinement, phase from that bin's angle, decay time from a linear
     fit to the log envelope of block maxima.  Returns (offset,
-    amplitude, decay_time, angular_frequency, phase).
+    amplitude, decay_time, angular_frequency, phase); raises
+    ValueError when data near the float range give no finite one.
     """
     x, y = _validate_xy(x, y)
     offset = float(y.mean())
@@ -301,18 +310,25 @@ def initial_guess(x, y) -> tuple[float, float, float, float, float]:
         slope = float(np.polyfit(centers[keep], np.log(envelope[keep]), 1)[0])
         if slope < 0.0:
             decay_time = min(-1.0 / slope, 1e3 * span)
-    return offset, amplitude, decay_time, max(omega, 0.0), phase
+    guess = (offset, amplitude, decay_time, max(omega, 0.0), phase)
+    if not all(map(math.isfinite, guess)):
+        raise ValueError(f"x and y give no finite starting point for the fit: {guess}")
+    return guess
 
 
 def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iterations: int | None = None) -> FitResult:
     """Least-squares fit of a decaying cosine to (x, y).
 
+    The solver is the trust-region reflective method of Branch, Coleman
+    and Li (1999), ported from scipy's ``least_squares(method="trf")``
+    and giving its results bit for bit, with amplitude, decay time and
+    angular frequency bounded below.  ``max_iterations`` caps the
+    residual evaluations, not counting the finite-difference Jacobian.
     Non-convergence is reported through ``converged``, never raised.
     Constant data short-circuits to a zero-amplitude degenerate result.
     """
-    # imported here, not at module level: scipy.optimize takes longer to
-    # load than most scenario runs take, and only a fit needs it
-    from scipy.optimize import least_squares
+    # imported on first use, so that only a fit loads (and, without a bytecode cache, compiles) the solver
+    from ._trf import least_squares
 
     x, y = _validate_xy(x, y)
     scale = max(1.0, float(np.abs(y).max()))
@@ -339,18 +355,11 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         max(omega, 0.0),
         phase,
     ]
-    result = least_squares(
-        residual,
-        start,
-        bounds=(lower, np.inf),
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=max_iterations,
+    params, fun, status = least_squares(
+        residual, start, lower, ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_iterations
     )
-    offset, amplitude, decay_time, omega, phase = (float(v) for v in result.x)
-    rms = float(np.sqrt(np.mean(result.fun**2)))
+    offset, amplitude, decay_time, omega, phase = (float(v) for v in params)
+    rms = float(np.sqrt(np.mean(fun**2)))
     return FitResult(
         offset=offset,
         amplitude=amplitude,
@@ -358,6 +367,6 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         angular_frequency=omega,
         phase=_wrap_centred(phase),
         residual_rms=rms,
-        converged=bool(result.status > 0),
+        converged=status > 0,
         degenerate_amplitude=bool(amplitude <= 3.0 * rms),
     )

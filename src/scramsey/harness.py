@@ -438,14 +438,25 @@ def _column_text(column: np.ndarray, nulls: bool) -> list:
     return cells
 
 
+class _Columns(tuple):
+    """A table held as its equal-length 1-D columns of one dtype, which the writers take as rows without
+    ever building the 2-D array."""
+
+
 def _text_chunks(rows, nulls: bool, cell_sep: str, row_sep: str):
-    """The text of ``rows`` (a 2-D array or a sequence of rows), ``_CHUNK_ROWS`` rows per yielded string.
+    """The text of ``rows`` (a 2-D array, :class:`_Columns` or a sequence of rows), ``_CHUNK_ROWS`` rows
+    per yielded string.
 
     Each chunk is formatted a column at a time by :func:`_column_text`,
     then its cells are joined by ``cell_sep`` and its rows by ``row_sep``.
     A column's type is decided over the whole table.
     """
-    columns = list(rows.T) if isinstance(rows, np.ndarray) else [np.asarray(column) for column in zip(*rows)]
+    if isinstance(rows, _Columns):
+        columns = list(rows)
+    elif isinstance(rows, np.ndarray):
+        columns = list(rows.T)
+    else:
+        columns = [np.asarray(column) for column in zip(*rows)]
     for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
         chunk = [_column_text(column[start : start + _CHUNK_ROWS], nulls) for column in columns]
         yield row_sep.join(map(cell_sep.join, zip(*chunk)))
@@ -458,6 +469,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def _json_safe(value):
+    if isinstance(value, _Columns):
+        return [_json_safe(row) for row in zip(*value)]
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -477,11 +490,15 @@ def _json_safe(value):
 def write_json(path, payload) -> None:
     """Canonical JSON: sorted keys, two-space indent, non-finite -> null.
 
-    A table ``{"columns": names, "rows": 2-D array}`` is formatted a column
-    at a time and written in row chunks, to the same bytes.
+    A table ``{"columns": names, "rows": 2-D array or _Columns}`` is
+    formatted a column at a time and written in row chunks, to the same
+    bytes.
     """
     table = payload["rows"] if isinstance(payload, dict) and payload.keys() == {"columns", "rows"} else None
-    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iuf" and table.size:
+    if isinstance(table, np.ndarray) and table.ndim == 2:
+        table = _Columns(table.T)
+    # the columns share one dtype, so the first tells the type and the length
+    if isinstance(table, _Columns) and table and table[0].dtype.kind in "iuf" and table[0].size:
         _write_text(Path(path), _json_table(payload["columns"], table))
     else:
         _write_text(Path(path), [json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False), "\n"])
@@ -501,7 +518,10 @@ def _json_table(columns, table):
 
 def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
     """Write equal-length numeric columns as ``stem.csv`` or ``stem.json``; returns the file name."""
-    name, rows = f"{stem}.{fmt}", np.column_stack(columns)
+    columns = [np.asarray(column) for column in columns]
+    # the one dtype np.column_stack would give the table, taken a column at a time
+    dtype = np.result_type(*columns)
+    name, rows = f"{stem}.{fmt}", _Columns(column.astype(dtype, copy=False) for column in columns)
     if fmt == "json":
         write_json(out / name, {"columns": list(header), "rows": rows})
     else:

@@ -1,8 +1,13 @@
 """Noise channels, trial ensembles, damped-sinusoid fitting."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from test_golden import SCENARIOS, VARIANTS, _variant
 
+from scramsey import _trf, expsim
 from scramsey.analysis import normal_flop
 from scramsey.bloch import excitation_probability, precess
 from scramsey.errors import InvalidTimelineError
@@ -17,6 +22,7 @@ from scramsey.expsim import (
     project_noise,
     run_trials,
 )
+from scramsey.harness import _resolve, load_scenario
 from scramsey.sequence import (
     DELTA_W_REF,
     Frame,
@@ -401,3 +407,150 @@ def test_fit_rejects_bad_input():
         fit_damped_sinusoid(x[::-1], np.zeros(10))
     with pytest.raises(ValueError):
         fit_damped_sinusoid(x, np.full(10, np.nan))
+    # finite data whose span, spread, mean or spectrum overflows, rejected without a numpy warning
+    beyond = [
+        (np.arange(6.0), np.array([1e308, -1e308] * 3), "y spans more than the float range"),
+        (np.arange(6.0), np.full(6, 1.5e308), "y spans more than the float range"),
+        (np.array([-1e308, 1.0, 2.0, 3.0, 4.0, 1e308]), np.arange(6.0), "x spans more than the float range"),
+        (np.arange(99.0), np.array([0.8e308, -0.4e308, -0.4e308] * 33), "x and y give no finite starting point"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y, message in beyond:
+            for fit in (initial_guess, fit_damped_sinusoid):
+                with pytest.raises(ValueError, match=message):
+                    fit(x, y)
+
+
+# ------------------------------------------------ the solver against scipy
+
+
+def _scipy_least_squares(fun, x0, lower, ftol, xtol, gtol, max_nfev=None):
+    """scipy's trust-region reflective solver on the problem the fit poses, returning what the port returns."""
+    from scipy.optimize import least_squares
+
+    result = least_squares(
+        fun, x0, bounds=(lower, np.inf), method="trf", ftol=ftol, xtol=xtol, gtol=gtol, max_nfev=max_nfev
+    )
+    return result.x, result.fun, result.status
+
+
+def _fit_outcome(x, y, guess, max_iterations) -> str:
+    """``repr`` of the fit, or of the ``ValueError`` it raises."""
+    try:
+        return repr(fit_damped_sinusoid(x, y, guess, max_iterations))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _trial_mean_fits() -> list:
+    """Fits of the trial means of seeded noisy shot rounds: every builder, with and without noise."""
+    cases = []
+    rng = np.random.default_rng(10)
+    for _, builder in itertools.product(range(4), ("ramsey", "scrambled", "retrieved")):
+        dw, ds = 2 * np.pi * rng.uniform(50.0, 200.0, size=2)
+        area, t1 = rng.uniform(0.1, 1.9) * np.pi, rng.uniform(1e-3, 1e-2)
+        timeline = {
+            "ramsey": ramsey,
+            "scrambled": lambda T: scrambled_ramsey(area, t1, T),
+            "retrieved": lambda T: retrieved_ramsey(area, t1, np.pi / ds, T),
+        }[builder]
+        seed, atoms = rng.integers(2**32), rng.integers(50, 1001)
+        tau, sigma = rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.2)
+        noise = NoiseModel(
+            seed=int(seed),
+            atom_count=int(atoms) if len(cases) % 2 else None,
+            contrast_decay_tau=tau,
+            phase_jitter_sigma=sigma if len(cases) % 3 == 0 else 0.0,
+        )
+        T = np.linspace(0.0, rng.uniform(1.0, 4.0) * 2 * np.pi / dw, int(rng.integers(31, 101)))
+        stats = run_trials(timeline, FrameSet(dw, ds), noise, int(rng.integers(5, 20)), T)
+        cases.append((T, stats.mean, None, None))
+    return cases
+
+
+def _noisy_fringes(count=200) -> list:
+    """Seeded damped fringes of 6-300 points with noise from 0.1 % to 20 % of full scale."""
+    cases = []
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n, span = int(rng.integers(6, 301)), rng.uniform(0.005, 0.2)
+        x = np.linspace(0.0, span, n)
+        params = dict(
+            offset=rng.uniform(0.3, 0.7),
+            amplitude=rng.uniform(0.0, 0.5),
+            decay_time=rng.uniform(0.2, 5.0) * span,
+            angular_frequency=2 * np.pi * rng.uniform(0.5, n / (3 * span)),
+            phase=rng.uniform(-np.pi, np.pi),
+        )
+        cases.append((x, damped_sinusoid(x, **params) + rng.normal(0.0, rng.uniform(0.001, 0.2), n), None, None))
+    return cases
+
+
+def _growing_fringes() -> list:
+    """Fringes recorded from before t = 0 that grow towards it, started from too long a decay time.
+
+    A trial step towards the true decay time overflows ``exp(-x/decay_time)``,
+    so the solver meets residuals that are not finite and shrinks its trust region.
+    """
+    cases = []
+    grid = itertools.product((12, 20, 30), (-1.0, -1.5), (0.01, 0.015, 0.02), (2.0, 5.0, 10.0))
+    for n, start, decay_time, factor in grid:
+        x = np.linspace(start, 0.2, n)
+        y = 0.5 + np.exp(-x / decay_time) * np.cos(10.0 * x + 0.3)
+        cases.append((x, y, (0.5, 1.0, decay_time * factor, 10.0, 0.0), None))
+    return cases
+
+
+def _oracle_corpus() -> list:
+    """(x, y, guess, max_iterations) of every fit the port is checked on."""
+    variants = [_variant(name) for name in VARIANTS if name.startswith("fit")]
+    scenarios = [load_scenario(SCENARIOS / "fit.json")] + variants
+    shipped = []
+    for scenario in scenarios:
+        inputs, _ = _resolve(scenario, SCENARIOS)
+        shipped.append((inputs.x, inputs.y, scenario["fit"].get("guess"), scenario["fit"].get("max_iterations")))
+    x, y = shipped[0][:2]
+    # an explicit amplitude of 0 starts the solver on its bound
+    on_bound = [(x, y, (0.5, 0.0, 0.03, 628.0, 0.0), None), (x, y, (0.5, 0.0, 0.03, 628.0, 0.0), 3)]
+    x = np.linspace(0.0, 0.06, 40)
+    y = 0.5 + 0.4 * np.exp(-x / 0.02) * np.cos(2 * np.pi * 100.0 * x)
+    budgets = [(x, y, None, budget) for budget in range(1, 41)]
+    return shipped + on_bound + budgets + _trial_mean_fits() + _noisy_fringes() + _growing_fringes()
+
+
+def test_fit_matches_scipy_least_squares_bit_for_bit(monkeypatch):
+    corpus = _oracle_corpus()
+    reached = {"reflected": 0, "not_finite": 0, "budget_spent": 0}
+    not_finite = []
+
+    def build_quadratic_1d(J, g, s, diag, s0=None):
+        # only the reflected step builds its quadratic from a start point
+        reached["reflected"] += s0 is not None
+        return build(J, g, s, diag, s0)
+
+    def residual_model(*args):
+        out = model(*args)
+        not_finite.append(not np.all(np.isfinite(out)))
+        return out
+
+    build, model = _trf._build_quadratic_1d, expsim.damped_sinusoid
+    ported = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with monkeypatch.context() as patch:
+            patch.setattr(_trf, "_build_quadratic_1d", build_quadratic_1d)
+            patch.setattr(expsim, "damped_sinusoid", residual_model)
+            for case in corpus:
+                not_finite.clear()
+                ported.append(_fit_outcome(*case))
+                # a fit that returns met a non-finite residual only at a trial step: at the
+                # start point it raises, and in a Jacobian it makes the SVD raise
+                reached["not_finite"] += any(not_finite) and ported[-1].startswith("FitResult(")
+        monkeypatch.setattr(_trf, "least_squares", _scipy_least_squares)
+        reference = [_fit_outcome(*case) for case in corpus]
+
+    mismatches = [(i, a, b) for i, (a, b) in enumerate(zip(ported, reference)) if a != b]
+    assert not mismatches, mismatches[:3]
+    reached["budget_spent"] = sum("converged=False" in outcome for outcome in ported)
+    assert sum(outcome.startswith("FitResult(") for outcome in ported) >= 300
+    assert all(reached.values()), reached

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import PINS, _skip_reason
 
 import scramsey
 from scramsey import harness
@@ -467,6 +469,47 @@ def test_table_writer_memory_does_not_grow_with_rows(tmp_path):
     assert peaks[300_000] < 1.1 * peaks[2 * harness._CHUNK_ROWS + 1], peaks
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.arange(5), np.linspace(0.0, 1.0, 5), np.array([np.inf, np.nan, -0.0, 1e-300, 2.5])],
+        [np.arange(4), np.arange(4) * 3],
+        [np.array([True, False, True]), np.array([False, False, True])],
+        [np.empty(0), np.empty(0)],
+    ],
+)
+def test_table_columns_write_the_bytes_of_the_stacked_table(tmp_path, fmt, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    harness._write_table(tmp_path, "columns", header, columns, fmt)
+    stacked = np.column_stack(columns)
+    if fmt == "json":
+        write_json(tmp_path / "stacked.json", {"columns": header, "rows": stacked})
+    else:
+        write_csv(tmp_path / "stacked.csv", header, stacked)
+    assert (tmp_path / f"columns.{fmt}").read_bytes() == (tmp_path / f"stacked.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_write_holds_no_stacked_copy(tmp_path, monkeypatch, fmt):
+    # the 1 M-row flop table of 1024 intervals x 1024 shot phases, built as _flop_table builds it
+    T = np.linspace(0.0, 0.02, 1024)
+    phis = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+    p_e = np.random.default_rng(5).random((phis.size, T.size))
+    columns = [np.tile(T, phis.size), np.tile(50.0 * T, phis.size), np.repeat(phis, T.size), p_e.ravel()]
+    # small chunks of empty cells leave only what the write itself holds of the table in the peak
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 4096)
+    monkeypatch.setattr(harness, "_column_text", lambda column, nulls: [""] * column.size)
+    tracemalloc.start()
+    try:
+        harness._write_table(tmp_path, "flop", ["T_seconds", "T_normalized", "phi_S", "P_e"], columns, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stacked 2-D copy alone would be the full 32 MB
+    assert peak < sum(column.nbytes for column in columns) / 8, peak
+
+
 def test_no_temp_files_left_behind(tmp_path):
     run_scenario(MINIMAL, tmp_path)
     assert not list(tmp_path.glob("*.tmp"))
@@ -777,6 +820,10 @@ HOSTILE = [
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 10**310], "y": [0, 1, 0, 1, 0, 1]}}}, "fit.data.x"),
     ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"atom_count": 10**20}}, "noise.atom_count"),
     *[("flop", {"intervals": grid}, "intervals") for grid in NARROW_GRIDS],
+    # finite data whose spread, span or derived starting point overflows
+    ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 5], "y": [1e308, -1e308] * 3}}}, "fit"),
+    ("fit", {"mode": "fit", "fit": {"data": {"x": [-1e308, 1, 2, 3, 4, 1e308], "y": [0, 1, 0, 1, 0, 1]}}}, "fit"),
+    ("fit", {"mode": "fit", "fit": {"data": {"x": list(range(99)), "y": [0.8e308, -0.4e308, -0.4e308] * 33}}}, "fit"),
 ]
 
 
@@ -829,8 +876,9 @@ def _fresh_cli_runs(tmp_path, cases) -> list:
 def test_hostile_values_exit_2_in_a_fresh_interpreter(tmp_path):
     outcomes = _fresh_cli_runs(tmp_path, HOSTILE)
     assert [status for status, _ in outcomes] == [2] * len(HOSTILE)
-    for (status, err), (_, _, field) in zip(outcomes, HOSTILE):
+    for i, ((status, err), (_, _, field)) in enumerate(zip(outcomes, HOSTILE)):
         assert err.startswith(f"scenario error: {field}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / f"out_{i}").exists()
 
 
 # (subcommand, scenario keys): each value is schema-valid and resolves,
@@ -1069,6 +1117,33 @@ def test_scipy_optimize_loads_only_for_fits(tmp_path):
     )
     assert fit.returncode == 0, fit.stderr
     assert (tmp_path / "fit" / "fit.csv").exists()
+
+
+def test_every_shipped_scenario_runs_without_scipy(tmp_path):
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
+        command = next(name for name, modes in COMMANDS.items() if mode in modes)
+        for fmt in harness.TABLE_FORMATS:
+            runs.append([command, "--config", str(path), "-o", str(tmp_path / f"{path.stem}-{fmt}"), "--format", fmt])
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy or a submodule fails\n"
+        "from scramsey.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = [name for name in sys.modules if name.startswith('scipy')]\n"
+        "assert loaded == ['scipy'] and sys.modules['scipy'] is None, loaded\n"
+    )
+    result = _fresh_python(code, json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    assert len(runs) == 18
+
+    if _skip_reason() is None:
+        for run in runs:
+            out = Path(run[4])
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+            assert digests == PINS["artifacts"][out.name], out.name
 
 
 def test_jsonschema_loads_only_to_explain_a_rejection(tmp_path):
