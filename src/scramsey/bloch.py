@@ -55,6 +55,11 @@ _GROUND_XYZ = tuple(GROUND)
 
 def wrap_angle(angle):
     """Reduce an angle (or array of angles) to [0, 2*pi)."""
+    if isinstance(angle, float):
+        # Python's float % is np.mod's rule (fmod, then add the divisor to a remainder of the other
+        # sign, +0.0 for a zero one) without numpy's per-call cost
+        a = float(angle) % TWO_PI
+        return 0.0 if a >= TWO_PI else a
     a = np.mod(angle, TWO_PI)
     # np.mod can round tiny negatives up to 2*pi itself
     return np.where(a >= TWO_PI, 0.0, a) if np.ndim(a) else (0.0 if a >= TWO_PI else float(a))

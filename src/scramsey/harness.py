@@ -16,9 +16,11 @@ its verdict is final.  Three key tables (``_TOP_KEYS``,
 drive both validation (any other key is rejected) and resolution: every
 accepted section is converted to engine units once, in one place, and
 echoed in the report.  The CLI reads ``_TOP_KEYS`` to tell which modes
-take a seed, and ``TABLE_FORMATS`` for its format choices.  A value that
-overflows once converted, or an interval grid the engine would refuse,
-is a scenario error, like a schema violation.
+take a seed, and ``TABLE_FORMATS`` for its format choices.  A JSON
+integer beyond int64 that the schema types as a number becomes a float
+before anything reads it.  A value that overflows once converted, or an
+interval grid the engine would refuse (in ``retrieved`` also once
+shifted by t1 + t2), is a scenario error, like a schema violation.
 
 Every run writes a ``report.json`` plus mode-specific data tables with
 fixed names into the output directory; tables are CSV by default or
@@ -34,9 +36,10 @@ nothing, and it refuses, before allocating anything, a scenario whose
 largest grid exceeds ``MAX_GRID_STATES`` final states.  Writes are
 atomic (temp file then rename) and tables are formatted and written
 ``_CHUNK_ROWS`` rows at a time, floats are serialized with their
-shortest round-trip representation, and nothing time- or host-dependent
-is ever written, so rerunning a scenario reproduces every artifact byte
-for byte.
+shortest round-trip representation (each distinct value of a chunk's
+column is formatted once, to the same bytes), and nothing time- or
+host-dependent is ever written, so rerunning a scenario reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -326,6 +329,25 @@ def _grid_states(scenario: dict) -> int:
     return max(count * phis * areas, int(scenario.get("trials", {}).get("count", 0)) * count)
 
 
+def _numbers_as_floats(value, schema):
+    """``value`` with each JSON integer beyond int64 that ``schema`` types as a number, not an integer,
+    made a float.
+
+    numpy holds a larger integer only as an object array, which its ufuncs
+    refuse; validation has bounded every integer to the float range.
+    Smaller integers stay as given, and so does their echo in the report.
+    Arrays of numbers are read with ``dtype=float`` where they are used.
+    """
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return {key: _numbers_as_floats(item, properties.get(key, {})) for key, item in value.items()}
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if type(value) is int and "number" in types and "integer" not in types and abs(value) >= 2**63:
+        return float(value)
+    return value
+
+
 def _resolve(scenario: dict, base_dir) -> tuple:
     """Engine inputs of every section the scenario's mode accepts, and their echo.
 
@@ -335,6 +357,7 @@ def _resolve(scenario: dict, base_dir) -> tuple:
     """
     if (states := _grid_states(scenario)) > MAX_GRID_STATES:
         raise ScenarioError("grid", f"asks for {states} final states on one grid; at most {MAX_GRID_STATES} are allowed")
+    scenario = _numbers_as_floats(scenario, scenario_schema())
     mode, top = scenario["mode"], _TOP_KEYS[scenario["mode"]]
     timing_keys, timing = _TIMING_KEYS.get(mode, set()), scenario.get("timing", {})
     pulse_keys, pulses = _PULSE_KEYS.get(mode, set()), scenario.get("pulses", {})
@@ -399,6 +422,10 @@ def _resolve(scenario: dict, base_dir) -> tuple:
         else:
             r.t3 = _converted("timing", protocol.secure_read_delay, r.frames, r.t1, r.t2, timing.get("read_turns_k"))
         echo["t3_s"] = r.t3
+    if "optimizer" in top:
+        cfg = scenario.get("optimizer", {})
+        r.tolerance = echo["tolerance_rad"] = cfg.get("tolerance_rad", analysis.DEFAULT_AREA_TOLERANCE)
+        r.coarse_points = echo["coarse_points"] = cfg.get("coarse_points", analysis.DEFAULT_COARSE_POINTS)
     if "fit" in top:
         cfg = scenario["fit"]
         if "data" in cfg:
@@ -430,12 +457,20 @@ def _write_text(path: Path, pieces) -> None:
 
 def _column_text(column: np.ndarray, nulls: bool) -> list:
     """``column`` as text cells: integers by ``str(int)``, floats by shortest round-trip ``repr``,
-    non-finite ones as ``null`` if ``nulls``."""
-    ints = column.dtype.kind in "biu"
-    cells = list(map(str, map(int, column.tolist())) if ints else map(repr, column.astype(float).tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist() if nulls else ():
-        cells[i] = "null"
-    return cells
+    non-finite ones as ``null`` if ``nulls``.
+
+    A float column is formatted once per distinct value, then indexed back
+    into place: fringe tables repeat each interval and shot phase many times.
+    """
+    if column.dtype.kind in "biu":
+        return list(map(str, map(int, column.tolist())))
+    # distinct bit patterns, not distinct values: np.unique merges -0.0 with 0.0, which repr tells apart
+    bits, inverse = np.unique(column.astype(float).view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    if nulls:
+        texts[~np.isfinite(distinct)] = "null"
+    return texts[inverse].tolist()
 
 
 class _Columns(tuple):
@@ -599,7 +634,10 @@ def _run_retrieved(scenario, r, report: dict) -> list:
     if warning := protocol.store_phase_problem(r.frames.delta_s, r.t2):
         report["warnings"].append(warning)
     family = analysis.retrieved_flop(r.scramble_area, r.t1, r.t2, r.intervals, r.phi_samples, r.frames)
-    target = analysis.normal_flop(r.frames.delta_w, r.t1 + r.t2 + r.intervals).p_e
+    # the normal fringe it is compared with is read at t1 + t2 + T, where a delay long against the grid's
+    # spacing rounds points together; checked after the family, whose phase overflow is a simulation error
+    shifted = _converted("intervals", analysis._as_intervals, r.t1 + r.t2 + r.intervals)
+    target = analysis.normal_flop(r.frames.delta_w, shifted).p_e
     report["results"] = {
         "scramble_area_pi": r.scramble_area / np.pi,
         "t1_s": r.t1,
@@ -647,13 +685,9 @@ def _run_ambiguity(scenario, r, report: dict) -> list:
 
 
 def _run_optimize(scenario, r, report: dict) -> list:
-    cfg = scenario.get("optimizer", {})
-    tolerance = cfg.get("tolerance_rad", analysis.DEFAULT_AREA_TOLERANCE)
-    coarse_points = cfg.get("coarse_points", analysis.DEFAULT_COARSE_POINTS)
     result = analysis.optimize_scramble_area(
-        r.record, r.intervals, r.phi_samples, r.frames, tolerance=tolerance, coarse_points=coarse_points
+        r.record, r.intervals, r.phi_samples, r.frames, tolerance=r.tolerance, coarse_points=r.coarse_points
     )
-    report["resolved"].update(tolerance_rad=tolerance, coarse_points=coarse_points)
     report["results"] = {
         "theta_star_rad": result.theta_star,
         "theta_star_pi": result.theta_star / np.pi,

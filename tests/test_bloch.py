@@ -112,6 +112,22 @@ def test_wrap_angle():
     assert np.all(wrap_angle(np.array([-1e-20, 7.0])) < 2 * np.pi)
 
 
+def test_scalar_wrap_angle_is_np_mod_bit_for_bit():
+    two_pi = 2 * np.pi
+    rng = np.random.default_rng(8)
+    spread = 10.0 ** rng.uniform(-320, 300, 4000) * rng.choice([-1.0, 1.0], 4000)
+    edges = [0.0, -0.0, 5e-324, -5e-324, -1e-320, -1e-300, -1e-17, np.pi, -np.pi, np.nextafter(two_pi, 0.0)]
+    multiples = [k * two_pi for k in (1, -1, 2, -2, 3, -7, 1e6, -1e6)]
+    angles = edges + multiples + spread.tolist()
+    for angle in angles:
+        a = np.mod(angle, two_pi)
+        expected = 0.0 if a >= two_pi else float(a)
+        got = wrap_angle(angle)
+        assert type(got) is float and got.hex() == expected.hex(), angle
+        # the array path applies the same rule
+        assert wrap_angle(np.array([angle]))[0].hex() == expected.hex(), angle
+
+
 # ------------------------------------------------------------ oracle checks
 
 

@@ -455,6 +455,24 @@ def test_writers_match_a_single_pass_join_one_row_past_a_chunk(tmp_path):
     _assert_writers_match_a_single_pass_join(tmp_path, {"floats": floats[:, :1]})
 
 
+def test_writers_format_each_distinct_bit_pattern_by_its_own_rule(tmp_path):
+    # the writers format each distinct value once; values that compare equal but print differently
+    # (-0.0 and 0.0) and distinct NaN payloads must each keep the per-value text
+    payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001], dtype=np.uint64)
+    nans = np.frombuffer(payloads.tobytes(), dtype=np.float64)
+    edges = np.array([0.0, -0.0, -0.0, 0.0, *nans, np.inf, -np.inf, 5e-324, -5e-324, 1.0, 0.1 + 0.2])
+    rows = harness._CHUNK_ROWS + 1
+    table = np.column_stack(
+        [
+            np.resize(edges, rows),
+            np.full(rows, 0.1 + 0.2),
+            np.random.default_rng(11).permutation(rows) / 7.0 - 3e4,
+        ]
+    )
+    assert np.unique(table[:, 2]).size == rows
+    _assert_writers_match_a_single_pass_join(tmp_path, {"distinct": table})
+
+
 def test_table_writer_memory_does_not_grow_with_rows(tmp_path):
     # the peak of a write is a few chunks of text, not every row's cells
     peaks = {}
@@ -824,6 +842,10 @@ HOSTILE = [
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 5], "y": [1e308, -1e308] * 3}}}, "fit"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": [-1e308, 1, 2, 3, 4, 1e308], "y": [0, 1, 0, 1, 0, 1]}}}, "fit"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": list(range(99)), "y": [0.8e308, -0.4e308, -0.4e308] * 33}}}, "fit"),
+    # a JSON integer beyond int64 that overflows once converted, like the float 1e308 above
+    ("flop", {"intervals": {"periods": 10**308}}, "intervals"),
+    # a valid grid whose points repeat once shifted by t1 + t2 for the normal fringe the report compares with
+    ("flop", {"mode": "retrieved", "intervals": {"periods": 1e-15, "count": 257}}, "intervals"),
 ]
 
 
@@ -845,6 +867,25 @@ def test_cli_narrow_interval_grid_is_exit_2_and_writes_nothing(tmp_path, capsys,
     assert main([command, "--config", str(path), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "scenario error: intervals: intervals must be strictly increasing\n"
     assert not (tmp_path / "out").exists()
+
+
+# number-valued keys given as JSON integers beyond int64, which numpy holds only as object arrays
+HUGE_INTEGERS = [
+    {"intervals": {"periods": 10**20, "count": 5}},
+    {"intervals": {"start_s": 0, "stop_s": 10**20, "count": 5}},
+    {"intervals": {"start_s": 10**19, "stop_s": 2 * 10**19, "count": 5}},
+    {"mode": "optimize", "intervals": {"count": 5}, "phi_samples": 8, "optimizer": {"tolerance_rad": 10**20}},
+]
+
+
+@pytest.mark.parametrize("overrides", HUGE_INTEGERS)
+def test_huge_integer_numbers_run_as_their_floats(tmp_path, overrides):
+    as_floats = json.loads(json.dumps(overrides), parse_int=lambda text: float(text) if abs(int(text)) >= 2**63 else int(text))
+    given, floats = (run_scenario(_scenario(**keys), tmp_path / name) for name, keys in (("int", overrides), ("float", as_floats)))
+    assert (given["resolved"], given["results"]) == (floats["resolved"], floats["results"])
+    for name in given["outputs"]:
+        if name != "report.json":
+            assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 def _fresh_cli_runs(tmp_path, cases) -> list:
@@ -887,6 +928,7 @@ OVERFLOWING = [
     ("flop", {"mode": "retrieved", "timing": {"t2_s": 1e308}}),
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"t3_s": 1e308}}),
     ("flop", {"intervals": {"start_s": 0.0, "stop_s": 1e308, "count": 3}}),
+    ("flop", {"intervals": {"start_s": 0, "stop_s": 10**308, "count": 3}}),
     ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"phase_jitter_sigma": 1e308}}),
 ]
 
