@@ -29,7 +29,7 @@ from .sequence import (
     Pulse,
     Timeline,
     Wait,
-    _walk,
+    _walk_z,
     default_frames,
     ramsey,
     retrieved_ramsey,
@@ -77,6 +77,11 @@ def _as_intervals(intervals) -> np.ndarray:
     return t
 
 
+def _outside_unit(p: np.ndarray) -> bool:
+    """Whether a value of ``p`` (NaN aside) lies more than P_TOL outside [0, 1]; makes no temporary the size of ``p``."""
+    return bool(np.fmin.reduce(p, axis=None) < -P_TOL or np.fmax.reduce(p, axis=None) > 1.0 + P_TOL)
+
+
 def _as_area(area: float) -> float:
     area = float(area)
     if not np.isfinite(area):
@@ -92,24 +97,32 @@ def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
 def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p) -> np.ndarray:
     """Fill ``out[..., b]`` with ``reduce`` of P_e of ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states.
 
-    P_e is read from the final ``z`` alone, broadcast to the block shape
-    ``simulate`` would have returned.
+    P_e is read from the final ``z`` alone (``sequence._walk_z``), which
+    has the block shape ``simulate`` would have returned; the last pulse's
+    ``x`` and ``y`` are never computed.
     """
     step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
     start = _components(validate_state(state))
     for i in range(0, out.shape[-1], step):
-        x, y, z = _walk(build(slice(i, i + step)), frames, start)
-        out[..., i : i + step] = reduce(np.broadcast_to(_excitation_probability(z), np.broadcast(x, y, z).shape))
+        out[..., i : i + step] = reduce(_excitation_probability(_walk_z(build(slice(i, i + step)), frames, start)))
     return out
 
 
-def _readout_ranges(recorded, frames: FrameSet, areas: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+def _readout_ranges(recorded, frames: FrameSet, areas, intervals: np.ndarray) -> np.ndarray:
     """P_e spread over the phi rows of ``frames`` after a t = 0 scramble of ``recorded``, a wait and a pi/2 read.
 
-    Shape (areas, intervals); the pairs form one axis, so blocks cut across areas too.
+    One float area gives shape (intervals,): the scramble rotates the phi
+    column once, and the interval axis first appears at the wait.  An
+    array of areas gives shape (areas, intervals); the pairs form one
+    axis, so blocks cut across areas too.
     """
+    read = Pulse.wri(np.pi / 2)
+    if np.ndim(areas) == 0:
+        scramble = Pulse.sri(areas)
+        build = lambda b: Timeline((scramble, Wait(intervals[b]), read))
+        return _scan(np.empty(intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0))
     pair_areas, pair_intervals = np.repeat(areas, intervals.size), np.tile(intervals, areas.size)
-    build = lambda b: Timeline((Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), Pulse.wri(np.pi / 2)))
+    build = lambda b: Timeline((Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), read))
     return _scan(np.empty(pair_intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0)).reshape(areas.size, -1)
 
 
@@ -125,7 +138,7 @@ class FlopCurve:
         p = np.asarray(self.p_e, dtype=float)
         if p.shape != t.shape:
             raise ValueError(f"p_e shape {p.shape} does not match intervals {t.shape}")
-        if np.any(p < -P_TOL) or np.any(p > 1.0 + P_TOL):
+        if _outside_unit(p):
             raise ValueError("p_e values must lie in [0, 1]")
         object.__setattr__(self, "intervals", _freeze(t))
         object.__setattr__(self, "p_e", _freeze(p))
@@ -147,7 +160,7 @@ class FlopFamily:
             raise ValueError("phi grid must be a non-empty 1-D array")
         if p.shape != (phis.size, t.size):
             raise ValueError(f"p_e shape {p.shape} does not match (phis, intervals) = ({phis.size}, {t.size})")
-        if np.any(p < -P_TOL) or np.any(p > 1.0 + P_TOL):
+        if _outside_unit(p):
             raise ValueError("p_e values must lie in [0, 1]")
         object.__setattr__(self, "intervals", _freeze(t))
         object.__setattr__(self, "phis", _freeze(phis))
@@ -203,7 +216,7 @@ class AmbiguityReport:
         r = np.asarray(self.ranges, dtype=float)
         if r.shape != t.shape:
             raise ValueError(f"ranges shape {r.shape} does not match intervals {t.shape}")
-        if np.any(r < -P_TOL) or np.any(r > 1.0 + P_TOL):
+        if _outside_unit(r):
             raise ValueError("ranges must lie in [0, 1]")
         if float(self.ambiguity) != float(r.min()):
             raise ValueError("ambiguity must equal min(ranges)")
@@ -310,7 +323,7 @@ def ambiguity_report(
     """
     t = _as_intervals(intervals)
     area = _as_area(scramble_area)
-    ranges = _readout_ranges(recorded, _phi_rows(frames, phi_grid(phi_samples)), np.array([area]), t)[0]
+    ranges = _readout_ranges(recorded, _phi_rows(frames, phi_grid(phi_samples)), area, t)
     return AmbiguityReport(area, t, ranges, float(ranges.min()))
 
 
@@ -365,7 +378,7 @@ def optimize_scramble_area(
     fr = _phi_rows(frames, phi_grid(phi_samples))
 
     def objective(theta: float) -> float:
-        return float(_readout_ranges(recorded, fr, np.array([theta]), t).min())
+        return float(_readout_ranges(recorded, fr, theta, t).min())
 
     thetas = np.linspace(0.0, TWO_PI, coarse_points)
     values = _readout_ranges(recorded, fr, thetas, t).min(axis=1)

@@ -22,7 +22,9 @@ and stack the result once, broadcast to the full (..., 3) shape.  The
 cores take and return component triples ``(x, y, z)`` that need not share
 a shape: a precession leaves ``z`` as it was.  The timeline engine checks
 its inputs once and carries the triple through the cores on whole blocks
-of a grid, stacking only when a caller asks for states.
+of a grid, stacking only when a caller asks for states.  A caller that
+only reads P_e asks ``_rotate`` for the last pulse's ``z`` alone
+(``z_only``), so that pulse's ``x`` and ``y`` are never computed.
 """
 
 from __future__ import annotations
@@ -159,15 +161,21 @@ def rotate_inplane(state, axis_azimuth, angle):
     return _stack(_rotate(*xyz, _as_angle(axis_azimuth, "axis_azimuth"), _as_angle(angle, "angle")))
 
 
-def _rotate(x, y, z, axis_azimuth, angle):
-    """Unchecked core of :func:`rotate_inplane` on the components; returns the rotated triple."""
+def _rotate(x, y, z, axis_azimuth, angle, z_only=False):
+    """Unchecked core of :func:`rotate_inplane` on the components; returns the rotated triple.
+
+    With ``z_only`` it returns the rotated ``z`` alone, the same array the
+    triple would hold, and never computes ``x`` or ``y``.
+    """
     ax, ay = np.cos(axis_azimuth), np.sin(axis_azimuth)
     ct, st = np.cos(angle), np.sin(angle)
+    rz = z * ct + (ax * y - ay * x) * st
+    if z_only:
+        return rz
     along = ax * x + ay * y
     rise = 1.0 - ct
     rx = x * ct + ay * z * st + ax * along * rise
     ry = y * ct - ax * z * st + ay * along * rise
-    rz = z * ct + (ax * y - ay * x) * st
     return rx, ry, rz
 
 

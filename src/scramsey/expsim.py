@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import _as_intervals, _freeze
 from .bloch import _GROUND_XYZ, _checked_probability, _count, _precess, _wrap_centred
-from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, default_frames
+from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -208,10 +208,10 @@ def run_trials(
             # the jitter is an extra precession just before the last event
             head = Timeline(timeline.events[:-1])
             xyz = _precess(*_walk(head, shot_frames, _GROUND_XYZ), jitters)
-            xyz = _walk(timeline.events[-1:], shot_frames, xyz, head.duration)
+            z = _walk_z(timeline.events[-1:], shot_frames, xyz, head.duration)
         else:
-            xyz = _walk(timeline, shot_frames, _GROUND_XYZ)
-        p = damp_contrast(_checked_probability(xyz[2]), timeline.duration, noise.contrast_decay_tau)
+            z = _walk_z(timeline, shot_frames, _GROUND_XYZ)
+        p = damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
         if atoms is not None:
             p = [_binomial_fraction(q, atoms, rng) for q, rng in zip(np.broadcast_to(p, trials), rngs)]
         samples[:, j] = p

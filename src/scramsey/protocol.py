@@ -24,7 +24,7 @@ from .errors import (
     InfeasibleTimingError,
     ProtocolMisconfigurationError,
 )
-from .sequence import FrameSet, Pulse, Timeline, Wait, _walk, default_frames
+from .sequence import FrameSet, Pulse, Timeline, Wait, _walk_z, default_frames
 
 #: Relative tolerance for all phase-condition checks.
 TIMING_RTOL = 1e-9
@@ -216,7 +216,7 @@ def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> floa
     """
     validate_secure_config(config)
     frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi_s)
-    return _checked_probability(_walk(secure_choice_timeline(choice, config), frames, _GROUND_XYZ)[2])
+    return _checked_probability(_walk_z(secure_choice_timeline(choice, config), frames, _GROUND_XYZ))
 
 
 def decode_choice(p_e: float, threshold: float = 0.5) -> str:
@@ -253,5 +253,5 @@ def secrecy_check(config: ProtocolConfig, phi_samples: int = DEFAULT_PHI_SAMPLES
     frames = replace(config.frames, phi_s=phi_grid(_count("phi_samples", phi_samples, SECRECY_MIN_PHI_SAMPLES)))
     writes = np.array([[encode_choice(Choice.YES)], [encode_choice(Choice.NO)]])  # one row per choice
     timeline = Timeline((Pulse.wri(writes), Wait(config.t1), Pulse.sri(config.scramble_area), Pulse.wri(config.read_area)))
-    yes, no = np.sort(_checked_probability(_walk(timeline, frames, _GROUND_XYZ)[2]), axis=-1)
+    yes, no = np.sort(_checked_probability(_walk_z(timeline, frames, _GROUND_XYZ)), axis=-1)
     return float(np.abs(yes - no).max())

@@ -21,12 +21,14 @@ Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
 together: ``phi_s`` of shape (P, 1) against waits of shape (B,) gives a
 (P, B) grid from one ``simulate`` call; :mod:`scramsey.analysis` feeds
 it blocks of about 2**14 states.  Inputs are checked once: events and
-frames when built, the start state in ``simulate``.  One private walk
-(``_walk``) then carries the state as a component triple ``(x, y, z)``
-through the unchecked kernel cores of :mod:`scramsey.bloch` and checks
-the final components are finite.  ``simulate`` and ``apply_event`` stack
-its result into (..., 3) states; the analysis, trial and protocol layers
-read ``z`` from the triple and never stack.
+frames when built, the start state in ``simulate``.  One unchecked event
+loop (``_advance``) then carries the state as a component triple
+``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`, and two
+private reads finish it.  ``_walk`` checks that the final components are
+finite; ``simulate`` and ``apply_event`` stack its result into (..., 3)
+states.  ``_walk_z`` is the P_e read of the analysis, trial and protocol
+layers: it rotates only ``z`` through a last pulse, checks that ``z`` is
+finite and never stacks.
 """
 
 from __future__ import annotations
@@ -200,6 +202,27 @@ def sri_axis_angle(t: float, frames: FrameSet):
     return _sri_axis(t, frames)
 
 
+def _advance(events, frames: FrameSet, xyz, time, sri_axis):
+    """Unchecked event loop: the component triple after ``events`` from ``xyz``, and the time after them."""
+    for event in events:
+        if isinstance(event, Wait):
+            xyz = _precess(*xyz, frames.delta_w * event.duration)
+            time = time + event.duration
+        else:
+            xyz = _rotate(*xyz, _pulse_axis(event, time, frames, sri_axis), event.area)
+    return xyz, time
+
+
+def _pulse_axis(pulse: Pulse, time, frames: FrameSet, sri_axis):
+    return 0.0 if pulse.frame is Frame.W else sri_axis(time, frames)
+
+
+def _check_finite(components) -> None:
+    # a scalar component (a Python or numpy float) skips numpy's reduction machinery
+    if not all(math.isfinite(c) if isinstance(c, float) else np.isfinite(c).all() for c in components):
+        raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
+
+
 def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
     """Component triple after ``events`` from ``xyz``, the first event at absolute time ``time``.
 
@@ -208,16 +231,29 @@ def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
     S-pulse azimuth.  Raises :class:`InvalidTimelineError` when a phase
     overflowed on the way and left a final component non-finite.
     """
-    for event in events:
-        if isinstance(event, Wait):
-            xyz = _precess(*xyz, frames.delta_w * event.duration)
-            time = time + event.duration
-        else:
-            xyz = _rotate(*xyz, 0.0 if event.frame is Frame.W else sri_axis(time, frames), event.area)
-    # a scalar component (a Python or numpy float) skips numpy's reduction machinery
-    if not all(math.isfinite(c) if isinstance(c, float) else np.isfinite(c).all() for c in xyz):
-        raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
+    xyz = _advance(events, frames, xyz, time, sri_axis)[0]
+    _check_finite(xyz)
     return xyz
+
+
+def _walk_z(events, frames: FrameSet, xyz, time=0.0):
+    """``_walk(...)[2]`` broadcast to the shape of the whole triple, without the last pulse's ``x`` and ``y``.
+
+    The P_e read of the analysis, trial and protocol layers.  A last pulse
+    rotates ``z`` alone, which then has the full shape and is checked to
+    be finite: a non-finite ``x`` or ``y`` before it, or a non-finite
+    axis, reaches ``z`` there too.  A timeline with no pulse last goes
+    through :func:`_walk`, since a last ``Wait`` leaves ``z`` unchanged
+    but may overflow ``x`` and ``y``.
+    """
+    events = tuple(events)
+    if events and isinstance(events[-1], Pulse):
+        (x, y, z), time = _advance(events[:-1], frames, xyz, time, _sri_axis)
+        z = _rotate(x, y, z, _pulse_axis(events[-1], time, frames, _sri_axis), events[-1].area, z_only=True)
+        _check_finite((z,))
+        return z
+    xyz = _walk(events, frames, xyz, time)
+    return np.broadcast_to(xyz[2], np.broadcast(*xyz).shape)
 
 
 def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):

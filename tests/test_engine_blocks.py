@@ -8,23 +8,27 @@ just past and far past block edges without large reference loops; the
 fixed tests check the same edges at the shipped budget.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from scramsey import analysis
 from scramsey.analysis import ambiguity_report, normal_flop, phi_grid, retrieved_flop, scrambled_flop
-from scramsey.bloch import GROUND, excitation_probability, precess, rotate_inplane
+from scramsey.bloch import GROUND, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.sequence import (
+    Frame,
     FrameSet,
     Pulse,
     Timeline,
     Wait,
+    _walk,
+    _walk_z,
     apply_event,
     default_frames,
     ramsey,
@@ -333,3 +337,118 @@ def test_property_scan_z_read_equals_p_e_of_stacked_states(name, phi_samples, in
     want = stacked_scan(np.empty(shape), build, frames, g["record"], recorded(want_shapes), step)
     assert np.array_equal(got, want)
     assert got_shapes == want_shapes
+
+
+# ------------------------------------------------------------ z-only read
+
+# Every P_e read (grid scans, trials, the secure choice) takes z through
+# _walk_z, which rotates only z through the last pulse.  It must give
+# _walk's z, broadcast to the whole triple's shape, bit for bit, and raise
+# exactly when _walk does.  An independent matrix model of the timeline
+# checks both, so a fault in the one z formula they share shows too.
+
+PHI_COLUMN = phi_grid(3)[:, None]
+
+
+def matrix_z(events, frames, xyz, time):
+    """z after ``events`` by 3x3 rotation matrices (Rodrigues' formula about each axis)."""
+    v = np.stack(np.broadcast_arrays(*xyz), axis=-1)
+    for event in events:
+        if isinstance(event, Wait):
+            axis, angle = np.array([0.0, 0.0, 1.0]), frames.delta_w * np.asarray(event.duration)
+            time = time + event.duration
+        else:
+            # the S azimuth as the engine defines it: reduced to [0, 2*pi) before its cosine
+            a = 0.0 if event.frame is Frame.W else wrap_angle((frames.delta_w - frames.delta_s) * time + frames.phi_s)
+            axis = np.stack(np.broadcast_arrays(np.cos(a), np.sin(a), 0.0), axis=-1)
+            angle = np.asarray(event.area)
+        k = np.broadcast_to(np.zeros(3), np.broadcast_shapes(axis.shape, angle.shape + (3,)))
+        n = axis + k
+        cross = np.zeros(n.shape + (3,))
+        cross[..., 0, 1], cross[..., 0, 2], cross[..., 1, 2] = -n[..., 2], n[..., 1], -n[..., 0]
+        cross = cross - np.swapaxes(cross, -1, -2)
+        c, s = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+        rotation = c * np.eye(3) + s * cross + (1.0 - c) * n[..., :, None] * n[..., None, :]
+        v = np.einsum("...ij,...j->...i", rotation, v)
+    return v[..., 2]
+
+
+def event_values(low, high):
+    """A float, or an array of 4 floats, in [low, high]."""
+    value = st.floats(low, high, allow_nan=False)
+    return value | st.lists(value, min_size=4, max_size=4).map(np.array)
+
+
+EVENTS = st.one_of(
+    st.builds(Pulse.wri, event_values(-10.0, 10.0)),
+    st.builds(Pulse.sri, event_values(-10.0, 10.0)),
+    st.builds(Wait, event_values(0.0, 1e-2)),
+    st.builds(Wait, st.sampled_from([1e307, 1e308])),  # a phase that overflows
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(EVENTS, max_size=6),
+    st.sampled_from([0.0, 2.5e-3, 1e307]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([Wait(1e307), Wait(1e307), Pulse.wri(np.pi / 2)], 0.0, False, True, 0)  # overflow, then a read
+@example([Pulse.wri(np.pi / 2), Wait(1e308)], 0.0, False, False, 0)  # overflow in the last event
+@example([], 0.0, True, True, 0)
+def test_property_z_only_read_is_walk_z_bit_for_bit(events, time, phi_column, array_start, seed):
+    rng = np.random.default_rng(seed)
+    frames = FrameSet(2 * np.pi * rng.uniform(50.0, 200.0), 2 * np.pi * rng.uniform(50.0, 200.0), PHI_COLUMN if phi_column else 0.7)
+    # an array start is the jitter branch of run_trials: a precessed state per trial
+    start = tuple(unit_states(rng, (4,)).T) if array_start else (0.0, 0.0, 1.0)
+    timeline = Timeline(events)
+
+    def outcome(read):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return read()
+            except InvalidTimelineError:
+                return None
+
+    triple = outcome(lambda: _walk(timeline, frames, start, time))
+    got = outcome(lambda: _walk_z(timeline, frames, start, time))
+    assert (got is None) == (triple is None)
+    if triple is None:
+        return
+    want = np.broadcast_to(triple[2], np.broadcast(*triple).shape)
+    assert np.shape(got) == want.shape
+    assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), want.view(np.int64))
+    np.testing.assert_allclose(got, matrix_z(timeline, frames, start, time), rtol=0.0, atol=1e-9)
+
+
+# --------------------------------------------------------- scan memory
+
+SCAN_RUNS = {
+    "scrambled_flop": (lambda T: scrambled_flop(0.7 * np.pi, 5e-3, T, 1024).p_e, lambda T: 8 * 1024 * T.size),
+    "ambiguity_report": (lambda T: ambiguity_report([0.6, 0.0, 0.8], 0.7 * np.pi, T, 1024).ranges, lambda T: 8 * T.size),
+}
+
+
+def scan_peak_bytes(run, count):
+    """Traced peak of one run over ``count`` intervals and 1024 phases."""
+    T = analysis.default_intervals(2 * np.pi * 100.0, 2.0, count)
+    run(T)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(T)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_RUNS))
+def test_scan_memory_is_bounded_by_the_block_not_the_grid(name):
+    # the output array aside, a 1024 x 1025 scan holds a few block-sized
+    # temporaries at once, and no more than a 1024 x 257 one
+    run, output_bytes = SCAN_RUNS[name]
+    extra = {count: scan_peak_bytes(run, count) - output_bytes(np.empty(count)) for count in (257, 1025)}
+    assert extra[1025] < 8 * (8 * BUDGET), extra
+    assert extra[1025] <= extra[257] + 2 * BUDGET, extra

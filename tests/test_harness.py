@@ -1,13 +1,16 @@
 """Scenario validation, artifact writing, CLI behavior and exit codes."""
 
+import contextlib
 import copy
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,7 +18,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import PINS, _skip_reason
 
@@ -948,6 +951,57 @@ def test_phase_overflows_leave_the_output_directory_untouched(tmp_path):
     assert [status for status, _ in outcomes] == [3] * len(OVERFLOWING)
     for i in range(len(OVERFLOWING)):
         assert not (tmp_path / f"out_{i}").exists()
+
+
+#: Numbers a mutation puts into a numeric leaf: zeros, subnormals, the float and int64 edges, huge integers.
+_EXTREMES = [0, 0.0, -0.0, 5e-324, 1e-320, -1e-320, 1e-15, -1e-15, 1, -1, 0.5, 2**53 + 1, 1e20, 1e308, -1e308]
+_EXTREMES += [2**63 - 1, 2**63, -(2**63), 10**20, -(10**20), 10**308, -(10**308), 10**310]
+
+_COMMAND_OF = {mode: command for command, modes in COMMANDS.items() for mode in modes}
+
+
+def _numeric_leaves(value, path=()):
+    """Paths to every number in ``value`` (bools and the schema ``version`` aside)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if path or key != "version":
+                yield from _numeric_leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _numeric_leaves(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+@st.composite
+def _extreme_scenarios(draw):
+    """(subcommand, scenario): a shipped or variant scenario with 1-3 numeric leaves set to extremes."""
+    scenario = copy.deepcopy(draw(st.sampled_from([s for s in _base_scenarios() if any(_numeric_leaves(s))])))
+    for path in draw(st.lists(st.sampled_from(list(_numeric_leaves(scenario))), min_size=1, max_size=3, unique=True)):
+        target = functools.reduce(lambda node, key: node[key], path[:-1], scenario)
+        target[path[-1]] = draw(st.sampled_from(_EXTREMES))
+    if "input_csv" in scenario.get("fit", {}):
+        scenario["fit"]["input_csv"] = str(SCENARIOS / scenario["fit"]["input_csv"])  # the scenario is written elsewhere
+    return _COMMAND_OF[scenario["mode"]], scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(_extreme_scenarios())
+# the two classes that exited 1 with a traceback: repeated points in the
+# shifted retrieved grid, and a number-valued JSON integer beyond int64
+@example(("flop", {"version": 1, "mode": "retrieved", "intervals": {"periods": 1e-15, "count": 257}}))
+@example(("flop", {"version": 1, "mode": "normal", "intervals": {"periods": 10**20}}))
+def test_property_extreme_numbers_keep_the_exit_code_contract(case):
+    command, scenario = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "MAX_GRID_STATES", 2**17):
+        path, out, err = Path(tmp) / "scenario.json", Path(tmp) / "out", io.StringIO()
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main([command, "--config", str(path), "-o", str(out)])
+        assert status in (0, 2, 3, 4)
+        if status in (2, 3):
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
 
 
 # (subcommand, scenario keys, largest grid): every grid a scenario can ask for
