@@ -8,10 +8,11 @@ those at run time.
 
 A scenario is checked against the packaged JSON schema by a small
 Draft 2020-12 checker that walks the schema itself and evaluates only
-the keywords it uses; it refuses a schema with any other keyword.  It
-answers valid or invalid, nothing more: jsonschema is imported only for
-a scenario it rejects, to name the offending field and constraint, and
-its verdict is final.  Three key tables (``_TOP_KEYS``,
+the keywords it uses; it refuses a schema with any other keyword, or
+with a shape whose errors jsonschema words differently.  Of the
+violations it finds, it reports the one jsonschema's ``best_match``
+picks, worded as jsonschema words it, so numpy stays the only runtime
+dependency.  Three key tables (``_TOP_KEYS``,
 ``_TIMING_KEYS``, ``_PULSE_KEYS``) list what each mode accepts, and
 drive both validation (any other key is rejected) and resolution: every
 accepted section is converted to engine units once, in one place, and
@@ -114,7 +115,7 @@ def scenario_schema() -> dict:
     return json.loads(text)
 
 
-#: Draft 2020-12 keywords :func:`_conforms` evaluates: those the packaged schema uses, plus the
+#: Draft 2020-12 keywords :func:`_errors` evaluates: those the packaged schema uses, plus the
 #: identifying and annotating ones, which assert nothing.
 _KEYWORDS = frozenset(
     ("type", "const", "enum", "oneOf", "properties", "additionalProperties", "required", "minimum", "maximum",
@@ -132,23 +133,35 @@ _TYPES = {
     "string": lambda v: isinstance(v, str),
 }
 
-#: Each numeric bound and the comparison with it that makes a number invalid.
-_BOUNDS = (("minimum", operator.lt), ("maximum", operator.gt), ("exclusiveMinimum", operator.le))
+#: Each numeric bound: the comparison with it that makes a number invalid, and how the error says so.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
 
 
 def _audit(schema) -> None:
-    """Raise ``ValueError`` unless :func:`_conforms` evaluates every keyword of ``schema`` and its subschemas.
+    """Raise ``ValueError`` unless :func:`_errors` words every error of ``schema`` as jsonschema does.
 
-    ``const`` and ``enum`` values must be scalars, which :func:`_same` compares.
+    Every keyword and subschema must be one it evaluates: an object
+    schema (not ``true`` or ``false``), ``const`` and ``enum`` values that
+    are scalars, which :func:`_same` compares, ``additionalProperties``
+    only as ``false``, and no ``minItems: 1`` or ``maxItems: 0``, which
+    jsonschema words apart.
     """
-    if isinstance(schema, bool):
-        return
+    if not isinstance(schema, dict):
+        raise ValueError("the fast scenario check evaluates object schemas only, not true or false")
     if unknown := schema.keys() - _KEYWORDS:
         raise ValueError(f"the fast scenario check does not evaluate schema keywords {sorted(unknown)}")
     if any(isinstance(v, (list, dict)) for v in [*schema.get("enum", ()), schema.get("const")]):
         raise ValueError("the fast scenario check compares const and enum values as scalars only")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("the fast scenario check evaluates additionalProperties only as false")
+    if schema.get("minItems") == 1 or schema.get("maxItems") == 0:
+        raise ValueError("the fast scenario check does not word minItems 1 or maxItems 0 as jsonschema does")
     subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
-    for sub in subschemas + [schema.get("items", True), schema.get("additionalProperties", True)]:
+    for sub in subschemas + ([schema["items"]] if "items" in schema else []):
         _audit(sub)
 
 
@@ -157,36 +170,89 @@ def _same(a, b) -> bool:
     return (a is True, a is False, a) == (b is True, b is False, b)
 
 
+def _errors(value, schema, path=()):
+    """Each way ``value`` at ``path`` violates ``schema``, one :func:`_audit` accepts, in jsonschema's order.
+
+    An error is ``(path, message, keyword, typed, context)``; ``typed``
+    tells whether ``value`` has a type ``schema`` names, and a ``oneOf``
+    error no branch passes carries every branch's errors as its context.
+    Keywords are evaluated in schema order, properties in schema order and
+    items by index (Draft 2020-12, worded as jsonschema words them).
+    """
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    typed = any(_TYPES[name](value) for name in types)
+    obj, array, number = isinstance(value, dict), isinstance(value, list), _TYPES["number"](value)
+    for keyword, arg in schema.items():
+        fault, context = None, ()
+        if keyword == "type" and not typed:
+            fault = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "const" and not _same(value, arg):
+            fault = f"{arg!r} was expected"
+        elif keyword == "enum" and not any(_same(value, each) for each in arg):
+            fault = f"{value!r} is not one of {arg!r}"
+        elif keyword == "oneOf":
+            branches = [list(_errors(value, branch, path)) for branch in arg]
+            valid = [branch for branch, errors in zip(arg, branches) if not errors]
+            if not valid:
+                fault = f"{value!r} is not valid under any of the given schemas"
+                context = list(itertools.chain.from_iterable(branches))
+            elif len(valid) > 1:
+                fault = f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+        elif keyword in _BOUNDS and number and _BOUNDS[keyword][0](value, arg):
+            fault = f"{value!r} {_BOUNDS[keyword][1]} {arg!r}"
+        elif keyword == "minItems" and array and len(value) < arg:
+            fault = f"{value!r} is too short"
+        elif keyword == "maxItems" and array and len(value) > arg:
+            fault = f"{value!r} is too long"
+        elif keyword == "items" and array:
+            for index, item in enumerate(value):
+                yield from _errors(item, arg, (*path, index))
+        elif keyword == "properties" and obj:
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _errors(value[key], sub, (*path, key))
+        elif keyword == "additionalProperties" and obj:
+            if extra := sorted((key for key in value if key not in schema.get("properties", {})), key=str):
+                verb = "was" if len(extra) == 1 else "were"
+                fault = f"Additional properties are not allowed ({', '.join(map(repr, extra))} {verb} unexpected)"
+        elif keyword == "required" and obj:
+            for key in arg:
+                if key not in value:
+                    yield path, f"{key!r} is a required property", keyword, typed, ()
+        if fault is not None:
+            yield path, fault, keyword, typed, context
+
+
+def _rank(error) -> tuple:
+    """jsonschema's ``relevance``: shallow before deep, a later path, then not ``oneOf``, then mistyped."""
+    path, _, keyword, typed, _ = error
+    return -len(path), path, keyword != "oneOf", not typed
+
+
+def _best(errors):
+    """The error jsonschema's ``best_match`` picks: the highest :func:`_rank`, the first of equals.
+
+    From a ``oneOf`` error it descends to the lowest ranked (the deepest)
+    error of its context, unless the two lowest rank the same.
+    """
+    best = max(errors, key=_rank)
+    while context := best[4]:
+        first, *rest = sorted(context, key=_rank)
+        if rest and _rank(first) == _rank(rest[0]):
+            break
+        best = first
+    return best
+
+
 def _conforms(value, schema) -> bool:
     """Whether ``value`` is valid under ``schema``, a schema :func:`_audit` accepts (Draft 2020-12)."""
-    if isinstance(schema, bool):
-        return schema
-    types = schema.get("type")
-    if types is not None and not any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types)):
-        return False
-    if "const" in schema and not _same(value, schema["const"]):
-        return False
-    if "enum" in schema and not any(_same(value, each) for each in schema["enum"]):
-        return False
-    if "oneOf" in schema and sum(_conforms(value, each) for each in schema["oneOf"]) != 1:
-        return False
-    if _TYPES["number"](value) and any(key in schema and fails(value, schema[key]) for key, fails in _BOUNDS):
-        return False
-    if isinstance(value, list):
-        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
-            return False
-        return all(_conforms(item, schema.get("items", True)) for item in value)
-    if isinstance(value, dict):
-        properties, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
-        if any(key not in value for key in schema.get("required", ())):
-            return False
-        return all(_conforms(item, properties.get(key, extra)) for key, item in value.items())
-    return True
+    return next(_errors(value, schema), None) is None
 
 
 @functools.cache
 def _fast_schema() -> dict:
-    """:func:`scenario_schema`, once :func:`_audit` has found nothing :func:`_conforms` cannot evaluate."""
+    """:func:`scenario_schema`, once :func:`_audit` has found nothing :func:`_errors` cannot word."""
     schema = scenario_schema()
     _audit(schema)
     return schema
@@ -195,19 +261,15 @@ def _fast_schema() -> dict:
 def validate_scenario(scenario) -> None:
     """Structural (JSON schema) then semantic validation.
 
-    Raises :class:`ScenarioError` naming the offending field.  A scenario
-    the schema accepts is checked by :func:`_conforms` alone; jsonschema
-    is loaded only to explain a rejection, and its verdict is final.
+    Raises :class:`ScenarioError` naming the offending field.  The schema
+    check is :func:`_errors` alone; of several violations it reports the
+    one jsonschema's ``best_match`` would, with jsonschema's message.
     """
     if not isinstance(scenario, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
-    if not _conforms(scenario, _fast_schema()):
-        import jsonschema
-
-        err = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(scenario_schema()).iter_errors(scenario))
-        if err is not None:
-            field = ".".join(str(part) for part in err.absolute_path) or "<root>"
-            raise ScenarioError(field, err.message)
+    if errors := list(_errors(scenario, _fast_schema())):
+        path, message, *_ = _best(errors)
+        raise ScenarioError(".".join(map(str, path)) or "<root>", message)
 
     mode = scenario["mode"]
     allowed = _TOP_KEYS[mode] | {"version", "mode"}
@@ -265,7 +327,7 @@ def load_scenario(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text("utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioError(str(path), f"cannot read scenario file ({err})") from None
 
     def reject_constant(token: str):
@@ -273,7 +335,10 @@ def load_scenario(path) -> dict:
 
     try:
         scenario = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as err:
+    except ScenarioError:  # reject_constant's, a ValueError too
+        raise
+    except (ValueError, RecursionError) as err:
+        # a syntax error, an integer literal past the interpreter's digit limit, or nesting past its recursion limit
         raise ScenarioError(str(path), f"not valid JSON ({err})") from None
     validate_scenario(scenario)
     return scenario

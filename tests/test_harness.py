@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -211,9 +212,10 @@ def test_fast_check_one_of_means_exactly_one_branch(value):
     assert harness._conforms(value, schema) is (value == 5.5)
 
 
-#: Values a mutation may put anywhere: type swaps, bool/int and int/float twins, and record shapes.
+#: Values a mutation may put anywhere: type swaps, bool/int and int/float twins, record shapes, and a
+#: section with two unknown keys, which an error names in sorted order.
 _MUTANTS = [True, False, 0, 1, 1.0, 5, 5.0, -1, 2.5, None, "x", "ground", "sideways", [], {}]
-_MUTANTS += [[0.0, 1.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8, 0.0], [True, 0.0, 0.0], {"count": 2}]
+_MUTANTS += [[0.0, 1.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8, 0.0], [True, 0.0, 0.0], {"count": 2}, {"zz": 1, "Aa": 2}]
 
 
 def _edge_values(node) -> list:
@@ -296,6 +298,12 @@ def test_fast_check_agrees_with_jsonschema_on_mutated_scenarios(data):
         else:
             target[key] = copy.deepcopy(data.draw(_mutant(node)))
     assert harness._conforms(scenario, schema) == _ORACLE.is_valid(scenario)
+    best = jsonschema.exceptions.best_match(_ORACLE.iter_errors(scenario))
+    if best is not None:  # the field and message reported are the ones best_match picks
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(scenario)
+        expected = ".".join(str(part) for part in best.absolute_path) or "<root>"
+        assert (err.value.field, err.value.constraint) == (expected, best.message)
 
 
 def test_fast_check_refuses_a_schema_keyword_it_does_not_evaluate(monkeypatch):
@@ -308,6 +316,20 @@ def test_fast_check_refuses_a_schema_keyword_it_does_not_evaluate(monkeypatch):
     schema["properties"]["version"]["const"] = [1]
     with pytest.raises(ValueError, match="scalars"):
         harness._audit(schema)
+    # shapes jsonschema words in ways _errors does not: its order of extra keys under a schema, its own
+    # message for a false schema or false items, "should be non-empty" and "is expected to be empty"
+    for path, value, match in [
+        (["frames", "additionalProperties"], {"type": "number"}, "additionalProperties"),
+        (["frames", "additionalProperties"], True, "additionalProperties"),
+        (["version"], False, "true or false"),
+        (["record", "oneOf", 1, "items"], False, "true or false"),
+        (["fit", "properties", "data", "properties", "x", "minItems"], 1, "minItems"),
+        (["fit", "properties", "guess", "maxItems"], 0, "maxItems"),
+    ]:
+        shape = copy.deepcopy(scenario_schema())
+        functools.reduce(operator.getitem, path[:-1], shape["properties"])[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            harness._audit(shape)
     # validate_scenario refuses to run the check rather than pass a scenario it cannot judge
     monkeypatch.setattr(harness, "scenario_schema", lambda: schema)
     harness._fast_schema.cache_clear()
@@ -796,6 +818,24 @@ def test_cli_non_finite_json_numbers_are_exit_2(tmp_path, capsys, text, token):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'\xff{"version": 1, "mode": "normal"}',  # not UTF-8
+        b'{"version": 1, "mode": "normal", "seed": ' + b"1" * 4301 + b"}",  # past the int digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+    ],
+    ids=["not-utf8", "long-integer", "deep-nesting"],
+)
+def test_cli_hostile_scenario_files_are_exit_2(tmp_path, capsys, raw):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(raw)
+    assert main(["flop", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overflowing_time_is_a_simulation_error(tmp_path, capsys):
     path = tmp_path / "huge_hold.json"
     path.write_text(json.dumps(_scenario(mode="scrambled", timing={"t1_s": 1e308})), encoding="utf-8")
@@ -1242,7 +1282,7 @@ def test_every_shipped_scenario_runs_without_scipy(tmp_path):
             assert digests == PINS["artifacts"][out.name], out.name
 
 
-def test_jsonschema_loads_only_to_explain_a_rejection(tmp_path):
+def test_cli_never_loads_jsonschema(tmp_path):
     runs = []
     for path in sorted(SCENARIOS.glob("*.json")):
         mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
@@ -1270,5 +1310,5 @@ def test_jsonschema_loads_only_to_explain_a_rejection(tmp_path):
     )
     assert rejected.returncode == 2
     assert rejected.stderr == "scenario error: phi_samples: 3 is less than the minimum of 4\n"
-    assert rejected.stdout == "True\n"
+    assert rejected.stdout == "False\n"
     assert not (tmp_path / "invalid").exists()
