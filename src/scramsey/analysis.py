@@ -99,12 +99,19 @@ def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda 
 
     P_e is read from the final ``z`` alone (``sequence._walk_z``), which
     has the block shape ``simulate`` would have returned; the last pulse's
-    ``x`` and ``y`` are never computed.
+    ``x`` and ``y`` are never computed.  P_e is written over ``z`` itself,
+    which makes no block-sized temporary, unless ``z`` is the read-only
+    view a timeline ending in a ``Wait`` returns.  Writing P_e straight
+    into a (P, T) ``out`` would run each step over rows of only
+    ``_BLOCK_STATES // P`` values: about twice as slow as one contiguous
+    pass and a copy.
     """
     step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
     start = _components(validate_state(state))
     for i in range(0, out.shape[-1], step):
-        out[..., i : i + step] = reduce(_excitation_probability(_walk_z(build(slice(i, i + step)), frames, start)))
+        z = _walk_z(build(slice(i, i + step)), frames, start)
+        out[..., i : i + step] = reduce(_excitation_probability(z, z if z.flags.writeable else None))
+        del z  # not held through the next block's walk
     return out
 
 

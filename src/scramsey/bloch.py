@@ -24,7 +24,10 @@ a shape: a precession leaves ``z`` as it was.  The timeline engine checks
 its inputs once and carries the triple through the cores on whole blocks
 of a grid, stacking only when a caller asks for states.  A caller that
 only reads P_e asks ``_rotate`` for the last pulse's ``z`` alone
-(``z_only``), so that pulse's ``x`` and ``y`` are never computed.
+(``z_only``), so that pulse's ``x`` and ``y`` are never computed.  A W
+read (azimuth 0) right after a wait needs less still: the wait's ``y``
+alone (``_precess(..., y_only=True)``) and the read's ``z`` from ``y``
+and ``z`` (``_rotate_x_z``), each the shortened copy of its full form.
 """
 
 from __future__ import annotations
@@ -179,6 +182,18 @@ def _rotate(x, y, z, axis_azimuth, angle, z_only=False):
     return rx, ry, rz
 
 
+def _rotate_x_z(y, z, angle):
+    """The ``z`` of a rotation by ``angle`` about +x (azimuth 0), from ``y`` and ``z`` alone.
+
+    :func:`_rotate`'s ``z`` with ``ax = 1`` and ``ay = 0`` folded in, so it
+    needs no ``x``.  For finite ``x`` it equals ``_rotate(..., 0.0, angle,
+    z_only=True)`` except in the sign of an exact zero: ``y - 0.0 * x``
+    turns a ``y`` of ``-0.0`` into ``+0.0`` when ``x`` is negative, and that
+    zero can reach the result.
+    """
+    return z * np.cos(angle) + y * np.sin(angle)
+
+
 def precess(state, phase):
     """Rotate Bloch vectors about +z by ``phase`` (right-hand rule).
 
@@ -198,10 +213,17 @@ def precess(state, phase):
     return _stack(_precess(*_components(_as_state(state)), _as_angle(phase, "phase")))
 
 
-def _precess(x, y, z, phase):
-    """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was."""
+def _precess(x, y, z, phase, y_only=False):
+    """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was.
+
+    With ``y_only`` it returns the precessed ``y`` alone, the same array the
+    triple would hold, and never computes ``x``.
+    """
     cb, sb = np.cos(phase), np.sin(phase)
-    return x * cb - y * sb, x * sb + y * cb, z
+    ry = x * sb + y * cb
+    if y_only:
+        return ry
+    return x * cb - y * sb, ry, z
 
 
 def excitation_probability(state):
@@ -218,11 +240,20 @@ def excitation_probability(state):
 
 def _checked_probability(z):
     """Checked core of :func:`excitation_probability` on ``z`` components: a float for one state."""
+    if isinstance(z, float):
+        # a scalar (a Python or numpy float) skips numpy's reductions; the comparisons are np.clip's
+        # (a NaN passes both, a -0.0 stays), so both paths give the same bits and the same message
+        if abs(z) > 1.0 + Z_TOL:
+            raise InvalidStateError(f"z component {float(abs(z))!r} outside [-1, 1]")
+        p = (1.0 - z) / 2.0
+        return 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
     if (np.abs(z) > 1.0 + Z_TOL).any():
         raise InvalidStateError(f"z component {float(np.max(np.abs(z)))!r} outside [-1, 1]")
     p = _excitation_probability(z)
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _excitation_probability(z):
-    return np.clip((1.0 - z) / 2.0, 0.0, 1.0)
+def _excitation_probability(z, out=None):
+    """P_e = (1 - z) / 2 clipped to [0, 1]; with ``out`` every step writes there, so no temporary is made."""
+    p = np.subtract(1.0, z, out=out)
+    return np.clip(np.divide(p, 2.0, out=out), 0.0, 1.0, out=out)

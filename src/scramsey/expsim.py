@@ -75,11 +75,19 @@ def damp_contrast(p_e, hold_time, tau: float):
     """Pull excitation probabilities toward 1/2 by exp(-hold_time/tau).
 
     With tau = inf the input is returned unchanged (same object for
-    arrays).
+    arrays).  ``hold_time`` must be >= 0 (inf allowed: the result is 1/2).
     """
     tau = float(tau)
     if np.isnan(tau) or tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau!r}")
+    hold = np.asarray(hold_time, dtype=float)
+    if not (hold >= 0.0).all():  # NaN fails the comparison too
+        raise ValueError(f"hold_time must be >= 0 (inf allowed), got {hold_time!r}")
+    return _damp_contrast(p_e, hold_time, tau)
+
+
+def _damp_contrast(p_e, hold_time, tau: float):
+    """Unchecked core of :func:`damp_contrast`: ``tau`` a positive float, ``hold_time`` >= 0."""
     if np.isinf(tau):
         return p_e
     factor = np.exp(-np.asarray(hold_time, dtype=float) / tau)
@@ -211,7 +219,7 @@ def run_trials(
             z = _walk_z(timeline.events[-1:], shot_frames, xyz, head.duration)
         else:
             z = _walk_z(timeline, shot_frames, _GROUND_XYZ)
-        p = damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
+        p = _damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
         if atoms is not None:
             p = [_binomial_fraction(q, atoms, rng) for q, rng in zip(np.broadcast_to(p, trials), rngs)]
         samples[:, j] = p

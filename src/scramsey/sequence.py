@@ -28,7 +28,10 @@ private reads finish it.  ``_walk`` checks that the final components are
 finite; ``simulate`` and ``apply_event`` stack its result into (..., 3)
 states.  ``_walk_z`` is the P_e read of the analysis, trial and protocol
 layers: it rotates only ``z`` through a last pulse, checks that ``z`` is
-finite and never stacks.
+finite and never stacks.  A W read right after a ``Wait``, the end of
+every fringe, takes only ``y`` from that wait and no ``x`` term; a result
+holding an exact zero, whose sign that shortcut can flip, is read again
+the general way.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from typing import Union
 
 import numpy as np
 
-from .bloch import GROUND, _as_state, _components, _freeze, _precess, _rotate, _stack, validate_state, wrap_angle
+from .bloch import (
+    GROUND, _as_state, _components, _freeze, _precess, _rotate, _rotate_x_z, _stack, validate_state, wrap_angle
+)
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -242,18 +247,33 @@ def _walk_z(events, frames: FrameSet, xyz, time=0.0):
     The P_e read of the analysis, trial and protocol layers.  A last pulse
     rotates ``z`` alone, which then has the full shape and is checked to
     be finite: a non-finite ``x`` or ``y`` before it, or a non-finite
-    axis, reaches ``z`` there too.  A timeline with no pulse last goes
-    through :func:`_walk`, since a last ``Wait`` leaves ``z`` unchanged
-    but may overflow ``x`` and ``y``.
+    axis, reaches ``z`` there too.  A W read right after a ``Wait`` (the
+    end of every fringe) needs only ``y`` from that wait and no ``x``
+    term: the wait precesses ``y`` alone and the read adds ``y * sin``.
+    Any non-finite ``x``, ``y`` or phase still makes that ``y`` non-finite
+    (``sin`` and ``cos`` of a finite phase are never both zero).  On the
+    components of a Bloch vector, which keep the skipped ``x`` finite,
+    this is ``_walk``'s ``z`` except in the sign of an exact zero, so a
+    result holding one is read again the general way.  A timeline with no
+    pulse last goes through :func:`_walk`, since a last ``Wait`` leaves
+    ``z`` unchanged but may overflow ``x`` and ``y``.
     """
     events = tuple(events)
-    if events and isinstance(events[-1], Pulse):
-        (x, y, z), time = _advance(events[:-1], frames, xyz, time, _sri_axis)
-        z = _rotate(x, y, z, _pulse_axis(events[-1], time, frames, _sri_axis), events[-1].area, z_only=True)
-        _check_finite((z,))
-        return z
-    xyz = _walk(events, frames, xyz, time)
-    return np.broadcast_to(xyz[2], np.broadcast(*xyz).shape)
+    if not events or isinstance(events[-1], Wait):
+        xyz = _walk(events, frames, xyz, time)
+        return np.broadcast_to(xyz[2], np.broadcast(*xyz).shape)
+    head, last = events[:-1], events[-1]
+    z = None
+    if last.frame is Frame.W and head and isinstance(head[-1], Wait):
+        xyz, time = _advance(head[:-1], frames, xyz, time, _sri_axis)
+        head = head[-1:]
+        y = _precess(*xyz, frames.delta_w * head[0].duration, y_only=True)
+        z = _rotate_x_z(y, xyz[2], last.area)
+    if z is None or not z.all():
+        (x, y, z), time = _advance(head, frames, xyz, time, _sri_axis)
+        z = _rotate(x, y, z, _pulse_axis(last, time, frames, _sri_axis), last.area, z_only=True)
+    _check_finite((z,))
+    return z
 
 
 def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):

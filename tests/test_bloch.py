@@ -7,6 +7,8 @@ from scipy.spatial.transform import Rotation
 from scramsey.bloch import (
     EXCITED,
     GROUND,
+    Z_TOL,
+    _checked_probability,
     excitation_probability,
     precess,
     rotate_inplane,
@@ -126,6 +128,26 @@ def test_scalar_wrap_angle_is_np_mod_bit_for_bit():
         assert type(got) is float and got.hex() == expected.hex(), angle
         # the array path applies the same rule
         assert wrap_angle(np.array([angle]))[0].hex() == expected.hex(), angle
+
+
+def test_scalar_checked_probability_is_the_array_path_bit_for_bit():
+    # a float z (Python or numpy) skips numpy's reductions; at the clip edges
+    # and at the tolerance band it must give the array path's bits and message
+    band = 1.0 + Z_TOL
+    inside = [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, band, -band, np.nan]
+    inside += [np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+    inside += np.random.default_rng(9).uniform(-band, band, 400).tolist()
+    for z, want in zip(inside, _checked_probability(np.array(inside))):
+        for scalar in (float(z), np.float64(z)):
+            got = _checked_probability(scalar)
+            assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64), z
+    for z in [np.nextafter(band, 2.0), -np.nextafter(band, 2.0), 2.0, -1e300, np.inf, -np.inf]:
+        with pytest.raises(InvalidStateError) as array_error:
+            _checked_probability(np.array([z]))
+        for scalar in (float(z), np.float64(z)):
+            with pytest.raises(InvalidStateError) as scalar_error:
+                _checked_probability(scalar)
+            assert str(scalar_error.value) == str(array_error.value)
 
 
 # ------------------------------------------------------------ oracle checks

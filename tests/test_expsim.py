@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ def test_damp_contrast_infinite_tau_is_identity():
 def test_damp_contrast_rejects_bad_tau():
     with pytest.raises(ValueError):
         damp_contrast(0.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.1, np.inf])
+@pytest.mark.parametrize("hold_time", [-1.0, -5e-324, -np.inf, np.nan, np.array([1.0, -1.0]), np.array([0.0, np.nan])])
+def test_damp_contrast_rejects_a_negative_or_nan_hold_time(hold_time, tau):
+    # a hold time of -1 used to give 8811.09 from 0.9, and a NaN one NaN
+    with pytest.raises(ValueError, match="hold_time"):
+        damp_contrast(0.9, hold_time, tau)
+
+
+def test_damp_contrast_infinite_hold_time_gives_one_half():
+    assert damp_contrast(0.9, np.inf, 0.1) == 0.5
+    assert np.array_equal(damp_contrast(np.array([0.0, 1.0]), np.array([np.inf, 0.0]), 0.1), [0.5, 1.0])
+    assert damp_contrast(0.9, -0.0, 0.1) == 0.9
+
+
+def test_run_trials_damps_through_the_unchecked_core():
+    # a timeline's duration sums checked waits, so no interval pays for the public check
+    model = NoiseModel(seed=3, contrast_decay_tau=0.02, atom_count=50)
+    want = run_trials(ramsey, None, model, 3, T17).samples
+    with mock.patch.object(expsim, "damp_contrast", side_effect=AssertionError("public check called")):
+        assert np.array_equal(run_trials(ramsey, None, model, 3, T17).samples, want)
 
 
 def test_project_noise_statistics():
