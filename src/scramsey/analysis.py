@@ -27,8 +27,9 @@ from .bloch import (
 from .sequence import (
     FrameSet,
     Pulse,
-    Timeline,
     Wait,
+    _advance,
+    _sri_axis,
     _walk_z,
     default_frames,
     ramsey,
@@ -94,42 +95,54 @@ def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
     return replace(frames if frames is not None else default_frames(), phi_s=phis[:, None])
 
 
-def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p) -> np.ndarray:
-    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states.
+def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p, head=()) -> np.ndarray:
+    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``head`` then ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states.
 
-    P_e is read from the final ``z`` alone (``sequence._walk_z``), which
-    has the block shape ``simulate`` would have returned; the last pulse's
-    ``x`` and ``y`` are never computed.  P_e is written over ``z`` itself,
-    which makes no block-sized temporary, unless ``z`` is the read-only
-    view a timeline ending in a ``Wait`` returns.  Writing P_e straight
-    into a (P, T) ``out`` would run each step over rows of only
-    ``_BLOCK_STATES // P`` values: about twice as slow as one contiguous
-    pass and a copy.
+    ``head`` holds the events that do not depend on the block: in a
+    fringe, every event before the last wait.  They are walked once per
+    grid, and each block's events go on from the triple and the time they
+    leave, which is the same arithmetic in the same order as walking the
+    whole timeline per block.  P_e is read from the final ``z`` alone
+    (``sequence._walk_z``), which has the block shape ``simulate`` would
+    have returned; the last pulse's ``x`` and ``y`` are never computed.
+    P_e is written over ``z`` itself, which makes no block-sized
+    temporary, unless ``z`` is the read-only view a timeline ending in a
+    ``Wait`` returns.  Writing P_e straight into a (P, T) ``out`` would
+    run each step over rows of only ``_BLOCK_STATES // P`` values: about
+    twice as slow as one contiguous pass and a copy.
     """
     step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
-    start = _components(validate_state(state))
+    start, time = _advance(head, frames, _components(validate_state(state)), 0.0, _sri_axis)
     for i in range(0, out.shape[-1], step):
-        z = _walk_z(build(slice(i, i + step)), frames, start)
+        z = _walk_z(build(slice(i, i + step)), frames, start, time)
         out[..., i : i + step] = reduce(_excitation_probability(z, z if z.flags.writeable else None))
         del z  # not held through the next block's walk
     return out
 
 
+def _recorded(state) -> np.ndarray:
+    """``state`` checked to be one Bloch vector: a stack of records would pair record i with interval i."""
+    rec = validate_state(state)
+    if rec.shape != (3,):
+        raise ValueError("recorded state must be a single 3-vector")
+    return rec
+
+
 def _readout_ranges(recorded, frames: FrameSet, areas, intervals: np.ndarray) -> np.ndarray:
     """P_e spread over the phi rows of ``frames`` after a t = 0 scramble of ``recorded``, a wait and a pi/2 read.
 
-    One float area gives shape (intervals,): the scramble rotates the phi
-    column once, and the interval axis first appears at the wait.  An
-    array of areas gives shape (areas, intervals); the pairs form one
-    axis, so blocks cut across areas too.
+    One float area gives shape (intervals,): the scramble is the scan's
+    head, which rotates the phi column once per grid, and the interval
+    axis first appears at the wait.  An array of areas gives shape
+    (areas, intervals); the pairs form one axis, so blocks cut across
+    areas too, and the scan has no head.
     """
     read = Pulse.wri(np.pi / 2)
     if np.ndim(areas) == 0:
-        scramble = Pulse.sri(areas)
-        build = lambda b: Timeline((scramble, Wait(intervals[b]), read))
-        return _scan(np.empty(intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0))
+        build = lambda b: (Wait(intervals[b]), read)
+        return _scan(np.empty(intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0), head=(Pulse.sri(areas),))
     pair_areas, pair_intervals = np.repeat(areas, intervals.size), np.tile(intervals, areas.size)
-    build = lambda b: Timeline((Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), read))
+    build = lambda b: (Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), read)
     return _scan(np.empty(pair_intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0)).reshape(areas.size, -1)
 
 
@@ -192,9 +205,7 @@ class SDBV:
     points: np.ndarray  # shape (len(phis), 3)
 
     def __post_init__(self):
-        rec = validate_state(self.recorded)
-        if rec.shape != (3,):
-            raise ValueError("recorded state must be a single 3-vector")
+        rec = _recorded(self.recorded)
         pts = validate_state(self.points)
         phis = np.asarray(self.phis, dtype=float)
         if pts.shape != (phis.size, 3):
@@ -245,7 +256,9 @@ class ScrambleAreaResult:
 def normal_flop(delta_w: float, intervals) -> FlopCurve:
     """Unscrambled write/read fringe, P_e(T) = (1 + cos(delta_w T)) / 2."""
     t = _as_intervals(intervals)
-    return FlopCurve(t, _scan(np.empty(t.size), lambda b: ramsey(t[b]), FrameSet(delta_w, delta_w, 0.0)))
+    frames = FrameSet(delta_w, delta_w, 0.0)
+    *head, _, read = ramsey(0.0).events  # each block brings its own wait
+    return FlopCurve(t, _scan(np.empty(t.size), lambda b: (Wait(t[b]), read), frames, head=head))
 
 
 def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES) -> SDBV:
@@ -254,7 +267,7 @@ def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES)
     The pulse fires at t = 0, where its axis azimuth is phi_s itself, so
     the distribution does not depend on the detunings.
     """
-    rec = validate_state(recorded)
+    rec = _recorded(recorded)
     phis = phi_grid(phi_samples)
     points = _stack(_rotate(*_components(rec), phis, _as_area(scramble_area)))
     return SDBV(rec, scramble_area, phis, points)
@@ -275,11 +288,17 @@ def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_sa
 
 
 def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frames: FrameSet | None) -> FlopFamily:
-    """P_e of ``build(area, T)`` on the interval grid, one row per phi_s on a uniform grid."""
+    """P_e of ``build(area, T)`` on the interval grid, one row per phi_s on a uniform grid.
+
+    ``build``'s events before the last wait are the scan's head, the same
+    for every interval; each block adds its own wait before the read.
+    """
     t = _as_intervals(intervals)
     phis = phi_grid(phi_samples)
     area = _as_area(scramble_area)
-    p = _scan(np.empty((phis.size, t.size)), lambda b: build(area, t[b]), _phi_rows(frames, phis))
+    fr = _phi_rows(frames, phis)
+    *head, _, read = build(area, 0.0).events  # each block brings its own wait
+    p = _scan(np.empty((phis.size, t.size)), lambda b: (Wait(t[b]), read), fr, head=head)
     return FlopFamily(t, phis, p)
 
 
@@ -328,9 +347,10 @@ def ambiguity_report(
     a grid and the extrema are taken over that grid, so the result does
     not depend on evaluation order.
     """
+    rec = _recorded(recorded)
     t = _as_intervals(intervals)
     area = _as_area(scramble_area)
-    ranges = _readout_ranges(recorded, _phi_rows(frames, phi_grid(phi_samples)), area, t)
+    ranges = _readout_ranges(rec, _phi_rows(frames, phi_grid(phi_samples)), area, t)
     return AmbiguityReport(area, t, ranges, float(ranges.min()))
 
 
@@ -377,6 +397,7 @@ def optimize_scramble_area(
     coarse-scan interval whose ambiguity stays within 1e-9 of the
     optimum (degenerate when only the winning point qualifies).
     """
+    rec = _recorded(recorded)
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     coarse_points = _count("coarse_points", coarse_points, 3)
@@ -385,10 +406,10 @@ def optimize_scramble_area(
     fr = _phi_rows(frames, phi_grid(phi_samples))
 
     def objective(theta: float) -> float:
-        return float(_readout_ranges(recorded, fr, theta, t).min())
+        return float(_readout_ranges(rec, fr, theta, t).min())
 
     thetas = np.linspace(0.0, TWO_PI, coarse_points)
-    values = _readout_ranges(recorded, fr, thetas, t).min(axis=1)
+    values = _readout_ranges(rec, fr, thetas, t).min(axis=1)
     best = values.max()
     idx = int(np.argmax(values >= best - 1e-12))  # first tie wins: smaller theta
 

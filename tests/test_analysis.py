@@ -95,6 +95,23 @@ def test_sdbv_validation():
         sdbv([0.0, 0.0, 2.0], np.pi / 2, 16)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rec, n: ambiguity_report(rec, 1.0, np.linspace(0.0, 1e-2, n), 4),
+        lambda rec, n: optimize_scramble_area(rec, np.linspace(0.0, 1e-2, n), 4, coarse_points=5),
+        lambda rec, n: sdbv(rec, 1.0, n),
+    ],
+    ids=["ambiguity_report", "optimize_scramble_area", "sdbv"],
+)
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_stacked_record_is_rejected(call, count):
+    # two records against two intervals used to pair record i with interval
+    # i; against three they failed inside numpy's broadcasting
+    with pytest.raises(ValueError, match=r"^recorded state must be a single 3-vector$"):
+        call(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), count)
+
+
 # ------------------------------------------------------------- normal flop
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from scramsey import analysis
+from scramsey import analysis, sequence
 from scramsey.analysis import ambiguity_report, normal_flop, phi_grid, retrieved_flop, scrambled_flop
 from scramsey.bloch import GROUND, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
@@ -337,6 +337,88 @@ def test_property_scan_z_read_equals_p_e_of_stacked_states(name, phi_samples, in
     want = stacked_scan(np.empty(shape), build, frames, g["record"], recorded(want_shapes), step)
     assert np.array_equal(got, want)
     assert got_shapes == want_shapes
+
+
+# The events before a fringe's last wait do not depend on the block: the
+# scan walks them once per grid as its head, and each block goes on from
+# the triple and the time they leave.  That must give what walking the
+# whole timeline per block gives, bit for bit, overflows included.
+
+HEADS = {
+    "none": lambda g, area: (),
+    "wait": lambda g, area: (Wait(g["t1"]),),
+    "scramble": lambda g, area: (Pulse.sri(area),),
+    "scrambled": lambda g, area: scrambled_ramsey(area, g["t1"], 0.0).events[:-2],
+    "retrieved": lambda g, area: retrieved_ramsey(area, g["t1"], g["t2"], 0.0).events[:-2],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(HEADS)),
+    st.booleans(),
+    st.sampled_from([1, 5, 16]),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([8, 64, BUDGET]),
+    st.booleans(),
+    st.sampled_from([None, 0.0]),
+    st.sampled_from([None, (-1.0, -0.0, -0.0)]),
+    st.sampled_from([Frame.W, Frame.S]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# a wait of 0 leaves the state, so the first interval reads z = -0.0 the short way and +0.0 the general way
+@example("wait", False, 5, 9, 8, False, 0.0, (-1.0, -0.0, -0.0), Frame.W, 0)
+@example("scrambled", False, 5, 9, 8, True, 1e308, None, Frame.W, 0)  # t1 overflows the phase
+@example("retrieved", True, 16, 40, 64, False, 1e308, None, Frame.S, 1)
+def test_property_scan_head_equals_the_head_in_every_block(name, array_area, phi_samples, interval_count, budget, spread, t1, start, read, seed):
+    # an S read fires at the time the head leaves, so its axis checks that time too
+    g = grid(seed, interval_count)
+    fr = g["frames"]
+    frames = FrameSet(fr.delta_w, fr.delta_s, phi_grid(phi_samples)[:, None])
+    if t1 is not None:
+        g["t1"] = t1
+    area = np.random.default_rng(seed).uniform(-2 * np.pi, 4 * np.pi, (phi_samples, 1)) if array_area else g["area"]
+    head = HEADS[name](g, area)
+    T = g["intervals"] - g["intervals"][0]  # the first interval is 0
+    tail = lambda b: (Wait(T[b]), Pulse(read, np.pi / 2))
+    state = g["record"] if start is None else start
+    reduce = (lambda p: np.ptp(p, axis=0)) if spread else (lambda p: p)
+    shape = (T.size,) if spread else (phi_samples, T.size)
+
+    def outcome(scan):
+        with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(analysis, "_BLOCK_STATES", budget):
+            try:
+                return scan().view(np.int64)
+            except InvalidTimelineError:
+                return None
+
+    got = outcome(lambda: analysis._scan(np.empty(shape), tail, frames, state, reduce, head=head))
+    want = outcome(lambda: analysis._scan(np.empty(shape), lambda b: (*head, *tail(b)), frames, state, reduce))
+    assert (got is None) == (want is None) == (t1 == 1e308 and name not in ("none", "scramble"))
+    assert got is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "run, head_pulses",
+    [
+        (lambda T: scrambled_flop(0.7 * np.pi, 5e-3, T, 16), 2),  # write, scramble
+        (lambda T: retrieved_flop(0.7 * np.pi, 5e-3, 5e-3, T, 16), 3),  # write, scramble, retrieve
+    ],
+    ids=["scrambled_flop", "retrieved_flop"],
+)
+@pytest.mark.parametrize("blocks", [1, 3, 7])
+def test_a_flop_walks_its_head_once_whatever_the_block_count(run, head_pulses, blocks):
+    # 16 phis in a budget of 64 states: four intervals per block.  Every
+    # full rotation is a head pulse; the read rotates z alone.
+    T = grid(5, 4 * blocks)["intervals"]
+    with (
+        mock.patch.object(analysis, "_BLOCK_STATES", 64),
+        mock.patch.object(analysis, "_walk_z", wraps=analysis._walk_z) as walks,
+        mock.patch.object(sequence, "_rotate", wraps=sequence._rotate) as rotations,
+    ):
+        run(T)
+    assert walks.call_count == blocks
+    assert sum(not call.kwargs.get("z_only") for call in rotations.call_args_list) == head_pulses
 
 
 # ------------------------------------------------------------ z-only read
