@@ -16,6 +16,7 @@ only in the tests as independent checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,10 +28,9 @@ from .bloch import (
 from .sequence import (
     FrameSet,
     Pulse,
-    Wait,
     _advance,
+    _read_z,
     _sri_axis,
-    _walk_z,
     default_frames,
     ramsey,
     retrieved_ramsey,
@@ -47,6 +47,9 @@ P_TOL = 1e-12
 
 #: Most final states one engine evaluation of a grid holds; bounds peak memory.
 _BLOCK_STATES = 2**14
+
+#: The read that ends every fringe, right after its wait.
+_READ = Pulse.wri(np.pi / 2)
 
 #: Coarse-scan ambiguities within this of the optimum form the reported plateau.
 _PLATEAU_TOL = 1e-9
@@ -95,28 +98,75 @@ def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
     return replace(frames if frames is not None else default_frames(), phi_s=phis[:, None])
 
 
-def _scan(out: np.ndarray, build, frames: FrameSet, state=GROUND, reduce=lambda p: p, head=()) -> np.ndarray:
-    """Fill ``out[..., b]`` with ``reduce`` of P_e of ``head`` then ``build(b)`` from ``state``; ``b`` slices <= _BLOCK_STATES states.
+def _blocks(shape, budget: int):
+    """Slice tuples that cut a grid of ``shape`` into C-order blocks of at most ``budget`` states (one at least).
 
-    ``head`` holds the events that do not depend on the block: in a
-    fringe, every event before the last wait.  They are walked once per
-    grid, and each block's events go on from the triple and the time they
-    leave, which is the same arithmetic in the same order as walking the
-    whole timeline per block.  P_e is read from the final ``z`` alone
-    (``sequence._walk_z``), which has the block shape ``simulate`` would
-    have returned; the last pulse's ``x`` and ``y`` are never computed.
-    P_e is written over ``z`` itself, which makes no block-sized
-    temporary, unless ``z`` is the read-only view a timeline ending in a
-    ``Wait`` returns.  Writing P_e straight into a (P, T) ``out`` would
-    run each step over rows of only ``_BLOCK_STATES // P`` values: about
-    twice as slow as one contiguous pass and a copy.
+    A block is a run of whole rows of the first axis.  A row that alone
+    holds more than ``budget`` is cut along its own first axis, and so on
+    inward, so every block is one contiguous stretch of the grid.
     """
-    step = max(1, _BLOCK_STATES // np.size(frames.phi_s))
-    start, time = _advance(head, frames, _components(validate_state(state)), 0.0, _sri_axis)
-    for i in range(0, out.shape[-1], step):
-        z = _walk_z(build(slice(i, i + step)), frames, start, time)
-        out[..., i : i + step] = reduce(_excitation_probability(z, z if z.flags.writeable else None))
-        del z  # not held through the next block's walk
+    k = len(shape) - 1
+    while k and math.prod(shape[k:]) <= budget:
+        k -= 1
+    step = max(1, budget // math.prod(shape[k + 1 :]))
+    for outer in itertools.product(*map(range, shape[:k])):
+        for i in range(0, shape[k], step):
+            yield (*(slice(j, j + 1) for j in outer), slice(i, min(i + step, shape[k])), *(slice(0, n) for n in shape[k + 1 :]))
+
+
+def _wait_trig(frames: FrameSet, intervals: np.ndarray):
+    """Cosine and sine of the wait phase ``delta_w * T`` of each interval, taken once per grid."""
+    phase = frames.delta_w * intervals
+    return np.cos(phase), np.sin(phase)
+
+
+def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out=None):
+    """Yield ``(index, z)`` block by block: ``z`` after ``head``, a wait of each interval and a W pi/2 read.
+
+    ``head`` holds the events before the wait, which do not depend on the
+    interval.  They are walked once from ``state``, over the column of the
+    phi rows of ``frames`` (P, 1), or (P, C) when a head pulse has a row of
+    C areas; the grid is that column by the intervals, which first appear
+    at the wait, whose cosine and sine ``trig`` holds (:func:`_wait_trig`).
+    Each block (:func:`_blocks`) is a run of whole phi rows
+    of at most ``_BLOCK_STATES`` states, and its ``z`` comes from
+    ``sequence._read_z`` from the head's state on those rows: the same
+    arithmetic in the same order as walking the whole timeline, read from
+    the wait's ``y`` alone, again the general way when it holds an exact
+    zero, and checked to be finite.  With ``out``, the whole grid, ``z`` is
+    written straight into the block's contiguous slice of it; without, into
+    one scratch array that every block reuses.  ``index`` places the block
+    in the grid without its phi axis, where a reduction over phi lands.
+    """
+    xyz, time = _advance(head, frames, _components(validate_state(state)), 0.0, _sri_axis)
+    column = np.broadcast(*xyz, frames.phi_s).shape
+    xyz = [(c if np.shape(c) == column else np.broadcast_to(c, column))[..., None] for c in xyz]
+    cb, sb = trig
+    scratch = None
+    for block in _blocks(column + intervals.shape, _BLOCK_STATES):
+        if out is None:
+            extent = [s.stop - s.start for s in block]
+            scratch = np.empty(extent) if scratch is None else scratch  # the first block is the largest
+            dest = scratch[tuple(map(slice, extent))]
+        else:
+            dest = out[block]
+        rows, cols = block[:-1], block[-1]
+        z = _read_z([c[rows] for c in xyz], frames, time, intervals[cols], _READ, (cb[cols], sb[cols]), dest)
+        yield block[1:], z
+
+
+def _fringes(shape, frames: FrameSet, head, intervals: np.ndarray) -> np.ndarray:
+    """P_e on the scan's whole grid, of ``shape``, each block's written over its ``z``.
+
+    The wait's cosine and sine are taken before the grid is made.  Taken
+    after it, they left the heap of a process that runs many grids in turn
+    more fragmented, and its peak RSS higher by up to a grid's size
+    (measured in replays of the ``grid-sweep`` benchmark; see CHANGES.md).
+    """
+    trig = _wait_trig(frames, intervals)
+    out = np.empty(shape)
+    for _, z in _scan(frames, head, intervals, trig, out=out):
+        _excitation_probability(z, z)
     return out
 
 
@@ -131,19 +181,20 @@ def _recorded(state) -> np.ndarray:
 def _readout_ranges(recorded, frames: FrameSet, areas, intervals: np.ndarray) -> np.ndarray:
     """P_e spread over the phi rows of ``frames`` after a t = 0 scramble of ``recorded``, a wait and a pi/2 read.
 
-    One float area gives shape (intervals,): the scramble is the scan's
-    head, which rotates the phi column once per grid, and the interval
-    axis first appears at the wait.  An array of areas gives shape
-    (areas, intervals); the pairs form one axis, so blocks cut across
-    areas too, and the scan has no head.
+    ``areas`` is one area or a 1-D array of C; the result has shape (1, T)
+    or (C, T).  The scramble is the scan's head: it rotates the recorded
+    state once per (phi, area), with the areas as a row against the phi
+    column.  The spread comes from a running ``fmin`` and ``fmax`` of ``z``
+    over the row blocks, and only those two extremes are mapped to P_e:
+    ``(1 - z) / 2`` and the clip are monotone, so ``P_e(min z) - P_e(max
+    z)`` is ``np.ptp`` of P_e over phi, bit for bit.
     """
-    read = Pulse.wri(np.pi / 2)
-    if np.ndim(areas) == 0:
-        build = lambda b: (Wait(intervals[b]), read)
-        return _scan(np.empty(intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0), head=(Pulse.sri(areas),))
-    pair_areas, pair_intervals = np.repeat(areas, intervals.size), np.tile(intervals, areas.size)
-    build = lambda b: (Pulse.sri(pair_areas[b]), Wait(pair_intervals[b]), read)
-    return _scan(np.empty(pair_intervals.size), build, frames, recorded, lambda p: np.ptp(p, axis=0)).reshape(areas.size, -1)
+    lo = np.full((np.size(areas), intervals.size), np.inf)
+    hi = np.full_like(lo, -np.inf)
+    for index, z in _scan(frames, (Pulse.sri(areas),), intervals, _wait_trig(frames, intervals), recorded):
+        np.fmin(lo[index], z.min(axis=0), out=lo[index])
+        np.fmax(hi[index], z.max(axis=0), out=hi[index])
+    return _excitation_probability(lo, lo) - _excitation_probability(hi, hi)
 
 
 @dataclass(frozen=True)
@@ -256,9 +307,8 @@ class ScrambleAreaResult:
 def normal_flop(delta_w: float, intervals) -> FlopCurve:
     """Unscrambled write/read fringe, P_e(T) = (1 + cos(delta_w T)) / 2."""
     t = _as_intervals(intervals)
-    frames = FrameSet(delta_w, delta_w, 0.0)
-    *head, _, read = ramsey(0.0).events  # each block brings its own wait
-    return FlopCurve(t, _scan(np.empty(t.size), lambda b: (Wait(t[b]), read), frames, head=head))
+    *head, _, _ = ramsey(0.0).events  # the scan brings the wait and the read
+    return FlopCurve(t, _fringes(t.shape, FrameSet(delta_w, delta_w, 0.0), head, t))
 
 
 def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES) -> SDBV:
@@ -291,15 +341,15 @@ def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frame
     """P_e of ``build(area, T)`` on the interval grid, one row per phi_s on a uniform grid.
 
     ``build``'s events before the last wait are the scan's head, the same
-    for every interval; each block adds its own wait before the read.
+    for every interval; the scan brings the wait and the read.
     """
     t = _as_intervals(intervals)
     phis = phi_grid(phi_samples)
     area = _as_area(scramble_area)
     fr = _phi_rows(frames, phis)
-    *head, _, read = build(area, 0.0).events  # each block brings its own wait
-    p = _scan(np.empty((phis.size, t.size)), lambda b: (Wait(t[b]), read), fr, head=head)
-    return FlopFamily(t, phis, p)
+    *head, _, _ = build(area, 0.0).events
+    p = _fringes((phis.size, 1, t.size), fr, head, t)  # the head's (P, 1) column by the intervals
+    return FlopFamily(t, phis, p[:, 0])
 
 
 def scrambled_flop(
@@ -343,14 +393,15 @@ def ambiguity_report(
     """Spread of P_e over phi_s, per interval, for a recorded state.
 
     The recorded state is scrambled at t = 0, evolves for each interval,
-    and is read with a W pi/2 pulse.  Per-interval P_e values are kept as
-    a grid and the extrema are taken over that grid, so the result does
-    not depend on evaluation order.
+    and is read with a W pi/2 pulse.  Per interval, the least and the
+    greatest final ``z`` over the phi grid are kept and mapped to P_e;
+    both extremes are exact, so the result does not depend on evaluation
+    order.
     """
     rec = _recorded(recorded)
     t = _as_intervals(intervals)
     area = _as_area(scramble_area)
-    ranges = _readout_ranges(rec, _phi_rows(frames, phi_grid(phi_samples)), area, t)
+    ranges = _readout_ranges(rec, _phi_rows(frames, phi_grid(phi_samples)), area, t)[0]
     return AmbiguityReport(area, t, ranges, float(ranges.min()))
 
 
@@ -409,7 +460,9 @@ def optimize_scramble_area(
         return float(_readout_ranges(rec, fr, theta, t).min())
 
     thetas = np.linspace(0.0, TWO_PI, coarse_points)
-    values = _readout_ranges(rec, fr, thetas, t).min(axis=1)
+    # runs of areas whose scrambled (phi, area) states, and the temporaries of the rotation making them, fit in a block
+    step = max(1, _BLOCK_STATES // (8 * fr.phi_s.size))
+    values = np.concatenate([_readout_ranges(rec, fr, thetas[i : i + step], t).min(axis=1) for i in range(0, thetas.size, step)])
     best = values.max()
     idx = int(np.argmax(values >= best - 1e-12))  # first tie wins: smaller theta
 

@@ -26,8 +26,9 @@ of a grid, stacking only when a caller asks for states.  A caller that
 only reads P_e asks ``_rotate`` for the last pulse's ``z`` alone
 (``z_only``), so that pulse's ``x`` and ``y`` are never computed.  A W
 read (azimuth 0) right after a wait needs less still: the wait's ``y``
-alone (``_precess(..., y_only=True)``) and the read's ``z`` from ``y``
-and ``z`` (``_rotate_x_z``), each the shortened copy of its full form.
+alone and the read's ``z`` from ``y`` and ``z`` (``_precess_rotate_x_z``),
+the shortened copy of ``_precess`` then ``_rotate``, which can write into
+a block of the caller's output.
 """
 
 from __future__ import annotations
@@ -182,18 +183,6 @@ def _rotate(x, y, z, axis_azimuth, angle, z_only=False):
     return rx, ry, rz
 
 
-def _rotate_x_z(y, z, angle):
-    """The ``z`` of a rotation by ``angle`` about +x (azimuth 0), from ``y`` and ``z`` alone.
-
-    :func:`_rotate`'s ``z`` with ``ax = 1`` and ``ay = 0`` folded in, so it
-    needs no ``x``.  For finite ``x`` it equals ``_rotate(..., 0.0, angle,
-    z_only=True)`` except in the sign of an exact zero: ``y - 0.0 * x``
-    turns a ``y`` of ``-0.0`` into ``+0.0`` when ``x`` is negative, and that
-    zero can reach the result.
-    """
-    return z * np.cos(angle) + y * np.sin(angle)
-
-
 def precess(state, phase):
     """Rotate Bloch vectors about +z by ``phase`` (right-hand rule).
 
@@ -213,17 +202,34 @@ def precess(state, phase):
     return _stack(_precess(*_components(_as_state(state)), _as_angle(phase, "phase")))
 
 
-def _precess(x, y, z, phase, y_only=False):
-    """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was.
-
-    With ``y_only`` it returns the precessed ``y`` alone, the same array the
-    triple would hold, and never computes ``x``.
-    """
+def _precess(x, y, z, phase):
+    """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was."""
     cb, sb = np.cos(phase), np.sin(phase)
-    ry = x * sb + y * cb
-    if y_only:
-        return ry
-    return x * cb - y * sb, ry, z
+    return x * cb - y * sb, x * sb + y * cb, z
+
+
+def _precess_rotate_x_z(x, y, z, cb, sb, angle, out=None):
+    """The ``z`` of a rotation by ``angle`` about +x (azimuth 0) right after a precession with cosine ``cb`` and sine ``sb``.
+
+    :func:`_precess`'s ``y``, ``x * sb + y * cb``, then :func:`_rotate`'s
+    ``z`` with ``ax = 1`` and ``ay = 0`` folded in, ``z * cos + y * sin``:
+    neither the precession's ``x`` nor an ``x`` term of the rotation is
+    computed.  The steps write into ``out`` (made at the broadcast shape
+    when None and an input is an array) in the order ``x * sb``,
+    ``+= y * cb``, ``*= sin``, ``+= z * cos``, so ``y * cb`` is the only
+    temporary of that shape; IEEE addition commutes, so the bits are those
+    of the two expressions.  For finite ``x`` the result equals the full
+    rotation's ``z`` except in the sign of an exact zero: ``y - 0.0 * x``
+    turns a ``y`` of ``-0.0`` into ``+0.0`` when ``x`` is negative, and
+    that zero can reach the result.
+    """
+    if out is None and not all(map(isinstance, (x, y, z, sb, angle), (float,) * 5)):
+        out = np.empty(np.broadcast(x, y, z, sb, angle).shape)
+    r = x * sb if out is None else np.multiply(x, sb, out=out)
+    r += y * cb
+    r *= np.sin(angle)
+    r += z * np.cos(angle)
+    return r
 
 
 def excitation_probability(state):

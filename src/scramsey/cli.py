@@ -10,7 +10,8 @@ over the report's results, and the harness's key tables say which modes
 take ``--seed`` and its ``TABLE_FORMATS`` which ``--format`` values
 exist.  Exit codes: 0 success (including runs with warnings), 2 scenario
 problems (including an output directory that cannot be created or
-written), 3 simulation or protocol errors, 4 fit did not converge.
+written), 3 simulation or protocol errors, 4 fit did not converge.  An
+error is one stderr line of at most ``_MAX_ERROR_LINE`` characters.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def _summary_line(report: dict) -> str:
     return _SUMMARY[report["mode"]].format(**results, decay=decay)
 
 
+#: Longest stderr line of a rejected scenario or a failed run; a message quoting a huge value is cut to it.
+_MAX_ERROR_LINE = 400
+
+
+def _error_line(kind: str, err: Exception) -> str:
+    line = f"{kind} error: {err}"
+    return line if len(line) <= _MAX_ERROR_LINE else line[: _MAX_ERROR_LINE - 3] + "..."
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -95,10 +105,10 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             report = run_scenario(scenario, args.out, base_dir=args.config.parent, fmt=args.format)
     except ScenarioError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
+        print(_error_line("scenario", err), file=sys.stderr)
         return 2
     except SimulationError as err:
-        print(f"simulation error: {err}", file=sys.stderr)
+        print(_error_line("simulation", err), file=sys.stderr)
         return 3
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)

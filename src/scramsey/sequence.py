@@ -18,20 +18,23 @@ the same ``phi_s`` and only the deterministic drift
 Pulses are instantaneous: time advances through ``Wait`` events only.
 
 Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
-together: ``phi_s`` of shape (P, 1) against waits of shape (B,) gives a
-(P, B) grid from one ``simulate`` call; :mod:`scramsey.analysis` feeds
-it blocks of about 2**14 states.  Inputs are checked once: events and
-frames when built, the start state in ``simulate``.  One unchecked event
-loop (``_advance``) then carries the state as a component triple
-``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`, and two
+together: ``phi_s`` of shape (P, 1) against waits of shape (T,) gives a
+(P, T) grid from one ``simulate`` call.  Inputs are checked once: events
+and frames when built, the start state in ``simulate``.  One unchecked
+event loop (``_advance``) then carries the state as a component triple
+``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`, and
 private reads finish it.  ``_walk`` checks that the final components are
 finite; ``simulate`` and ``apply_event`` stack its result into (..., 3)
-states.  ``_walk_z`` is the P_e read of the analysis, trial and protocol
-layers: it rotates only ``z`` through a last pulse, checks that ``z`` is
-finite and never stacks.  A W read right after a ``Wait``, the end of
-every fringe, takes only ``y`` from that wait and no ``x`` term; a result
-holding an exact zero, whose sign that shortcut can flip, is read again
-the general way.
+states.  ``_walk_z`` is the P_e read of the trial and protocol layers: it
+rotates only ``z`` through a last pulse, checks that ``z`` is finite and
+never stacks.  A pulse right after a ``Wait``, the end of every fringe,
+goes through ``_read_z``, which for a W read takes only ``y`` from that
+wait and no ``x`` term; a result holding an exact zero, whose sign that
+shortcut can flip, is read again the general way.  The grid scans of
+:mod:`scramsey.analysis` walk the events before the last wait once over
+the phi column and call ``_read_z`` on blocks of whole phi rows of about
+2**14 states, with the wait's cosine and sine taken once per grid and
+``z`` written straight into the block of their output.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Union
 import numpy as np
 
 from .bloch import (
-    GROUND, _as_state, _components, _freeze, _precess, _rotate, _rotate_x_z, _stack, validate_state, wrap_angle
+    GROUND, _as_state, _components, _freeze, _precess, _precess_rotate_x_z, _rotate, _stack, validate_state, wrap_angle
 )
 from .errors import InvalidTimelineError
 
@@ -244,34 +247,53 @@ def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
 def _walk_z(events, frames: FrameSet, xyz, time=0.0):
     """``_walk(...)[2]`` broadcast to the shape of the whole triple, without the last pulse's ``x`` and ``y``.
 
-    The P_e read of the analysis, trial and protocol layers.  A last pulse
-    rotates ``z`` alone, which then has the full shape and is checked to
-    be finite: a non-finite ``x`` or ``y`` before it, or a non-finite
-    axis, reaches ``z`` there too.  A W read right after a ``Wait`` (the
-    end of every fringe) needs only ``y`` from that wait and no ``x``
-    term: the wait precesses ``y`` alone and the read adds ``y * sin``.
-    Any non-finite ``x``, ``y`` or phase still makes that ``y`` non-finite
-    (``sin`` and ``cos`` of a finite phase are never both zero).  On the
-    components of a Bloch vector, which keep the skipped ``x`` finite,
-    this is ``_walk``'s ``z`` except in the sign of an exact zero, so a
-    result holding one is read again the general way.  A timeline with no
-    pulse last goes through :func:`_walk`, since a last ``Wait`` leaves
-    ``z`` unchanged but may overflow ``x`` and ``y``.
+    The P_e read of the trial and protocol layers.  A last pulse rotates
+    ``z`` alone, which then has the full shape and is checked to be
+    finite: a non-finite ``x`` or ``y`` before it, or a non-finite axis,
+    reaches ``z`` there too.  A pulse right after a ``Wait`` (the end of
+    every fringe) is read by :func:`_read_z`.  A timeline with no pulse
+    last goes through :func:`_walk`, since a last ``Wait`` leaves ``z``
+    unchanged but may overflow ``x`` and ``y``.
     """
     events = tuple(events)
     if not events or isinstance(events[-1], Wait):
         xyz = _walk(events, frames, xyz, time)
         return np.broadcast_to(xyz[2], np.broadcast(*xyz).shape)
-    head, last = events[:-1], events[-1]
+    if len(events) > 1 and isinstance(events[-2], Wait):
+        xyz, time = _advance(events[:-2], frames, xyz, time, _sri_axis)
+        return _read_z(xyz, frames, time, events[-2].duration, events[-1])
+    (x, y, z), time = _advance(events[:-1], frames, xyz, time, _sri_axis)
+    z = _rotate(x, y, z, _pulse_axis(events[-1], time, frames, _sri_axis), events[-1].area, z_only=True)
+    _check_finite((z,))
+    return z
+
+
+def _read_z(xyz, frames: FrameSet, time, duration, read: Pulse, trig=None, out=None):
+    """The ``z`` after a wait of ``duration`` and then ``read``, from ``xyz`` at ``time``, checked to be finite.
+
+    A W read needs only ``y`` from the wait and no ``x`` term
+    (:func:`bloch._precess_rotate_x_z`): the wait precesses ``y`` alone
+    and the read adds ``y * sin``.  ``trig`` holds the cosine and sine of
+    the wait's phase when the caller has taken them already; ``out``, of
+    the result's whole shape, receives ``z``.  Any non-finite ``x``, ``y``
+    or phase still makes that ``y`` non-finite (``sin`` and ``cos`` of a
+    finite phase are never both zero).  On the components of a Bloch
+    vector, which keep the skipped ``x`` finite, this is the general read's
+    ``z`` except in the sign of an exact zero, so a result holding one is
+    read again the general way, as is a read in the S frame.
+    """
     z = None
-    if last.frame is Frame.W and head and isinstance(head[-1], Wait):
-        xyz, time = _advance(head[:-1], frames, xyz, time, _sri_axis)
-        head = head[-1:]
-        y = _precess(*xyz, frames.delta_w * head[0].duration, y_only=True)
-        z = _rotate_x_z(y, xyz[2], last.area)
+    if read.frame is Frame.W:
+        if trig is None:
+            phase = frames.delta_w * duration
+            trig = np.cos(phase), np.sin(phase)
+        z = _precess_rotate_x_z(*xyz, *trig, read.area, out)
     if z is None or not z.all():
-        (x, y, z), time = _advance(head, frames, xyz, time, _sri_axis)
-        z = _rotate(x, y, z, _pulse_axis(last, time, frames, _sri_axis), last.area, z_only=True)
+        x, y, z = _precess(*xyz, frames.delta_w * duration)
+        z = _rotate(x, y, z, _pulse_axis(read, time + duration, frames, _sri_axis), read.area, z_only=True)
+        if out is not None:
+            out[...] = z
+            z = out
     _check_finite((z,))
     return z
 

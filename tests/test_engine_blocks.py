@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from scramsey import analysis, sequence
-from scramsey.analysis import ambiguity_report, normal_flop, phi_grid, retrieved_flop, scrambled_flop
-from scramsey.bloch import GROUND, excitation_probability, precess, rotate_inplane, wrap_angle
+from scramsey.analysis import ambiguity_report, normal_flop, optimize_scramble_area, phi_grid, retrieved_flop, scrambled_flop
+from scramsey.bloch import GROUND, Z_TOL, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.sequence import (
     Frame,
@@ -90,8 +90,10 @@ def assert_families_match(g, phi_samples):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_property_families_and_ranges_equal_per_interval_stack(budget, phi_samples, blocks, extra, seed):
-    # counts of 1, one block, one past a block, two blocks and one past two
-    # blocks; 101 phis exceed the 64 and 8 budgets on their own
+    # interval counts of 1 and of one or two times budget // phis, plus 0 or
+    # 1: rows that fill a block exactly or leave rows over, and with few phis
+    # rows longer than the budget, which are cut too; 101 phis exceed the 64
+    # and 8 budgets on their own
     step = max(1, budget // phi_samples)
     g = grid(seed, max(1, blocks * step + extra))
     with mock.patch.object(analysis, "_BLOCK_STATES", budget):
@@ -107,8 +109,9 @@ def test_property_families_and_ranges_equal_per_interval_stack(budget, phi_sampl
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_property_optimizer_coarse_values_equal_per_area_reports(budget, phi_samples, interval_count, area_count, seed):
-    # the coarse scan lays (area, interval) pairs on one axis, so its blocks
-    # cut across areas; each per-area minimum must still equal a standalone report
+    # the coarse scan scrambles a row of areas against the phi column, and its
+    # blocks cut that row when it exceeds the budget; each per-area minimum
+    # must still equal a standalone report
     g = grid(seed, interval_count)
     T, fr = g["intervals"], g["frames"]
     thetas = np.linspace(0.0, 2 * np.pi, area_count)
@@ -124,8 +127,9 @@ def test_property_optimizer_coarse_values_equal_per_area_reports(budget, phi_sam
 @pytest.mark.parametrize(
     "phi_samples, interval_count",
     [
-        (BUDGET + 1, 3),  # the phi grid alone exceeds the budget: one interval per block
-        (256, BUDGET // 256 + 1),  # one interval past the first block
+        (BUDGET + 1, 3),  # more phi rows than the budget holds states: blocks of BUDGET // 3 rows
+        (256, BUDGET // 256 + 1),  # a block of BUDGET // 65 rows, then the four rows left
+        (BUDGET // 64 + 1, 64),  # one phi row past a full block
         (64, 1),  # a single interval
     ],
 )
@@ -288,61 +292,13 @@ def test_wait_only_timeline_over_an_array_duration_has_one_state_per_duration():
     assert got.shape == (4, 3) and np.array_equal(got[:, 2], np.full(4, 0.8))
 
 
-def stacked_scan(out, build, frames, state, reduce, step):
-    """``analysis._scan`` as it read P_e before: from the stacked states ``simulate`` returns."""
-    for i in range(0, out.shape[-1], step):
-        out[..., i : i + step] = reduce(excitation_probability(simulate(build(slice(i, i + step)), frames, state)))
-    return out
-
-
-SCAN_BUILDS = {
-    # z is never broadcast: the walk leaves it a scalar
-    "wait only": lambda g, t: Timeline((Wait(t),)),
-    "read after scramble": lambda g, t: Timeline((Pulse.sri(g["area"]), Wait(t), Pulse.wri(np.pi / 2))),
-    "scrambled": lambda g, t: scrambled_ramsey(g["area"], g["t1"], t),
-    "retrieved, array areas": lambda g, t: retrieved_ramsey(t * 1e3, g["t1"], g["t2"], g["t2"]),
-    "ramsey": lambda g, t: ramsey(t),
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(sorted(SCAN_BUILDS)),
-    st.sampled_from([1, 5, 16]),
-    st.integers(min_value=1, max_value=40),
-    st.sampled_from([8, 64, BUDGET]),
-    st.booleans(),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_property_scan_z_read_equals_p_e_of_stacked_states(name, phi_samples, interval_count, budget, spread, seed):
-    g = grid(seed, interval_count)
-    T, fr = g["intervals"], g["frames"]
-    frames = FrameSet(fr.delta_w, fr.delta_s, phi_grid(phi_samples)[:, None])
-    build = lambda b: SCAN_BUILDS[name](g, T[b])
-    shape = (T.size,) if spread else (phi_samples, T.size)
-
-    def recorded(seen):
-        """The reduce, recording the shape of each block it is handed."""
-
-        def reduce(p):
-            seen.append(np.shape(p))
-            return np.ptp(p, axis=0) if spread else p
-
-        return reduce
-
-    got_shapes, want_shapes = [], []
-    with mock.patch.object(analysis, "_BLOCK_STATES", budget):
-        got = analysis._scan(np.empty(shape), build, frames, g["record"], recorded(got_shapes))
-    step = max(1, budget // phi_samples)
-    want = stacked_scan(np.empty(shape), build, frames, g["record"], recorded(want_shapes), step)
-    assert np.array_equal(got, want)
-    assert got_shapes == want_shapes
-
-
-# The events before a fringe's last wait do not depend on the block: the
-# scan walks them once per grid as its head, and each block goes on from
-# the triple and the time they leave.  That must give what walking the
-# whole timeline per block gives, bit for bit, overflows included.
+# A grid scan walks the events before the wait (its head) once, over the
+# phi column (P, 1), or (P, C) when a head pulse carries a row of C areas,
+# and the intervals first appear at the wait.  Blocks are runs of whole phi
+# rows (a row longer than the budget is cut too), each a contiguous slice
+# of the grid that z goes straight into.  The z must equal that of the
+# states ``simulate`` returns for the whole timeline on the whole grid, bit
+# for bit, whatever the budget.
 
 HEADS = {
     "none": lambda g, area: (),
@@ -352,48 +308,120 @@ HEADS = {
     "retrieved": lambda g, area: retrieved_ramsey(area, g["t1"], g["t2"], 0.0).events[:-2],
 }
 
+READ = Pulse.wri(np.pi / 2)
+
+
+def scan_case(g, name, phi_samples, areas):
+    """The scan's frames and head, and the whole timeline and frames ``simulate`` evaluates the same (P, C, T) grid with.
+
+    ``areas`` is None (one area) or a count C of areas laid as a row
+    against the phi column; the stacked walk needs them as a (C, 1)
+    column and the phis as (P, 1, 1), so its intervals broadcast last.
+    C is 1 for a head without a scramble pulse.
+    """
+    fr, phis = g["frames"], phi_grid(phi_samples)
+    area = g["area"] if areas is None else np.linspace(-np.pi, 3 * np.pi, areas)
+    frames = FrameSet(fr.delta_w, fr.delta_s, phis[:, None])
+    head = HEADS[name](g, area)
+    whole = Timeline((*HEADS[name](g, np.reshape(area, (-1, 1))), Wait(g["intervals"]), READ))
+    shape = (phi_samples, np.size(area) if any(isinstance(e, Pulse) for e in head) else 1, g["intervals"].size)
+    return frames, head, whole, FrameSet(fr.delta_w, fr.delta_s, phis[:, None, None]), shape
+
+
+def block_offsets(grid, calls):
+    """The (start, stop) flat offsets in ``grid`` of the ``out`` each recorded ``_read_z`` call wrote, all C-contiguous."""
+    spans = []
+    for call in calls:
+        out = call.args[-1]
+        assert np.shares_memory(out, grid) and out.flags.c_contiguous
+        start = (out.ctypes.data - grid.ctypes.data) // grid.itemsize
+        spans.append((start, start + out.size))
+    return spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(HEADS)),
+    st.sampled_from([None, 1, 3, 7]),
+    st.sampled_from([1, 5, 16]),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([8, 64, BUDGET]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_scan_z_read_equals_p_e_of_stacked_states(name, areas, phi_samples, interval_count, budget, seed):
+    g = grid(seed, interval_count)
+    T = g["intervals"]
+    frames, head, whole, whole_frames, shape = scan_case(g, name, phi_samples, areas)
+    want = np.broadcast_to(simulate(whole, whole_frames, g["record"])[..., 2], shape)
+    got = np.empty(shape)
+    with (
+        mock.patch.object(analysis, "_BLOCK_STATES", budget),
+        mock.patch.object(analysis, "_read_z", wraps=analysis._read_z) as reads,
+    ):
+        for _ in analysis._scan(frames, head, T, analysis._wait_trig(frames, T), g["record"], got):
+            pass
+        spans = block_offsets(got, reads.call_args_list)
+        # without an output, every block goes through one scratch array; a reduction over phi sees each block's rows
+        lo, hi = np.full(shape[1:], np.inf), np.full(shape[1:], -np.inf)
+        for index, z in analysis._scan(frames, head, T, analysis._wait_trig(frames, T), g["record"]):
+            lo[index], hi[index] = np.fmin(lo[index], z.min(axis=0)), np.fmax(hi[index], z.max(axis=0))
+        p_e = analysis._fringes(shape, frames, head, T)  # from the ground state
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(lo, want.min(axis=0)) and np.array_equal(hi, want.max(axis=0))
+    assert np.array_equal(p_e, np.broadcast_to(excitation_probability(simulate(whole, whole_frames)), shape))
+    # the blocks tile the grid once, in order, each within the budget, and
+    # each a run of whole phi rows whenever one row fits in the budget
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]] and spans[-1][1] == got.size
+    row = got.size // phi_samples
+    for start, stop in spans:
+        assert stop - start <= budget
+        if row <= budget:
+            assert start % row == 0 and (stop - start == budget // row * row or stop == got.size)
+
+
+# The scan's head, walked once over the phi column, must give what walking
+# the whole timeline gives, bit for bit: overflows in the head raise, and a
+# z that holds an exact zero is read the general way, as the walk reads it.
+
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(HEADS)),
-    st.booleans(),
+    st.sampled_from([None, 3]),
     st.sampled_from([1, 5, 16]),
     st.integers(min_value=1, max_value=40),
     st.sampled_from([8, 64, BUDGET]),
-    st.booleans(),
     st.sampled_from([None, 0.0]),
     st.sampled_from([None, (-1.0, -0.0, -0.0)]),
-    st.sampled_from([Frame.W, Frame.S]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 # a wait of 0 leaves the state, so the first interval reads z = -0.0 the short way and +0.0 the general way
-@example("wait", False, 5, 9, 8, False, 0.0, (-1.0, -0.0, -0.0), Frame.W, 0)
-@example("scrambled", False, 5, 9, 8, True, 1e308, None, Frame.W, 0)  # t1 overflows the phase
-@example("retrieved", True, 16, 40, 64, False, 1e308, None, Frame.S, 1)
-def test_property_scan_head_equals_the_head_in_every_block(name, array_area, phi_samples, interval_count, budget, spread, t1, start, read, seed):
-    # an S read fires at the time the head leaves, so its axis checks that time too
+@example("wait", None, 5, 9, 8, 0.0, (-1.0, -0.0, -0.0), 0)
+@example("scrambled", None, 5, 9, 8, 1e308, None, 0)  # t1 overflows the phase
+@example("retrieved", 3, 16, 40, 64, 1e308, None, 1)
+def test_property_scan_head_equals_the_head_in_every_block(name, areas, phi_samples, interval_count, budget, t1, start, seed):
     g = grid(seed, interval_count)
-    fr = g["frames"]
-    frames = FrameSet(fr.delta_w, fr.delta_s, phi_grid(phi_samples)[:, None])
     if t1 is not None:
         g["t1"] = t1
-    area = np.random.default_rng(seed).uniform(-2 * np.pi, 4 * np.pi, (phi_samples, 1)) if array_area else g["area"]
-    head = HEADS[name](g, area)
-    T = g["intervals"] - g["intervals"][0]  # the first interval is 0
-    tail = lambda b: (Wait(T[b]), Pulse(read, np.pi / 2))
+    g["intervals"] = g["intervals"] - g["intervals"][0]  # the first interval is 0
+    frames, head, whole, whole_frames, shape = scan_case(g, name, phi_samples, areas)
     state = g["record"] if start is None else start
-    reduce = (lambda p: np.ptp(p, axis=0)) if spread else (lambda p: p)
-    shape = (T.size,) if spread else (phi_samples, T.size)
 
-    def outcome(scan):
+    def outcome(walk):
         with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(analysis, "_BLOCK_STATES", budget):
             try:
-                return scan().view(np.int64)
+                return walk().view(np.int64)
             except InvalidTimelineError:
                 return None
 
-    got = outcome(lambda: analysis._scan(np.empty(shape), tail, frames, state, reduce, head=head))
-    want = outcome(lambda: analysis._scan(np.empty(shape), lambda b: (*head, *tail(b)), frames, state, reduce))
+    def scan():
+        out = np.empty(shape)
+        for _ in analysis._scan(frames, head, g["intervals"], analysis._wait_trig(frames, g["intervals"]), state, out):
+            pass
+        return out
+
+    got = outcome(scan)
+    want = outcome(lambda: np.broadcast_to(_walk(whole, whole_frames, state)[2], shape))
     assert (got is None) == (want is None) == (t1 == 1e308 and name not in ("none", "scramble"))
     assert got is None or np.array_equal(got, want)
 
@@ -401,24 +429,76 @@ def test_property_scan_head_equals_the_head_in_every_block(name, array_area, phi
 @pytest.mark.parametrize(
     "run, head_pulses",
     [
-        (lambda T: scrambled_flop(0.7 * np.pi, 5e-3, T, 16), 2),  # write, scramble
-        (lambda T: retrieved_flop(0.7 * np.pi, 5e-3, 5e-3, T, 16), 3),  # write, scramble, retrieve
+        (lambda T, P: scrambled_flop(0.7 * np.pi, 5e-3, T, P), 2),  # write, scramble
+        (lambda T, P: retrieved_flop(0.7 * np.pi, 5e-3, 5e-3, T, P), 3),  # write, scramble, retrieve
     ],
     ids=["scrambled_flop", "retrieved_flop"],
 )
 @pytest.mark.parametrize("blocks", [1, 3, 7])
 def test_a_flop_walks_its_head_once_whatever_the_block_count(run, head_pulses, blocks):
-    # 16 phis in a budget of 64 states: four intervals per block.  Every
-    # full rotation is a head pulse; the read rotates z alone.
-    T = grid(5, 4 * blocks)["intervals"]
+    # 32 intervals in a budget of 64 states: two phi rows per block, the
+    # last block one row.  Every full rotation is a head pulse; the read
+    # rotates z alone, and only when it falls back to the general way.
+    T = grid(5, 32)["intervals"]
     with (
         mock.patch.object(analysis, "_BLOCK_STATES", 64),
-        mock.patch.object(analysis, "_walk_z", wraps=analysis._walk_z) as walks,
+        mock.patch.object(analysis, "_advance", wraps=analysis._advance) as heads,
+        mock.patch.object(analysis, "_read_z", wraps=analysis._read_z) as reads,
         mock.patch.object(sequence, "_rotate", wraps=sequence._rotate) as rotations,
     ):
-        run(T)
-    assert walks.call_count == blocks
+        run(T, 2 * blocks - 1)
+    assert heads.call_count == 1
+    assert reads.call_count == blocks
     assert sum(not call.kwargs.get("z_only") for call in rotations.call_args_list) == head_pulses
+
+
+@pytest.mark.parametrize(
+    "budget, interval_count",
+    [
+        (64, 7),  # a row of 12 areas x 7 intervals exceeds the budget: blocks of 9 areas of one phi row
+        (8, 7),  # one area's 7 intervals fit: blocks of one area of one phi row
+        (5, 7),  # one area's intervals exceed the budget: blocks of 5 and 2 intervals
+    ],
+)
+def test_rows_longer_than_the_budget_are_cut_and_stay_bit_identical(budget, interval_count):
+    g = grid(9, interval_count)
+    T, fr = g["intervals"], g["frames"]
+    thetas = np.linspace(0.0, 2 * np.pi, 12)
+    sweep = FrameSet(fr.delta_w, fr.delta_s, phi_grid(5))
+    with mock.patch.object(analysis, "_BLOCK_STATES", budget):
+        coarse = analysis._readout_ranges(g["record"], analysis._phi_rows(fr, phi_grid(5)), thetas, T)
+        family = scrambled_flop(g["area"], g["t1"], T, 5, fr).p_e
+    want = [np.ptp(per_interval(read_after_scramble(th), sweep, T, g["record"]), axis=0) for th in thetas]
+    assert np.array_equal(coarse.view(np.int64), np.array(want).view(np.int64))
+    assert np.array_equal(family, per_interval(lambda t: scrambled_ramsey(g["area"], g["t1"], t), sweep, T))
+
+
+# Reductions over phi keep only the least and the greatest z and map those
+# two to P_e at the end.  That rests on numpy alone: (1 - z) / 2 and the
+# clip are monotone, so the spread of P_e over a column of z is P_e of its
+# least z less P_e of its greatest, to the last bit.
+
+Z_BAND = st.floats(-1.0 - Z_TOL, 1.0 + Z_TOL, allow_nan=False, allow_subnormal=True)
+ULP_BELOW_1, ULP_ABOVE_1 = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(Z_BAND, min_size=1, max_size=12))
+@example([0.0, -0.0])
+@example([-0.0, 0.0, 0.5])
+@example([1.0, -1.0])
+@example([-1.0, -0.0, 1.0, 0.0])
+@example([5e-324, -5e-324, 0.0, -0.0])
+@example([2.2250738585072014e-308, -2.225073858507201e-308])
+@example([ULP_BELOW_1, 1.0, ULP_ABOVE_1])
+@example([-ULP_BELOW_1, -1.0, -ULP_ABOVE_1])
+@example([1.0 + Z_TOL, -1.0 - Z_TOL, 0.25])
+def test_property_p_e_spread_is_p_e_of_the_z_extremes(column):
+    z = np.array(column)
+    p_e = lambda v: np.clip((1.0 - v) / 2.0, 0.0, 1.0)
+    spread = np.ptp(p_e(z))
+    assert np.array_equal(np.float64(spread).view(np.int64), (p_e(z.min()) - p_e(z.max())).view(np.int64))
+    assert np.array_equal(analysis._excitation_probability(z.copy()).view(np.int64), p_e(z).view(np.int64))
 
 
 # ------------------------------------------------------------ z-only read
@@ -556,9 +636,13 @@ def test_non_finite_x_before_the_last_wait_reaches_z(x, wait):
 
 # --------------------------------------------------------- scan memory
 
+# The optimizer's coarse scan runs on a grid of its own size, 181 areas x
+# 33 intervals x 64 phis (23 blocks), whichever interval count is asked.
 SCAN_RUNS = {
     "scrambled_flop": (lambda T: scrambled_flop(0.7 * np.pi, 5e-3, T, 1024).p_e, lambda T: 8 * 1024 * T.size),
+    "retrieved_flop": (lambda T: retrieved_flop(0.7 * np.pi, 5e-3, 5e-3, T, 1024).p_e, lambda T: 8 * 1024 * T.size),
     "ambiguity_report": (lambda T: ambiguity_report([0.6, 0.0, 0.8], 0.7 * np.pi, T, 1024).ranges, lambda T: 8 * T.size),
+    "optimize_scramble_area": (lambda T: optimize_scramble_area([0.6, 0.0, 0.8], T[:33], 64, coarse_points=181), lambda T: 0),
 }
 
 

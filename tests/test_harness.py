@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from test_golden import PINS, _skip_reason
 
 import scramsey
-from scramsey import harness
+from scramsey import cli, harness
 from scramsey.analysis import default_intervals, normal_flop
 from scramsey.cli import _SUMMARY, COMMANDS, _summary_line, main
 from scramsey.errors import ScenarioError
@@ -1312,3 +1312,28 @@ def test_cli_never_loads_jsonschema(tmp_path):
     assert rejected.stderr == "scenario error: phi_samples: 3 is less than the minimum of 4\n"
     assert rejected.stdout == "False\n"
     assert not (tmp_path / "invalid").exists()
+
+
+def test_a_deeply_nested_seed_is_one_bounded_line_in_a_fresh_interpreter(tmp_path):
+    # the schema error quotes the whole value: 900 brackets deep, over 1 800 characters uncut
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "mode": "normal", "seed": ' + "[" * 900 + "]" * 900 + "}", encoding="utf-8")
+    result = _fresh_python(
+        "import sys\nfrom scramsey.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "flop", "--config", str(path), "-o", str(tmp_path / "deep"),
+    )
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    line = result.stderr.rstrip("\n")
+    assert line.startswith("scenario error: seed: [[[") and line.endswith("...")
+    assert len(line) == cli._MAX_ERROR_LINE <= 400
+    assert not (tmp_path / "deep").exists()
+
+
+def test_error_lines_within_the_bound_are_printed_whole(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "mode": "normal", "seed": "x" * 300}), encoding="utf-8")
+    assert main(["flop", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "scenario error: seed: '" + "x" * 300 + "' is not of type 'integer'\n"
+    assert len(err) - 1 <= cli._MAX_ERROR_LINE
