@@ -23,19 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _rotate, _stack, validate_state
+    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _precess_rotate_x_z, _rotate, _stack,
+    validate_state,
 )
-from .sequence import (
-    FrameSet,
-    Pulse,
-    _advance,
-    _read_z,
-    _sri_axis,
-    default_frames,
-    ramsey,
-    retrieved_ramsey,
-    scrambled_ramsey,
-)
+from .sequence import FrameSet, Pulse, _advance, _check_finite, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
 
 DEFAULT_INTERVAL_POINTS = 201
 DEFAULT_PHI_SAMPLES = 256
@@ -48,8 +39,8 @@ P_TOL = 1e-12
 #: Most final states one engine evaluation of a grid holds; bounds peak memory.
 _BLOCK_STATES = 2**14
 
-#: The read that ends every fringe, right after its wait.
-_READ = Pulse.wri(np.pi / 2)
+#: Area of the W read that ends every fringe, right after its wait.
+_READ_AREA = np.pi / 2
 
 #: Coarse-scan ambiguities within this of the optimum form the reported plateau.
 _PLATEAU_TOL = 1e-9
@@ -120,6 +111,26 @@ def _wait_trig(frames: FrameSet, intervals: np.ndarray):
     return np.cos(phase), np.sin(phase)
 
 
+def _read_z(xyz, frames: FrameSet, intervals: np.ndarray, trig, out) -> np.ndarray:
+    """The ``z`` after a wait of each of ``intervals`` and a W pi/2 read, from ``xyz``, written into ``out`` and checked finite.
+
+    The read needs only ``y`` from the wait and no ``x`` term
+    (:func:`bloch._precess_rotate_x_z`): the wait precesses ``y`` alone,
+    with the cosine and sine of its phase from ``trig``, and the read adds
+    ``y * sin``.  Any non-finite ``x``, ``y`` or phase still makes that
+    ``y`` non-finite (``sin`` and ``cos`` of a finite phase are never both
+    zero).  On the components of a Bloch vector, which keep the skipped
+    ``x`` finite, this is the general read's ``z`` except in the sign of
+    an exact zero, so a block holding one is read again the general way.
+    """
+    z = _precess_rotate_x_z(*xyz, *trig, _READ_AREA, out)
+    if not z.all():
+        x, y, z = _precess(*xyz, frames.delta_w * intervals)
+        out[...] = _rotate(x, y, z, 0.0, _READ_AREA, z_only=True)
+    _check_finite((out,))
+    return out
+
+
 def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out=None):
     """Yield ``(index, z)`` block by block: ``z`` after ``head``, a wait of each interval and a W pi/2 read.
 
@@ -128,17 +139,16 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     phi rows of ``frames`` (P, 1), or (P, C) when a head pulse has a row of
     C areas; the grid is that column by the intervals, which first appear
     at the wait, whose cosine and sine ``trig`` holds (:func:`_wait_trig`).
-    Each block (:func:`_blocks`) is a run of whole phi rows
-    of at most ``_BLOCK_STATES`` states, and its ``z`` comes from
-    ``sequence._read_z`` from the head's state on those rows: the same
-    arithmetic in the same order as walking the whole timeline, read from
-    the wait's ``y`` alone, again the general way when it holds an exact
-    zero, and checked to be finite.  With ``out``, the whole grid, ``z`` is
-    written straight into the block's contiguous slice of it; without, into
-    one scratch array that every block reuses.  ``index`` places the block
-    in the grid without its phi axis, where a reduction over phi lands.
+    Each block (:func:`_blocks`) is a run of whole phi rows of at most
+    ``_BLOCK_STATES`` states, and :func:`_read_z` reads its ``z`` from the
+    head's state on those rows: the same arithmetic in the same order as
+    walking the whole timeline, and the same bits.  With ``out``, the
+    whole grid, ``z`` is written straight into the block's contiguous
+    slice of it; without, into one scratch array that every block reuses.
+    ``index`` places the block in the grid without its phi axis, where a
+    reduction over phi lands.
     """
-    xyz, time = _advance(head, frames, _components(validate_state(state)), 0.0, _sri_axis)
+    xyz = _advance(head, frames, _components(validate_state(state)), 0.0)[0]
     column = np.broadcast(*xyz, frames.phi_s).shape
     xyz = [(c if np.shape(c) == column else np.broadcast_to(c, column))[..., None] for c in xyz]
     cb, sb = trig
@@ -151,8 +161,7 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
         else:
             dest = out[block]
         rows, cols = block[:-1], block[-1]
-        z = _read_z([c[rows] for c in xyz], frames, time, intervals[cols], _READ, (cb[cols], sb[cols]), dest)
-        yield block[1:], z
+        yield block[1:], _read_z([c[rows] for c in xyz], frames, intervals[cols], (cb[cols], sb[cols]), dest)
 
 
 def _fringes(shape, frames: FrameSet, head, intervals: np.ndarray) -> np.ndarray:

@@ -21,14 +21,13 @@ components, call an unchecked private core (``_rotate``, ``_precess``)
 and stack the result once, broadcast to the full (..., 3) shape.  The
 cores take and return component triples ``(x, y, z)`` that need not share
 a shape: a precession leaves ``z`` as it was.  The timeline engine checks
-its inputs once and carries the triple through the cores on whole blocks
-of a grid, stacking only when a caller asks for states.  A caller that
-only reads P_e asks ``_rotate`` for the last pulse's ``z`` alone
-(``z_only``), so that pulse's ``x`` and ``y`` are never computed.  A W
-read (azimuth 0) right after a wait needs less still: the wait's ``y``
-alone and the read's ``z`` from ``y`` and ``z`` (``_precess_rotate_x_z``),
-the shortened copy of ``_precess`` then ``_rotate``, which can write into
-a block of the caller's output.
+its inputs once and carries the triple through the cores, stacking only
+when a caller asks for states.  A caller that only reads P_e asks
+``_rotate`` for the last pulse's ``z`` alone (``z_only``), so that
+pulse's ``x`` and ``y`` are never computed.  The grid scans need less
+still for the W read (azimuth 0) that ends every fringe, right after its
+wait: ``_precess_rotate_x_z`` takes the wait's ``y`` alone and the read's
+``z`` from ``y`` and ``z``, written into a block of the scan's output.
 """
 
 from __future__ import annotations
@@ -208,24 +207,21 @@ def _precess(x, y, z, phase):
     return x * cb - y * sb, x * sb + y * cb, z
 
 
-def _precess_rotate_x_z(x, y, z, cb, sb, angle, out=None):
+def _precess_rotate_x_z(x, y, z, cb, sb, angle, out):
     """The ``z`` of a rotation by ``angle`` about +x (azimuth 0) right after a precession with cosine ``cb`` and sine ``sb``.
 
     :func:`_precess`'s ``y``, ``x * sb + y * cb``, then :func:`_rotate`'s
     ``z`` with ``ax = 1`` and ``ay = 0`` folded in, ``z * cos + y * sin``:
     neither the precession's ``x`` nor an ``x`` term of the rotation is
-    computed.  The steps write into ``out`` (made at the broadcast shape
-    when None and an input is an array) in the order ``x * sb``,
-    ``+= y * cb``, ``*= sin``, ``+= z * cos``, so ``y * cb`` is the only
-    temporary of that shape; IEEE addition commutes, so the bits are those
-    of the two expressions.  For finite ``x`` the result equals the full
-    rotation's ``z`` except in the sign of an exact zero: ``y - 0.0 * x``
-    turns a ``y`` of ``-0.0`` into ``+0.0`` when ``x`` is negative, and
-    that zero can reach the result.
+    computed.  The steps write into ``out``, of the broadcast shape, in
+    the order ``x * sb``, ``+= y * cb``, ``*= sin``, ``+= z * cos``, so
+    ``y * cb`` is the only temporary of that shape; IEEE addition
+    commutes, so the bits are those of the two expressions.  For finite
+    ``x`` the result equals the full rotation's ``z`` except in the sign
+    of an exact zero: ``y - 0.0 * x`` turns a ``y`` of ``-0.0`` into
+    ``+0.0`` when ``x`` is negative, and that zero can reach the result.
     """
-    if out is None and not all(map(isinstance, (x, y, z, sb, angle), (float,) * 5)):
-        out = np.empty(np.broadcast(x, y, z, sb, angle).shape)
-    r = x * sb if out is None else np.multiply(x, sb, out=out)
+    r = np.multiply(x, sb, out=out)
     r += y * cb
     r *= np.sin(angle)
     r += z * np.cos(angle)

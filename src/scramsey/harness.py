@@ -245,11 +245,6 @@ def _best(errors):
     return best
 
 
-def _conforms(value, schema) -> bool:
-    """Whether ``value`` is valid under ``schema``, a schema :func:`_audit` accepts (Draft 2020-12)."""
-    return next(_errors(value, schema), None) is None
-
-
 @functools.cache
 def _fast_schema() -> dict:
     """:func:`scenario_schema`, once :func:`_audit` has found nothing :func:`_errors` cannot word."""
@@ -372,7 +367,7 @@ def _read_columns(path: Path, x_column: str, y_column: str) -> tuple:
             reader = csv.DictReader(handle)
             rows = list(reader)
             columns = reader.fieldnames or []
-    except OSError as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise ScenarioError("fit.input_csv", f"cannot read {path} ({err})") from None
     for column in (x_column, y_column):
         if column not in columns:

@@ -22,19 +22,14 @@ together: ``phi_s`` of shape (P, 1) against waits of shape (T,) gives a
 (P, T) grid from one ``simulate`` call.  Inputs are checked once: events
 and frames when built, the start state in ``simulate``.  One unchecked
 event loop (``_advance``) then carries the state as a component triple
-``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`, and
-private reads finish it.  ``_walk`` checks that the final components are
-finite; ``simulate`` and ``apply_event`` stack its result into (..., 3)
-states.  ``_walk_z`` is the P_e read of the trial and protocol layers: it
-rotates only ``z`` through a last pulse, checks that ``z`` is finite and
-never stacks.  A pulse right after a ``Wait``, the end of every fringe,
-goes through ``_read_z``, which for a W read takes only ``y`` from that
-wait and no ``x`` term; a result holding an exact zero, whose sign that
-shortcut can flip, is read again the general way.  The grid scans of
-:mod:`scramsey.analysis` walk the events before the last wait once over
-the phi column and call ``_read_z`` on blocks of whole phi rows of about
-2**14 states, with the wait's cosine and sine taken once per grid and
-``z`` written straight into the block of their output.
+``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`.
+``_walk`` checks that the final components are finite; ``simulate`` and
+``apply_event`` stack its result into (..., 3) states.  ``_walk_z`` is
+the P_e read of the trial and protocol layers: it rotates only ``z``
+through a last pulse, checks that ``z`` is finite and never stacks.  The
+grid scans of :mod:`scramsey.analysis` advance the events before a
+fringe's last wait with ``_advance`` and read the wait and the W read
+themselves.
 """
 
 from __future__ import annotations
@@ -42,13 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .bloch import (
-    GROUND, _as_state, _components, _freeze, _precess, _precess_rotate_x_z, _rotate, _stack, validate_state, wrap_angle
-)
+from .bloch import GROUND, _as_state, _components, _freeze, _precess, _rotate, _stack, validate_state, wrap_angle
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -139,9 +131,6 @@ class Wait:
         return hash((_value_key(self.duration),))
 
 
-SequenceEvent = Union[Pulse, Wait]
-
-
 @dataclass(frozen=True)
 class Timeline:
     """Ordered pulse/wait events.  May be empty (identity)."""
@@ -199,30 +188,35 @@ def _sri_axis(t, frames: FrameSet):
     return wrap_angle((frames.delta_w - frames.delta_s) * t + frames.phi_s)
 
 
+def _fire_time(t) -> float:
+    """``t`` as a float, checked to be a valid absolute fire time of an S pulse."""
+    t = float(t)
+    if not math.isfinite(t) or t < 0.0:
+        raise ValueError(f"pulse time must be finite and >= 0, got {t!r}")
+    return t
+
+
 def sri_axis_angle(t: float, frames: FrameSet):
     """Rotation-axis azimuth of an S pulse fired at absolute time ``t``.
 
     eta(t) = (delta_w - delta_s) * t + phi_s, reduced to [0, 2*pi).
     """
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ValueError(f"pulse time must be finite and >= 0, got {t!r}")
-    return _sri_axis(t, frames)
+    return _sri_axis(_fire_time(t), frames)
 
 
-def _advance(events, frames: FrameSet, xyz, time, sri_axis):
+def _advance(events, frames: FrameSet, xyz, time):
     """Unchecked event loop: the component triple after ``events`` from ``xyz``, and the time after them."""
     for event in events:
         if isinstance(event, Wait):
             xyz = _precess(*xyz, frames.delta_w * event.duration)
             time = time + event.duration
         else:
-            xyz = _rotate(*xyz, _pulse_axis(event, time, frames, sri_axis), event.area)
+            xyz = _rotate(*xyz, _pulse_axis(event, time, frames), event.area)
     return xyz, time
 
 
-def _pulse_axis(pulse: Pulse, time, frames: FrameSet, sri_axis):
-    return 0.0 if pulse.frame is Frame.W else sri_axis(time, frames)
+def _pulse_axis(pulse: Pulse, time, frames: FrameSet):
+    return 0.0 if pulse.frame is Frame.W else _sri_axis(time, frames)
 
 
 def _check_finite(components) -> None:
@@ -231,15 +225,15 @@ def _check_finite(components) -> None:
         raise InvalidTimelineError("a timeline phase overflowed: the final state is not finite")
 
 
-def _walk(events, frames: FrameSet, xyz, time=0.0, sri_axis=_sri_axis):
+def _walk(events, frames: FrameSet, xyz, time=0.0):
     """Component triple after ``events`` from ``xyz``, the first event at absolute time ``time``.
 
     Unchecked core of :func:`simulate` and :func:`apply_event`: every
-    event must be a Pulse or a Wait.  ``sri_axis`` maps a fire time to an
-    S-pulse azimuth.  Raises :class:`InvalidTimelineError` when a phase
-    overflowed on the way and left a final component non-finite.
+    event must be a Pulse or a Wait, and ``time`` is not checked.  Raises
+    :class:`InvalidTimelineError` when a phase overflowed on the way and
+    left a final component non-finite.
     """
-    xyz = _advance(events, frames, xyz, time, sri_axis)[0]
+    xyz = _advance(events, frames, xyz, time)[0]
     _check_finite(xyz)
     return xyz
 
@@ -250,57 +244,26 @@ def _walk_z(events, frames: FrameSet, xyz, time=0.0):
     The P_e read of the trial and protocol layers.  A last pulse rotates
     ``z`` alone, which then has the full shape and is checked to be
     finite: a non-finite ``x`` or ``y`` before it, or a non-finite axis,
-    reaches ``z`` there too.  A pulse right after a ``Wait`` (the end of
-    every fringe) is read by :func:`_read_z`.  A timeline with no pulse
-    last goes through :func:`_walk`, since a last ``Wait`` leaves ``z``
-    unchanged but may overflow ``x`` and ``y``.
+    reaches ``z`` there too.  A timeline with no pulse last goes through
+    :func:`_walk`, since a last ``Wait`` leaves ``z`` unchanged but may
+    overflow ``x`` and ``y``.
     """
     events = tuple(events)
     if not events or isinstance(events[-1], Wait):
         xyz = _walk(events, frames, xyz, time)
         return np.broadcast_to(xyz[2], np.broadcast(*xyz).shape)
-    if len(events) > 1 and isinstance(events[-2], Wait):
-        xyz, time = _advance(events[:-2], frames, xyz, time, _sri_axis)
-        return _read_z(xyz, frames, time, events[-2].duration, events[-1])
-    (x, y, z), time = _advance(events[:-1], frames, xyz, time, _sri_axis)
-    z = _rotate(x, y, z, _pulse_axis(events[-1], time, frames, _sri_axis), events[-1].area, z_only=True)
+    (x, y, z), time = _advance(events[:-1], frames, xyz, time)
+    z = _rotate(x, y, z, _pulse_axis(events[-1], time, frames), events[-1].area, z_only=True)
     _check_finite((z,))
     return z
 
 
-def _read_z(xyz, frames: FrameSet, time, duration, read: Pulse, trig=None, out=None):
-    """The ``z`` after a wait of ``duration`` and then ``read``, from ``xyz`` at ``time``, checked to be finite.
-
-    A W read needs only ``y`` from the wait and no ``x`` term
-    (:func:`bloch._precess_rotate_x_z`): the wait precesses ``y`` alone
-    and the read adds ``y * sin``.  ``trig`` holds the cosine and sine of
-    the wait's phase when the caller has taken them already; ``out``, of
-    the result's whole shape, receives ``z``.  Any non-finite ``x``, ``y``
-    or phase still makes that ``y`` non-finite (``sin`` and ``cos`` of a
-    finite phase are never both zero).  On the components of a Bloch
-    vector, which keep the skipped ``x`` finite, this is the general read's
-    ``z`` except in the sign of an exact zero, so a result holding one is
-    read again the general way, as is a read in the S frame.
-    """
-    z = None
-    if read.frame is Frame.W:
-        if trig is None:
-            phase = frames.delta_w * duration
-            trig = np.cos(phase), np.sin(phase)
-        z = _precess_rotate_x_z(*xyz, *trig, read.area, out)
-    if z is None or not z.all():
-        x, y, z = _precess(*xyz, frames.delta_w * duration)
-        z = _rotate(x, y, z, _pulse_axis(read, time + duration, frames, _sri_axis), read.area, z_only=True)
-        if out is not None:
-            out[...] = z
-            z = out
-    _check_finite((z,))
-    return z
-
-
-def apply_event(state, event: SequenceEvent, time: float, frames: FrameSet):
-    """Apply one event to ``state`` at absolute time ``time``."""
-    return _stack(_walk(Timeline((event,)), frames, _components(_as_state(state)), time, sri_axis_angle))
+def apply_event(state, event: Pulse | Wait, time: float, frames: FrameSet):
+    """Apply one event to ``state`` at absolute time ``time``; an S pulse's time must be finite and >= 0."""
+    timeline, xyz = Timeline((event,)), _components(_as_state(state))
+    if isinstance(event, Pulse) and event.frame is Frame.S:
+        time = _fire_time(time)
+    return _stack(_walk(timeline, frames, xyz, time))
 
 
 def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):

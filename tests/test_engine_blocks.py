@@ -18,9 +18,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from scramsey import analysis, sequence
-from scramsey.analysis import ambiguity_report, normal_flop, optimize_scramble_area, phi_grid, retrieved_flop, scrambled_flop
+from scramsey.analysis import (
+    AmbiguityReport,
+    FlopFamily,
+    ambiguity_report,
+    normal_flop,
+    optimize_scramble_area,
+    phi_grid,
+    retrieved_flop,
+    scrambled_flop,
+    sdbv_projection_xz,
+)
 from scramsey.bloch import GROUND, Z_TOL, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
+from scramsey.expsim import TrialStats, fit_damped_sinusoid
+from scramsey.protocol import ProtocolConfig
 from scramsey.sequence import (
     Frame,
     FrameSet,
@@ -182,6 +194,28 @@ def test_simulate_broadcasts_array_events_against_phi_column(build):
 )
 def test_public_entry_points_still_reject_non_finite_input(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: normal_flop(default_frames().delta_w, np.zeros((2, 2))), "interval grid must be a non-empty 1-D array"),
+        (lambda: normal_flop(default_frames().delta_w, [0.0, np.nan]), "intervals must be finite and >= 0"),
+        (lambda: normal_flop(default_frames().delta_w, [-1e-3, 0.0]), "intervals must be finite and >= 0"),
+        (lambda: scrambled_flop(np.inf, 0.0, [0.0, 1e-3], 4), "pulse area must be finite"),
+        (lambda: FlopFamily([0.0, 1e-3], [], np.zeros((0, 2))), "phi grid must be a non-empty 1-D array"),
+        (lambda: FlopFamily([0.0, 1e-3], [0.0], [[0.5, 1.5]]), r"p_e values must lie in \[0, 1\]"),
+        (lambda: AmbiguityReport(1.0, [0.0, 1e-3], [0.1, 0.2, 0.3], 0.1), r"ranges shape \(3,\) does not match"),
+        (lambda: sdbv_projection_xz(GROUND, 1.0, np.nan), "wait_phase must be finite"),
+        (lambda: TrialStats([0.0, 1e-3], np.zeros((0, 2))), "need at least one trial"),
+        (lambda: TrialStats([0.0, 1e-3], [[0.5, np.nan]]), "samples must be finite"),
+        (lambda: fit_damped_sinusoid(np.zeros((6, 2)), np.zeros((6, 2))), "x and y must be 1-D arrays"),
+        (lambda: ProtocolConfig(default_frames(), 0.0, 0.0, 0.0, read_area=np.inf), "read_area must be finite"),
+    ],
+)
+def test_public_entry_points_reject_bad_grids_areas_and_samples(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -503,11 +537,12 @@ def test_property_p_e_spread_is_p_e_of_the_z_extremes(column):
 
 # ------------------------------------------------------------ z-only read
 
-# Every P_e read (grid scans, trials, the secure choice) takes z through
-# _walk_z, which rotates only z through the last pulse.  It must give
-# _walk's z, broadcast to the whole triple's shape, bit for bit, and raise
-# exactly when _walk does.  An independent matrix model of the timeline
-# checks both, so a fault in the one z formula they share shows too.
+# The trial and secure-choice reads take z through _walk_z, which rotates
+# only z through the last pulse (the grid scans read through _scan, above).
+# It must give _walk's z, broadcast to the whole triple's shape, bit for
+# bit, and raise exactly when _walk does.  An independent matrix model of
+# the timeline checks both, so a fault in the one z formula they share
+# shows too.
 
 PHI_COLUMN = phi_grid(3)[:, None]
 
@@ -590,9 +625,10 @@ def test_property_z_only_read_is_walk_z_bit_for_bit(events, time, phi_column, ar
     np.testing.assert_allclose(got, matrix_z(timeline, frames, start, time), rtol=0.0, atol=1e-9)
 
 
-# A W read right after a wait takes only y from the wait and no x term;
-# that read differs from the general one in the sign of an exact zero
-# alone, so a block holding one is read the general way.
+# The grid scans' W read right after a wait takes only y from the wait and
+# no x term; that read differs from the general one in the sign of an exact
+# zero alone.  _walk_z reads such a timeline the general way, and must keep
+# that zero's sign and raise on an overflow as _walk does.
 
 
 def bits(z):

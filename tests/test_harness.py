@@ -144,6 +144,7 @@ def test_load_scenario_missing_file(tmp_path):
         _scenario(noise={"atom_count": 0, "phase_jitter_sigma": -1}),
         {"version": 1, "mode": "fit", "fit": {"data": {"x": [1], "y": "no"}}},
         {},
+        _scenario(intervals={"count": 2}, trials={"count": 8_000_000}),  # 16 M states, within the grid budget
     ],
 )
 def test_structural_errors_match_jsonschema_validate(scenario):
@@ -160,7 +161,7 @@ def test_shipped_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(scenario_schema())
 
 
-# the fast check (harness._conforms) against jsonschema's verdict on the same scenario
+# the fast check (whether harness._errors yields nothing) against jsonschema's verdict on the same scenario
 
 U64_MAX = 2**64 - 1
 
@@ -197,19 +198,22 @@ _ORACLE = jsonschema.Draft202012Validator(scenario_schema())
         (_scenario(mode="sdbv", record="ground"), True),
         (_scenario(frames={"delta_w_hz": 100.0, "bogus": 1}), False),
         ({"version": 1}, False),
+        (_scenario(trials={"count": 65536}), True),
+        (_scenario(trials={"count": 65537}), False),
     ],
 )
 def test_fast_check_follows_draft_2020_12(scenario, valid):
     assert _ORACLE.is_valid(scenario) is valid
-    assert harness._conforms(scenario, scenario_schema()) is valid
+    assert (next(harness._errors(scenario, scenario_schema()), None) is None) is valid
 
 
 @pytest.mark.parametrize("value", [5, 5.0, 5.5, True, "5", None])
 def test_fast_check_one_of_means_exactly_one_branch(value):
     # the packaged schema's oneOf branches never overlap; these do, for integers
     schema = {"oneOf": [{"type": "number"}, {"type": "integer", "minimum": 0}]}
-    assert harness._conforms(value, schema) == jsonschema.Draft202012Validator(schema).is_valid(value)
-    assert harness._conforms(value, schema) is (value == 5.5)
+    conforms = next(harness._errors(value, schema), None) is None
+    assert conforms == jsonschema.Draft202012Validator(schema).is_valid(value)
+    assert conforms is (value == 5.5)
 
 
 #: Values a mutation may put anywhere: type swaps, bool/int and int/float twins, record shapes, and a
@@ -297,7 +301,7 @@ def test_fast_check_agrees_with_jsonschema_on_mutated_scenarios(data):
             del target[key]  # required keys among them
         else:
             target[key] = copy.deepcopy(data.draw(_mutant(node)))
-    assert harness._conforms(scenario, schema) == _ORACLE.is_valid(scenario)
+    assert (next(harness._errors(scenario, schema), None) is None) == _ORACLE.is_valid(scenario)
     best = jsonschema.exceptions.best_match(_ORACLE.iter_errors(scenario))
     if best is not None:  # the field and message reported are the ones best_match picks
         with pytest.raises(ScenarioError) as err:
@@ -1092,6 +1096,13 @@ def test_the_grid_budget_is_checked_before_anything_is_allocated(tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"scenario error: grid: asks for {10**30} final states")
 
 
+def test_the_trial_count_is_capped_by_the_schema():
+    # 8 M trials of 2 intervals fit the grid budget, but each trial spawns a random stream of its own
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(_scenario(intervals={"count": 2}, trials={"count": 8_000_000}))
+    assert (err.value.field, err.value.constraint) == ("trials.count", "8000000 is greater than the maximum of 65536")
+
+
 def test_integral_float_counts_behave_like_ints(tmp_path):
     for name, count in (("int", 5), ("float", 5.0)):
         grid = {"start_s": 0.0, "stop_s": 0.02, "count": count}
@@ -1328,6 +1339,26 @@ def test_a_deeply_nested_seed_is_one_bounded_line_in_a_fresh_interpreter(tmp_pat
     assert line.startswith("scenario error: seed: [[[") and line.endswith("...")
     assert len(line) == cli._MAX_ERROR_LINE <= 400
     assert not (tmp_path / "deep").exists()
+
+
+#: Fit inputs the csv reader cannot read: a byte that is not UTF-8, and a field one character past the csv
+#: module's default limit of 131 072
+UNREADABLE_CSVS = {"not-utf-8": b"x,y\n0,\xff\n", "field-over-the-limit": b"x,y\n0," + b"1" * 131_073 + b"\n"}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_CSVS.values(), ids=UNREADABLE_CSVS)
+def test_an_unreadable_fit_csv_is_exit_2_in_a_fresh_interpreter(tmp_path, content):
+    (tmp_path / "data.csv").write_bytes(content)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(_scenario(mode="fit", fit={"input_csv": "data.csv"})), encoding="utf-8")
+    result = _fresh_python(
+        "import sys\nfrom scramsey.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "fit", "--config", str(path), "-o", str(tmp_path / "out"),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"scenario error: fit.input_csv: cannot read {tmp_path / 'data.csv'} (")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_lines_within_the_bound_are_printed_whole(capsys, tmp_path):

@@ -124,6 +124,18 @@ def test_sri_axis_angle_reference_values():
         sri_axis_angle(-1e-9, fr)
 
 
+@pytest.mark.parametrize("time", [-1e-9, np.nan, np.inf])
+def test_apply_event_checks_only_an_s_pulse_fire_time(time):
+    fr = FrameSet(delta_w=2 * np.pi * 110.0, delta_s=2 * np.pi * 100.0, phi_s=0.3)
+    state = np.array([0.6, 0.0, 0.8])
+    with pytest.raises(ValueError, match=r"^pulse time must be finite and >= 0, got "):
+        apply_event(state, Pulse.sri(1.1), time, fr)
+    # a W pulse's axis and a wait's precession never read the time
+    for event in (Pulse.wri(1.1), Wait(2e-3)):
+        got, want = apply_event(state, event, time, fr), apply_event(state, event, 0.0, fr)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_s_pulse_axis_uses_accumulated_wait_time():
     fr = FrameSet(delta_w=2 * np.pi * 110.0, delta_s=2 * np.pi * 100.0, phi_s=0.3)
     tl = Timeline((Wait(0.025), Pulse.sri(1.1)))
