@@ -19,6 +19,13 @@ infinite upper bound never takes.  Two layouts matter: the
 Jacobian is F-ordered, as scipy's finite differences build it, and the
 SVD factors are made F-ordered, as ``scipy.linalg.svd`` returns them,
 so every matrix-vector product takes the same BLAS path.
+
+The one departure from scipy's call sequence is the Jacobian: scipy
+calls ``fun`` once per stepped parameter vector, and this port calls it
+once with all n of them stacked as the rows of an (n, n) array.  Each
+row is the vector scipy would pass, ``fun`` gives each the same
+elementwise operations as alone, and each row is then differenced and
+divided as scipy does it, so the bits are scipy's.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ _DIFF_STEP = EPS**0.5
 def least_squares(fun, x0, lower, ftol: float, xtol: float, gtol: float, max_nfev: int | None = None):
     """Minimize ``0.5 * |fun(x)|**2`` subject to ``x >= lower``; returns (x, fun(x), status).
 
-    ``fun`` maps a float array of shape (n,) to a 1-D float array.
+    ``fun`` maps a float array of shape (n,) to one of shape (m,), and a
+    (k, n) stack of such vectors to the (k, m) stack of their results,
+    bit for bit as k separate calls would give them.
     ``max_nfev`` counts evaluations of ``fun`` outside the Jacobian (None:
     100 per variable).  status is 0 when that budget ran out, 1 for the
     gradient test, 2 for the cost test, 3 for the step test and 4 for
@@ -62,11 +71,10 @@ def _jacobian(fun, x0, f0, lb):
     h = _DIFF_STEP * sign_x0 * np.maximum(1.0, np.abs(x0))
     # with no finite upper bound the step always fits on one side of x0
     h[x0 + h < lb] *= -1
-    J_transposed = np.empty((x0.size, f0.size))
-    for i in range(x0.size):
-        x1 = np.copy(x0)
-        x1[i] = x0[i] + h[i]
-        J_transposed[i] = (fun(x1) - f0) / ((x0[i] + h[i]) - x0[i])
+    # row i is x0 with its i-th value stepped; one call evaluates every row
+    x1 = np.tile(x0, (x0.size, 1))
+    np.fill_diagonal(x1, x0 + h)
+    J_transposed = (fun(x1) - f0) / ((x0 + h) - x0)[:, None]
     return J_transposed.T
 
 

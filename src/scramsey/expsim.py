@@ -10,7 +10,13 @@ Draw order within a shot is fixed: shot phase (only when the timeline
 contains an S pulse and randomization is on), then phase jitter (only
 when sigma > 0), then the projection sample (only with a finite atom
 count).  Each trial stream draws all of shot j before anything of shot
-j + 1.
+j + 1.  The shot phase is ``0.0 + TWO_PI * rng.random()`` and the
+jitter ``0.0 + sigma * rng.standard_normal()``: numpy's own formulas
+for ``rng.uniform(0.0, TWO_PI)`` and ``rng.normal(0.0, sigma)``, so the
+draws, their bits and each stream's consumption are theirs, without
+the cost of their argument handling.  The projection sample is
+``rng.binomial(atom_count, p)``, divided by ``atom_count`` once per
+interval for all trials.
 
 :func:`run_trials` walks the interval grid once.  Per interval it builds
 one timeline, draws every stream's shot phase and jitter, and evaluates
@@ -28,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals, _freeze
-from .bloch import _GROUND_XYZ, _checked_probability, _count, _precess, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _precess, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
@@ -103,15 +109,10 @@ def project_noise(p_e, atom_count: int, rng: np.random.Generator):
     p = np.asarray(p_e, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    fraction = _binomial_fraction(p, atom_count, rng)
+    fraction = rng.binomial(atom_count, p) / float(atom_count)
     if np.ndim(p_e) == 0 and np.ndim(fraction) == 0:
         return float(fraction)
     return fraction
-
-
-def _binomial_fraction(p, atom_count: int, rng: np.random.Generator):
-    """Unchecked core of :func:`project_noise`."""
-    return rng.binomial(atom_count, p) / float(atom_count)
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,9 @@ def run_trials(
         draw_phi = _has_s_pulse(timeline) and randomize_phi
         for i, rng in enumerate(rngs):
             if draw_phi:
-                phis[i] = rng.uniform(0.0, 2.0 * np.pi)
+                phis[i] = 0.0 + TWO_PI * rng.random()
             if sigma > 0.0:
-                jitters[i] = rng.normal(0.0, sigma)
+                jitters[i] = 0.0 + sigma * rng.standard_normal()
         shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
         if sigma > 0.0 and len(timeline):
             # the jitter is an extra precession just before the last event
@@ -221,7 +222,8 @@ def run_trials(
             z = _walk_z(timeline, shot_frames, _GROUND_XYZ)
         p = _damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
         if atoms is not None:
-            p = [_binomial_fraction(q, atoms, rng) for q, rng in zip(np.broadcast_to(p, trials), rngs)]
+            counts = [rng.binomial(atoms, q) for q, rng in zip(np.broadcast_to(p, trials).tolist(), rngs)]
+            p = np.array(counts) / float(atoms)
         samples[:, j] = p
     return TrialStats(intervals=intervals, samples=samples)
 
@@ -230,10 +232,14 @@ def run_trials(
 
 
 def damped_sinusoid(x, offset, amplitude, decay_time, angular_frequency, phase):
-    """offset + amplitude * exp(-x/decay_time) * cos(angular_frequency*x + phase)"""
+    """offset + amplitude * exp(-x/decay_time) * cos(angular_frequency*x + phase)
+
+    The parameters broadcast against ``x``, so (k, 1) columns give k
+    curves at once.  An infinite decay time makes the envelope exactly
+    1.0 at every finite ``x``; a NaN one gives NaN.
+    """
     x = np.asarray(x, dtype=float)
-    envelope = np.exp(-x / decay_time) if np.isfinite(decay_time) else 1.0
-    return offset + amplitude * envelope * np.cos(angular_frequency * x + phase)
+    return offset + amplitude * np.exp(-x / decay_time) * np.cos(angular_frequency * x + phase)
 
 
 @dataclass(frozen=True)
@@ -352,6 +358,9 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
     offset, amplitude, decay_time, omega, phase = (float(g) for g in guess)
 
     def residual(params):
+        # a (k, 5) stack of parameter rows goes in as (k, 1) columns against x: one curve per row
+        if params.ndim == 2:
+            params = params.T[..., None]
         return damped_sinusoid(x, *params) - y
 
     span = float(x[-1] - x[0])

@@ -24,7 +24,7 @@ from .errors import (
     InfeasibleTimingError,
     ProtocolMisconfigurationError,
 )
-from .sequence import FrameSet, Pulse, Timeline, Wait, _walk_z, default_frames
+from .sequence import FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Relative tolerance for all phase-condition checks.
 TIMING_RTOL = 1e-9
@@ -208,15 +208,54 @@ def _secure_choice_timeline(choice: str, t1: float, t2: float, t3: float, scramb
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _secure_choice_head(choice: str, delta_w: float, t1: float):
+    """The state and time after a secure-choice timeline's first two events, the write pulse and the t1 hold.
+
+    Neither event depends on the shot phase or on the S frame, so one
+    walk from the ground state serves every read of the same choice,
+    ``delta_w`` and ``t1``; its components are scalars, never changed
+    in place, so sharing them is safe.
+    """
+    return _advance((Pulse.wri(encode_choice(choice)), Wait(t1)), FrameSet(delta_w, 0.0), _GROUND_XYZ, 0.0)
+
+
+#: The values of configs that passed :func:`validate_secure_config`; emptied when it reaches 64.
+_VALID_CONFIGS: set = set()
+
+
+def _validate_once(config: ProtocolConfig) -> None:
+    """:func:`validate_secure_config`, skipped for a config whose values passed it while remembered.
+
+    The key is the values, not the mutable config, so a changed config
+    is checked again; a failed check is not remembered, so a bad config
+    raises on every call.  Each step is one set operation, so threads
+    can at worst check a config twice.
+    """
+    frames = config.frames
+    key = (frames.delta_w, frames.delta_s, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
+    if key not in _VALID_CONFIGS:
+        validate_secure_config(config)
+        if len(_VALID_CONFIGS) >= 64:
+            _VALID_CONFIGS.clear()
+        _VALID_CONFIGS.add(key)
+
+
 def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> float:
     """Excitation probability read out for ``choice`` at shot phase phi_s.
 
     With a valid config this is 1.0 for yes and 0.0 for no, independent
-    of phi_s.  An array of phases gives an array of readouts.
+    of phi_s.  An array of phases gives an array of readouts.  A config
+    is checked by :func:`validate_secure_config` once per distinct set
+    of values, and the write and hold are walked once per choice,
+    ``delta_w`` and ``t1``; each read walks the last five events from
+    there, so it gives the bits of a walk of the whole timeline.
     """
-    validate_secure_config(config)
+    _validate_once(config)
     frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi_s)
-    return _checked_probability(_walk_z(secure_choice_timeline(choice, config), frames, _GROUND_XYZ))
+    xyz, time = _secure_choice_head(choice, frames.delta_w, config.t1)
+    timeline = secure_choice_timeline(choice, config)
+    return _checked_probability(_walk_z(timeline.events[2:], frames, xyz, time))
 
 
 def decode_choice(p_e: float, threshold: float = 0.5) -> str:

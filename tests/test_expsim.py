@@ -10,7 +10,7 @@ from test_golden import SCENARIOS, VARIANTS, _variant
 
 from scramsey import _trf, expsim
 from scramsey.analysis import normal_flop
-from scramsey.bloch import excitation_probability, precess
+from scramsey.bloch import TWO_PI, excitation_probability, precess
 from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import (
     FitResult,
@@ -329,6 +329,18 @@ def test_run_trials_calls_the_builder_once_per_interval():
     assert calls == [float(T) for T in T17]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+def test_the_scalar_draws_are_numpys_uniform_and_normal(seed):
+    # run_trials draws its shot phase and jitter as below; numpy's uniform and normal are these formulas,
+    # so the bits and the stream's consumption are theirs
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for sigma in (1e-300, 0.01, 0.2, 1e3):
+        for _ in range(64):
+            assert (0.0 + TWO_PI * ours.random()).hex() == float(numpys.uniform(0.0, TWO_PI)).hex()
+            assert (0.0 + sigma * ours.standard_normal()).hex() == float(numpys.normal(0.0, sigma)).hex()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 # ----------------------------------------------------------------- fitting
 
 
@@ -345,6 +357,16 @@ def test_damped_sinusoid_values():
     assert damped_sinusoid(0.0, 0.5, 0.4, 1.0, 0.0, 0.0) == pytest.approx(0.9)
     assert damped_sinusoid(1.0, 0.0, 1.0, 1.0, np.pi, 0.0) == pytest.approx(-1.0 / np.e)
     assert damped_sinusoid(3.0, 0.25, 0.5, np.inf, 0.0, 0.0) == pytest.approx(0.75)
+
+
+def test_a_nan_decay_time_gives_nan_and_an_infinite_one_no_envelope():
+    x = np.linspace(-0.01, 0.05, 41)
+    assert np.isnan(damped_sinusoid(x, 0.5, 0.4, np.nan, 600.0, 0.1)).all()
+    assert np.isnan(FitResult(0.5, 0.4, np.nan, 600.0, 0.1, 0.0, True, False).evaluate(x)).all()
+    undamped = 0.5 + 0.4 * np.cos(600.0 * x + 0.1)
+    for decay_time in (np.inf, -np.inf):
+        assert damped_sinusoid(x, 0.5, 0.4, decay_time, 600.0, 0.1).tobytes() == undamped.tobytes()
+        assert FitResult(0.5, 0.4, decay_time, 600.0, 0.1, 0.0, True, False).evaluate(x).tobytes() == undamped.tobytes()
 
 
 def test_initial_guess_lands_near_truth():
@@ -446,6 +468,60 @@ def test_fit_rejects_bad_input():
 
 
 # ------------------------------------------------ the solver against scipy
+
+
+class _Captured(Exception):
+    pass
+
+
+def _fit_residual(x, y):
+    """The residual function :func:`fit_damped_sinusoid` hands its solver, and the solver's lower bounds."""
+    captured = []
+
+    def capture(fun, x0, lower, **kwargs):
+        captured.append((fun, np.asarray(lower, dtype=float)))
+        raise _Captured
+
+    with mock.patch.object(_trf, "least_squares", capture), pytest.raises(_Captured):
+        fit_damped_sinusoid(x, y)
+    return captured[0]
+
+
+def _looped_jacobian(fun, x0, f0, lb):
+    """scipy's forward differences, one residual call per parameter: the reference for the one-call Jacobian."""
+    sign_x0 = (x0 >= 0).astype(float) * 2 - 1
+    h = _trf._DIFF_STEP * sign_x0 * np.maximum(1.0, np.abs(x0))
+    h[x0 + h < lb] *= -1
+    J_transposed = np.empty((x0.size, f0.size))
+    for i in range(x0.size):
+        x1 = np.copy(x0)
+        x1[i] = x0[i] + h[i]
+        J_transposed[i] = (fun(x1) - f0) / ((x0[i] + h[i]) - x0[i])
+    return J_transposed.T
+
+
+@pytest.mark.parametrize(
+    ("x0", "lb"),
+    [
+        ((0.5, 0.4, 0.03, 600.0, 0.3), None),
+        # the amplitude on its lower bound 0: its step goes forward, off the bound
+        ((0.5, 0.0, 0.03, 600.0, 0.3), None),
+        # negative parameters, the offset and the phase on lower bounds of their own: their steps flip forward
+        ((-0.5, -0.4, 0.03, 600.0, -2.0), (-0.5, -np.inf, 0.0, 0.0, -2.0)),
+    ],
+    ids=["plain", "amplitude-on-its-bound", "negative-parameters"],
+)
+def test_the_one_call_jacobian_matches_the_per_parameter_loop(x0, lb):
+    x = np.linspace(0.0, 0.06, 40)
+    fun, fit_lb = _fit_residual(x, 0.5 + 0.4 * np.exp(-x / 0.02) * np.cos(2 * np.pi * 100.0 * x))
+    x0, lb = np.array(x0), fit_lb if lb is None else np.array(lb)
+    f0 = fun(x0)
+    calls = []
+    J = _trf._jacobian(lambda p: calls.append(p.shape) or fun(p), x0, f0, lb)
+    want = _looped_jacobian(fun, x0, f0, lb)
+    assert calls == [(5, 5)]
+    assert J.flags.f_contiguous and J.shape == want.shape == (40, 5)
+    assert J.tobytes(order="F") == want.tobytes(order="F")
 
 
 def _scipy_least_squares(fun, x0, lower, ftol, xtol, gtol, max_nfev=None):

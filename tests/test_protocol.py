@@ -1,12 +1,15 @@
 """Secure-choice protocol: timing solvers, determinism, secrecy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scramsey import protocol
 from scramsey.analysis import phi_grid
-from scramsey.bloch import excitation_probability
+from scramsey.bloch import _GROUND_XYZ, _checked_probability, excitation_probability
 from scramsey.errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -35,6 +38,7 @@ from scramsey.sequence import (
     Pulse,
     Timeline,
     Wait,
+    _walk_z,
     default_frames,
     simulate,
 )
@@ -264,6 +268,62 @@ def test_run_secure_choice_validates_first():
     broken = ProtocolConfig(frames=base.frames, t1=base.t1, t2=2.5e-3, t3=base.t3)
     with pytest.raises(ProtocolMisconfigurationError):
         run_secure_choice(Choice.YES, 0.0, broken)
+
+
+@pytest.mark.parametrize("patch", [{"t2": 2.5e-3}, {"scramble_area": 3.0}], ids=["t2", "scramble_area"])
+def test_a_config_changed_after_a_good_read_is_checked_again(patch):
+    config = default_config()
+    run_secure_choice(Choice.YES, 0.3, config)
+    for name, value in patch.items():
+        setattr(config, name, value)
+    with pytest.raises(ProtocolMisconfigurationError) as checked:
+        validate_secure_config(config)
+    for _ in range(2):
+        with pytest.raises(ProtocolMisconfigurationError) as read:
+            run_secure_choice(Choice.YES, 0.3, config)
+        assert str(read.value) == str(checked.value)
+
+
+def test_a_broken_config_raises_on_every_read():
+    base = default_config()
+    broken = ProtocolConfig(frames=base.frames, t1=base.t1, t2=2.5e-3, t3=base.t3)
+    for choice in (Choice.YES, Choice.YES, Choice.NO):
+        with pytest.raises(ProtocolMisconfigurationError, match="not an odd multiple of pi"):
+            run_secure_choice(choice, 0.0, broken)
+
+
+def test_a_config_is_checked_once_per_distinct_set_of_values():
+    first, second = default_config(t1=3.1e-3), default_config(t1=3.2e-3)
+    copy = ProtocolConfig(frames=first.frames, t1=first.t1, t2=first.t2, t3=first.t3)
+    protocol._VALID_CONFIGS.clear()  # so that earlier reads cannot fill it up to its limit mid-test
+    with mock.patch.object(protocol, "validate_secure_config", wraps=validate_secure_config) as check:
+        for config in (first, second, copy, first, second):
+            for choice in Choice.ALL:
+                run_secure_choice(choice, 1.0, config)
+    assert [call.args[0] for call in check.call_args_list] == [first, second]
+
+
+def _secure_configs() -> list:
+    """The reference config, a longer store with a later read, and one at detunings of its own."""
+    frames = FrameSet(2 * np.pi * 137.0, 2 * np.pi * 61.0)
+    t2 = retrieve_delay(frames.delta_s, 2)
+    return [
+        default_config(),
+        default_config(t1=7.3e-3, m=1, k=3),
+        ProtocolConfig(frames=frames, t1=3.7e-3, t2=t2, t3=secure_read_delay(frames, 3.7e-3, t2, 9)),
+    ]
+
+
+@pytest.mark.parametrize("phi", [1.234, phi_grid(64)], ids=["scalar", "grid"])
+@pytest.mark.parametrize("choice", Choice.ALL)
+def test_reads_from_the_cached_head_match_a_walk_of_the_whole_timeline(choice, phi):
+    for config in _secure_configs():
+        frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi)
+        want = _checked_probability(_walk_z(secure_choice_timeline(choice, config), frames, _GROUND_XYZ))
+        for _ in range(2):  # the first read may walk the head, the second finds it cached
+            got = run_secure_choice(choice, phi, config)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
