@@ -20,8 +20,9 @@ interval for all trials.
 
 :func:`run_trials` walks the interval grid once.  Per interval it builds
 one timeline, draws every stream's shot phase and jitter, and evaluates
-all trials in one engine call with a (trials,) axis of shot phases and
-jitters; the streams are independent, so this keeps each stream's draw
+all trials in one walk with a (trials,) axis of shot phases and jitters:
+the events before the last, the jitter's precession, then the last
+event.  The streams are independent, so this keeps each stream's draw
 order, and every sample, exactly as a shot-by-shot loop would.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .analysis import _as_intervals, _freeze
 from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _precess, _wrap_centred
-from .sequence import Frame, FrameSet, Pulse, Timeline, _walk, _walk_z, default_frames
+from .sequence import Frame, FrameSet, Pulse, Timeline, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -190,7 +191,7 @@ def run_trials(
     a fresh uniform shot phase each time.  Each trial consumes an
     independent child stream of noise.seed, in the draw order the
     module docstring gives; all trials of one interval are evaluated
-    in one engine call.
+    in one walk.
     """
     if isinstance(trials, bool) or int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -213,13 +214,12 @@ def run_trials(
             if sigma > 0.0:
                 jitters[i] = 0.0 + sigma * rng.standard_normal()
         shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
-        if sigma > 0.0 and len(timeline):
+        events = timeline.events
+        xyz, time = _advance(events[:-1], shot_frames, _GROUND_XYZ, 0.0)
+        if sigma > 0.0 and events:
             # the jitter is an extra precession just before the last event
-            head = Timeline(timeline.events[:-1])
-            xyz = _precess(*_walk(head, shot_frames, _GROUND_XYZ), jitters)
-            z = _walk_z(timeline.events[-1:], shot_frames, xyz, head.duration)
-        else:
-            z = _walk_z(timeline, shot_frames, _GROUND_XYZ)
+            xyz = _precess(*xyz, jitters)
+        z = _walk_z(events[-1:], shot_frames, xyz, time)
         p = _damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
         if atoms is not None:
             counts = [rng.binomial(atoms, q) for q, rng in zip(np.broadcast_to(p, trials).tolist(), rngs)]

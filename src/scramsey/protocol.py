@@ -11,7 +11,6 @@ choices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,13 +40,13 @@ class Choice:
     ALL = (YES, NO)
 
 
-def _phase_gap(phase: float, target: float) -> float:
-    """Distance from ``phase`` to ``target`` modulo 2*pi."""
-    return abs(_wrap_centred(phase - target))
-
-
 def _phase_tol(phase: float) -> float:
     return TIMING_RTOL * max(1.0, abs(phase))
+
+
+def _off_target(phase: float, target: float) -> bool:
+    """Whether ``phase`` misses ``target`` modulo 2*pi by more than its tolerance; a non-finite phase always misses."""
+    return not abs(_wrap_centred(phase - target)) <= _phase_tol(phase)
 
 
 def _half_turns_delay(delta_name: str, delta: float, count_name: str, count: int) -> float:
@@ -155,7 +154,7 @@ def encode_choice(choice: str) -> float:
 def store_phase_problem(delta_s: float, t2: float) -> str | None:
     """Why a store time ``t2`` will not descramble, or None when delta_s * t2 is an odd multiple of pi."""
     store_phase = delta_s * t2
-    if _phase_gap(store_phase, np.pi) > _phase_tol(store_phase):
+    if _off_target(store_phase, np.pi):
         return f"delta_s * t2 = {store_phase!r} rad is not an odd multiple of pi; the retrieve pulse will not descramble"
     return None
 
@@ -169,15 +168,15 @@ def validate_secure_config(config: ProtocolConfig) -> None:
     if problem := store_phase_problem(config.frames.delta_s, config.t2):
         raise ProtocolMisconfigurationError(problem)
     total_phase = config.frames.delta_w * (config.t1 + config.t2 + config.t3)
-    if _phase_gap(total_phase, 0.0) > _phase_tol(total_phase):
+    if _off_target(total_phase, 0.0):
         raise ProtocolMisconfigurationError(
             f"delta_w * (t1 + t2 + t3) = {total_phase!r} rad is not a multiple of 2*pi; the readout is not deterministic"
         )
-    if _phase_gap(config.scramble_area, np.pi) > _phase_tol(config.scramble_area):
+    if _off_target(config.scramble_area, np.pi):
         raise ProtocolMisconfigurationError(
             f"scramble area {config.scramble_area!r} rad is not pi (mod 2*pi); stored choices would be distinguishable"
         )
-    if _phase_gap(config.read_area, np.pi / 2) > _phase_tol(config.read_area):
+    if _off_target(config.read_area, np.pi / 2):
         raise ProtocolMisconfigurationError(
             f"read area {config.read_area!r} rad is not pi/2 (mod 2*pi)"
         )
@@ -185,77 +184,55 @@ def validate_secure_config(config: ProtocolConfig) -> None:
 
 def secure_choice_timeline(choice: str, config: ProtocolConfig) -> Timeline:
     """Write/scramble/retrieve/read timeline for one choice."""
-    return _secure_choice_timeline(choice, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
-
-
-@functools.lru_cache(maxsize=64)
-def _secure_choice_timeline(choice: str, t1: float, t2: float, t3: float, scramble_area: float, read_area: float):
-    """The timeline of :func:`secure_choice_timeline`, built once per distinct set of values while cached.
-
-    The key is the values, not the mutable config, so a changed config
-    gets its own timeline; a Timeline is immutable, so sharing it is safe.
-    """
     return Timeline(
         (
             Pulse.wri(encode_choice(choice)),
-            Wait(t1),
-            Pulse.sri(scramble_area),
-            Wait(t2),
-            Pulse.sri(scramble_area),
-            Wait(t3),
-            Pulse.wri(read_area),
+            Wait(config.t1),
+            Pulse.sri(config.scramble_area),
+            Wait(config.t2),
+            Pulse.sri(config.scramble_area),
+            Wait(config.t3),
+            Pulse.wri(config.read_area),
         )
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _secure_choice_head(choice: str, delta_w: float, t1: float):
-    """The state and time after a secure-choice timeline's first two events, the write pulse and the t1 hold.
-
-    Neither event depends on the shot phase or on the S frame, so one
-    walk from the ground state serves every read of the same choice,
-    ``delta_w`` and ``t1``; its components are scalars, never changed
-    in place, so sharing them is safe.
-    """
-    return _advance((Pulse.wri(encode_choice(choice)), Wait(t1)), FrameSet(delta_w, 0.0), _GROUND_XYZ, 0.0)
-
-
-#: The values of configs that passed :func:`validate_secure_config`; emptied when it reaches 64.
-_VALID_CONFIGS: set = set()
-
-
-def _validate_once(config: ProtocolConfig) -> None:
-    """:func:`validate_secure_config`, skipped for a config whose values passed it while remembered.
-
-    The key is the values, not the mutable config, so a changed config
-    is checked again; a failed check is not remembered, so a bad config
-    raises on every call.  Each step is one set operation, so threads
-    can at worst check a config twice.
-    """
-    frames = config.frames
-    key = (frames.delta_w, frames.delta_s, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
-    if key not in _VALID_CONFIGS:
-        validate_secure_config(config)
-        if len(_VALID_CONFIGS) >= 64:
-            _VALID_CONFIGS.clear()
-        _VALID_CONFIGS.add(key)
+#: Per choice, the state and time after the write pulse and the t1 hold, and the five events left, for the
+#: values of configs that passed :func:`validate_secure_config`; emptied when it reaches 64 entries.
+_VALID_CONFIGS: dict = {}
 
 
 def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> float:
     """Excitation probability read out for ``choice`` at shot phase phi_s.
 
     With a valid config this is 1.0 for yes and 0.0 for no, independent
-    of phi_s.  An array of phases gives an array of readouts.  A config
-    is checked by :func:`validate_secure_config` once per distinct set
-    of values, and the write and hold are walked once per choice,
-    ``delta_w`` and ``t1``; each read walks the last five events from
-    there, so it gives the bits of a walk of the whole timeline.
+    of phi_s.  An array of phases gives an array of readouts.  The first
+    read of a distinct set of config values checks it with
+    :func:`validate_secure_config` and prepares both choices: the write
+    pulse and the t1 hold depend on neither the shot phase nor the S
+    frame, so they are walked once per choice.  The key is the values,
+    not the mutable config, so a changed config is checked again; a
+    failed check is not remembered, so a bad config raises on every
+    read.  Each read walks the last five events from the prepared state,
+    so it gives the bits of a walk of the whole timeline.
     """
-    _validate_once(config)
-    frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi_s)
-    xyz, time = _secure_choice_head(choice, frames.delta_w, config.t1)
-    timeline = secure_choice_timeline(choice, config)
-    return _checked_probability(_walk_z(timeline.events[2:], frames, xyz, time))
+    frames = config.frames
+    key = (frames.delta_w, frames.delta_s, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
+    prepared = _VALID_CONFIGS.get(key)
+    if prepared is None:
+        validate_secure_config(config)
+        prepared = {}
+        for known in Choice.ALL:
+            events = secure_choice_timeline(known, config).events
+            prepared[known] = (*_advance(events[:2], frames, _GROUND_XYZ, 0.0), events[2:])
+        if len(_VALID_CONFIGS) >= 64:
+            _VALID_CONFIGS.clear()
+        _VALID_CONFIGS[key] = prepared
+    frames = FrameSet(frames.delta_w, frames.delta_s, phi_s)
+    if choice not in prepared:
+        encode_choice(choice)  # raises its ValueError
+    xyz, time, tail = prepared[choice]
+    return _checked_probability(_walk_z(tail, frames, xyz, time))
 
 
 def decode_choice(p_e: float, threshold: float = 0.5) -> str:

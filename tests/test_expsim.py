@@ -273,6 +273,14 @@ def test_run_trials_jitter_overflow_is_an_invalid_timeline():
             run_trials(ramsey, None, NoiseModel(phase_jitter_sigma=1e308), 2, T17)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_run_trials_head_overflow_is_an_invalid_timeline(sigma):
+    # the events before the last overflow; the non-finite x and y reach z through the read, jitter or not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            run_trials(lambda T: ramsey(T + 1e306), None, NoiseModel(phase_jitter_sigma=sigma), 2, T17)
+
+
 def _per_shot_reference(builder, frames, noise, trials, intervals, randomize_phi):
     """Shot by shot, in the documented draw order, through the public kernels only."""
     samples = np.empty((trials, len(intervals)))
@@ -301,6 +309,8 @@ REFERENCE_BUILDERS = {
     # an S pulse for only some intervals: phases are drawn for those alone
     "s_pulse_sometimes": lambda T: scrambled_ramsey(2.1, T1_REF, T) if T > PERIOD else ramsey(T),
     "empty": lambda T: Timeline(),
+    # a last Wait: the jitter precesses before it, and the walk checks x and y after it
+    "ends_in_wait": lambda T: Timeline((*ramsey(T).events, Wait(1e-3))),
 }
 REFERENCE_NOISE = {
     "none": {},

@@ -303,6 +303,61 @@ def test_a_config_is_checked_once_per_distinct_set_of_values():
     assert [call.args[0] for call in check.call_args_list] == [first, second]
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("t3", float("nan")), ("scramble_area", float("nan")), ("read_area", float("inf")), ("delta_s", float("inf"))],
+)
+def test_a_non_finite_phase_condition_is_rejected(name, value):
+    config = default_config()
+    setattr(config.frames if name == "delta_s" else config, name, value)
+    with pytest.raises(ProtocolMisconfigurationError):
+        validate_secure_config(config)
+    with pytest.raises(ProtocolMisconfigurationError):
+        run_secure_choice(Choice.YES, 0.3, config)
+
+
+def test_store_phase_problem_rejects_a_nan_phase():
+    assert store_phase_problem(float("nan"), 1.0) == (
+        "delta_s * t2 = nan rad is not an odd multiple of pi; the retrieve pulse will not descramble"
+    )
+
+
+def test_the_checked_configs_are_forgotten_at_64():
+    configs = [default_config(t1=1e-3 + i * 1e-4) for i in range(65)]
+    protocol._VALID_CONFIGS.clear()
+    with mock.patch.object(protocol, "validate_secure_config", wraps=validate_secure_config) as check:
+        for config in configs:
+            run_secure_choice(Choice.YES, 1.0, config)
+        assert check.call_count == 65
+        first = configs[0]
+        for choice in Choice.ALL:
+            frames = FrameSet(first.frames.delta_w, first.frames.delta_s, 1.234)
+            want = _checked_probability(_walk_z(secure_choice_timeline(choice, first), frames, _GROUND_XYZ))
+            assert run_secure_choice(choice, 1.234, first).hex() == want.hex()
+    assert [call.args[0] for call in check.call_args_list[65:]] == [first]
+
+
+def test_an_unknown_choice_raises_encode_choices_error_cold_and_warm():
+    config = default_config(t1=4.4e-3)
+    protocol._VALID_CONFIGS.clear()
+    with pytest.raises(ValueError) as want:
+        encode_choice("maybe")
+    for cached in (0, 1):
+        assert len(protocol._VALID_CONFIGS) == cached
+        with pytest.raises(ValueError) as got:
+            run_secure_choice("maybe", 0.3, config)
+        assert str(got.value) == str(want.value)
+
+
+def test_read_errors_come_config_then_shot_phase_then_choice():
+    base = default_config()
+    broken = ProtocolConfig(frames=base.frames, t1=base.t1, t2=2.5e-3, t3=base.t3)
+    with pytest.raises(ProtocolMisconfigurationError):
+        run_secure_choice("maybe", np.nan, broken)
+    with pytest.raises(ValueError, match="phi_s must be finite"):
+        run_secure_choice("maybe", np.nan, base)
+
+
 def _secure_configs() -> list:
     """The reference config, a longer store with a later read, and one at detunings of its own."""
     frames = FrameSet(2 * np.pi * 137.0, 2 * np.pi * 61.0)
