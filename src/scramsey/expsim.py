@@ -16,27 +16,37 @@ for ``rng.uniform(0.0, TWO_PI)`` and ``rng.normal(0.0, sigma)``, so the
 draws, their bits and each stream's consumption are theirs, without
 the cost of their argument handling.  The projection sample is
 ``rng.binomial(atom_count, p)``, divided by ``atom_count`` once per
-interval for all trials.
+walk for all trials.
 
-:func:`run_trials` walks the interval grid once.  Per interval it builds
-one timeline, draws every stream's shot phase and jitter, and evaluates
-all trials in one walk with a (trials,) axis of shot phases and jitters:
-the events before the last, the jitter's precession, then the last
-event.  The streams are independent, so this keeps each stream's draw
-order, and every sample, exactly as a shot-by-shot loop would.
+:func:`run_trials` cuts the interval grid into runs: consecutive
+intervals whose timelines have the same event kinds and frames, at most
+``_BLOCK_STATES // trials`` of them (at least one), so a run holds at
+most one block of states, or one interval when that alone is more.  A
+walk evaluates every trial at once, on a (trials,) axis of shot phases
+and jitters: the events before the last, the jitter's precession, then
+the last event.  A run whose shots draw a binomial after a shot phase or
+a jitter is walked interval by interval, since each stream's next draw
+waits for the result.  Any other run has every draw known before the
+walk: each stream draws the whole run's values in order (one call when
+the run draws one kind), then one walk covers a (trials, k) grid, each
+event's values stacked along the run's k intervals unless all of them
+share one value bit for bit, and each stream draws its k binomials in
+one call.  The streams are independent, so this keeps each stream's
+draw order, and every sample, exactly as a shot-by-shot loop would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _as_intervals, _freeze
+from .analysis import _BLOCK_STATES, _as_intervals, _freeze
 from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _precess, _wrap_centred
-from .sequence import Frame, FrameSet, Pulse, Timeline, _advance, _walk_z, default_frames
+from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -154,21 +164,51 @@ class TrialStats:
         return self.samples.std(axis=0, ddof=1)
 
 
-def _has_s_pulse(timeline: Timeline) -> bool:
-    """Whether ``timeline`` fires an S pulse; rejects array-valued events.
+def _kinds(timeline: Timeline) -> tuple:
+    """The frame of each pulse and ``Wait`` for each wait; rejects array-valued events.
 
     An array event would broadcast against the trial axis and silently
     give each trial its own value.
     """
-    has_s = False
+    kinds = []
     for ev in timeline.events:
         if isinstance(ev, Pulse):
-            value, has_s = ev.area, has_s or ev.frame is Frame.S
+            value, kind = ev.area, ev.frame
         else:
-            value = ev.duration
+            value, kind = ev.duration, Wait
         if isinstance(value, np.ndarray):
             raise ValueError("builder must return a timeline of scalar events: one shot per interval")
-    return has_s
+        kinds.append(kind)
+    return tuple(kinds)
+
+
+def _runs(builder, intervals, cap: int):
+    """The timelines of the interval grid, in runs of at most ``cap`` consecutive ones of the same kinds."""
+    for kinds, timelines in itertools.groupby(map(builder, intervals.tolist()), _kinds):
+        while run := list(itertools.islice(timelines, cap)):
+            yield kinds, run
+
+
+def _stacked(run):
+    """The events and the duration of a run of like timelines.
+
+    Each event's value is stacked along the run into a (k,) array, or
+    kept as the scalar when every timeline has it bit for bit (so -0.0
+    and 0.0 are not shared); the durations are each timeline's own.
+    """
+    if len(run) == 1:
+        return run[0].events, run[0].duration
+    events = []
+    for column in zip(*(t.events for t in run)):
+        first = column[0]
+        wait = isinstance(first, Wait)
+        values = np.array([e.duration if wait else e.area for e in column])
+        bits = values.view(np.int64)
+        if (bits == bits[0]).all():
+            events.append(first)
+        else:
+            events.append(Wait(values) if wait else Pulse(first.frame, values))
+    return tuple(events), np.array([t.duration for t in run], dtype=float)
 
 
 def run_trials(
@@ -182,16 +222,19 @@ def run_trials(
     """Measure builder(T) over the interval grid, ``trials`` times.
 
     builder maps an interval to a Timeline of scalar events; it is
-    called once per interval (not once per shot), and its timeline
-    serves every trial, so it must not depend on how often it is
-    called.  The pure builders of :mod:`scramsey.sequence` qualify.
-    frames supplies detunings and the one baseline shot phase (None:
-    reference frames); an array ``phi_s`` is rejected.  When
-    randomize_phi is set, shots whose timeline contains an S pulse get
-    a fresh uniform shot phase each time.  Each trial consumes an
-    independent child stream of noise.seed, in the draw order the
-    module docstring gives; all trials of one interval are evaluated
-    in one walk.
+    called once per interval (not once per shot), in the order of the
+    grid, and its timeline serves every trial, so it must not depend on
+    how often it is called.  The pure builders of
+    :mod:`scramsey.sequence` qualify.  frames supplies detunings and the
+    one baseline shot phase (None: reference frames); an array
+    ``phi_s`` is rejected.  When randomize_phi is set, shots whose
+    timeline contains an S pulse get a fresh uniform shot phase each
+    time.  Each trial consumes an independent child stream of
+    noise.seed, in the draw order the module docstring gives.
+
+    Timelines are built run by run, never all at once.  A builder error
+    is raised when its interval is built, which can be before an engine
+    error of an earlier interval of the same run or of the run before.
     """
     if isinstance(trials, bool) or int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -204,27 +247,42 @@ def run_trials(
     rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(noise.seed).spawn(trials)]
     sigma, atoms = noise.phase_jitter_sigma, noise.atom_count
     samples = np.empty((trials, intervals.shape[0]))
-    phis, jitters = np.empty(trials), np.empty(trials)
-    for j, interval in enumerate(intervals):
-        timeline = builder(float(interval))
-        draw_phi = _has_s_pulse(timeline) and randomize_phi
-        for i, rng in enumerate(rngs):
-            if draw_phi:
-                phis[i] = 0.0 + TWO_PI * rng.random()
-            if sigma > 0.0:
-                jitters[i] = 0.0 + sigma * rng.standard_normal()
-        shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
-        events = timeline.events
-        xyz, time = _advance(events[:-1], shot_frames, _GROUND_XYZ, 0.0)
-        if sigma > 0.0 and events:
-            # the jitter is an extra precession just before the last event
-            xyz = _precess(*xyz, jitters)
-        z = _walk_z(events[-1:], shot_frames, xyz, time)
-        p = _damp_contrast(_checked_probability(z), timeline.duration, noise.contrast_decay_tau)
-        if atoms is not None:
-            counts = [rng.binomial(atoms, q) for q, rng in zip(np.broadcast_to(p, trials).tolist(), rngs)]
-            p = np.array(counts) / float(atoms)
-        samples[:, j] = p
+    j, jitter = 0, sigma > 0.0
+    for kinds, run in _runs(builder, intervals, max(1, _BLOCK_STATES // trials)):
+        draw_phi = bool(randomize_phi) and Frame.S in kinds
+        # a binomial after a shot phase or a jitter needs the walk's result before the stream's next draw
+        step = 1 if atoms is not None and (draw_phi or jitter) else len(run)
+        phis, jitters = np.empty((trials, step)), np.empty((trials, step))
+        for start in range(0, len(run), step):
+            events, duration = _stacked(run[start : start + step])
+            if step > 1 and draw_phi != jitter:
+                # one kind of draw for the whole run: one call per stream
+                for i, rng in enumerate(rngs):
+                    if draw_phi:
+                        phis[i] = 0.0 + TWO_PI * rng.random(step)
+                    else:
+                        jitters[i] = 0.0 + sigma * rng.standard_normal(step)
+            elif draw_phi or jitter:
+                # shot by shot, each stream's shot phase before its jitter: the streams are independent
+                for m in range(step):
+                    if draw_phi:
+                        phis[:, m] = [0.0 + TWO_PI * rng.random() for rng in rngs]
+                    if jitter:
+                        jitters[:, m] = [0.0 + sigma * rng.standard_normal() for rng in rngs]
+            shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
+            xyz, time = _advance(events[:-1], shot_frames, _GROUND_XYZ, 0.0)
+            if jitter and events:
+                # the jitter is an extra precession just before the last event
+                xyz = _precess(*xyz, jitters)
+            z = _walk_z(events[-1:], shot_frames, xyz, time)
+            p = _damp_contrast(_checked_probability(z), duration, noise.contrast_decay_tau)
+            if atoms is not None:
+                # one scalar draw per stream for one shot, else one call per stream for the run
+                rows = np.broadcast_to(p, (trials, step))
+                counts = [rng.binomial(atoms, q) for q, rng in zip(rows[:, 0].tolist() if step == 1 else rows, rngs)]
+                p = np.array(counts).reshape(trials, step) / float(atoms)
+            samples[:, j + start : j + start + step] = p
+        j += len(run)
     return TrialStats(intervals=intervals, samples=samples)
 
 

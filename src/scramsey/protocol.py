@@ -110,6 +110,17 @@ def secure_read_delay(frames: FrameSet, t1: float, t2: float, k: int | None = No
     return t3
 
 
+#: The three delays of a secure-choice timeline: the hold, the store and the read delay.
+_DURATIONS = ("t1", "t2", "t3")
+
+
+def _duration_problem(name: str, value: float) -> str | None:
+    """Why ``value`` is no valid delay ``name``, or None when it is finite and >= 0."""
+    if not np.isfinite(value) or value < 0.0:
+        return f"{name} must be finite and >= 0, got {value!r}"
+    return None
+
+
 @dataclass
 class ProtocolConfig:
     """Frames, timings and pulse areas of one secure-choice run; the write area encodes the choice."""
@@ -122,10 +133,10 @@ class ProtocolConfig:
     read_area: float = np.pi / 2
 
     def __post_init__(self):
-        for name in ("t1", "t2", "t3"):
+        for name in _DURATIONS:
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            if problem := _duration_problem(name, value):
+                raise ValueError(problem)
             setattr(self, name, value)
         for name in ("scramble_area", "read_area"):
             value = float(getattr(self, name))
@@ -160,11 +171,16 @@ def store_phase_problem(delta_s: float, t2: float) -> str | None:
 
 
 def validate_secure_config(config: ProtocolConfig) -> None:
-    """Check the three phase conditions the deterministic readout needs.
+    """Check the delays, then the three phase conditions the deterministic readout needs.
 
     Raises :class:`ProtocolMisconfigurationError` naming the violated
-    condition; tolerances are TIMING_RTOL relative to the checked phase.
+    condition: first a delay that is not finite and >= 0 (a config
+    changed after it was made can hold one whose phases still line up),
+    then a phase off its target by more than TIMING_RTOL relative to it.
     """
+    for name in _DURATIONS:
+        if problem := _duration_problem(name, float(getattr(config, name))):
+            raise ProtocolMisconfigurationError(problem)
     if problem := store_phase_problem(config.frames.delta_s, config.t2):
         raise ProtocolMisconfigurationError(problem)
     total_phase = config.frames.delta_w * (config.t1 + config.t2 + config.t3)

@@ -311,9 +311,14 @@ REFERENCE_BUILDERS = {
     "empty": lambda T: Timeline(),
     # a last Wait: the jitter precesses before it, and the walk checks x and y after it
     "ends_in_wait": lambda T: Timeline((*ramsey(T).events, Wait(1e-3))),
+    # a scramble area that changes with the interval: a run walks a column of areas
+    "area_per_interval": lambda T: scrambled_ramsey(2.1 + 300.0 * T, T1_REF, T),
+    # a wait of 0.0 or -0.0 by interval: the two do not share one value
+    "signed_zero_wait": lambda T: Timeline((Pulse.wri(np.pi / 2), Wait(-0.0 if T > PERIOD else 0.0), *ramsey(T).events)),
 }
 REFERENCE_NOISE = {
     "none": {},
+    "sigma_tau": {"phase_jitter_sigma": 0.2, "contrast_decay_tau": 0.05},
     "atoms_tau": {"atom_count": 37, "contrast_decay_tau": 0.02},
     "sigma_atoms": {"phase_jitter_sigma": 0.2, "atom_count": 300},
     "all": {"phase_jitter_sigma": 0.3, "atom_count": 500, "contrast_decay_tau": 0.05},
@@ -330,6 +335,46 @@ def test_run_trials_matches_the_per_shot_reference(builder, noise, randomize_phi
     build = REFERENCE_BUILDERS[builder]
     stats = run_trials(build, frames, model, trials, T17, randomize_phi)
     assert np.array_equal(stats.samples, _per_shot_reference(build, frames, model, trials, T17, randomize_phi))
+
+
+@pytest.mark.parametrize("budget", [8, 2], ids=["runs_of_2", "one_interval"])
+@pytest.mark.parametrize("noise", ["none", "sigma_tau", "atoms_tau"])
+@pytest.mark.parametrize("builder", ["scrambled", "s_pulse_sometimes", "area_per_interval"])
+def test_the_run_cap_splits_the_grid_and_keeps_every_value(builder, noise, budget):
+    # 3 trials against a block of 8 states give runs of 2 intervals; a block of 2 holds less than one interval
+    frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
+    model = NoiseModel(seed=99, **REFERENCE_NOISE[noise])
+    build, walk_z, sizes = REFERENCE_BUILDERS[builder], expsim._walk_z, []
+
+    def walked(*args):
+        sizes.append(np.size(z := walk_z(*args)))
+        return z
+
+    with mock.patch.object(expsim, "_BLOCK_STATES", budget), mock.patch.object(expsim, "_walk_z", walked):
+        stats = run_trials(build, frames, model, 3, T17)
+    assert np.array_equal(stats.samples, _per_shot_reference(build, frames, model, 3, T17, True))
+    assert len(sizes) >= 17 // max(1, budget // 3)
+    assert max(sizes) <= max(budget, 3)
+
+
+@pytest.mark.parametrize(
+    "noise, randomize_phi, walks",
+    [({}, True, 1), ({"phase_jitter_sigma": 0.1}, True, 1), ({"atom_count": 50}, False, 1), ({"atom_count": 50}, True, 17)],
+    ids=["noiseless", "jitter", "atoms_fixed_phase", "atoms_phase_draws"],
+)
+def test_only_a_binomial_after_a_draw_walks_interval_by_interval(noise, randomize_phi, walks):
+    builder = lambda T: scrambled_ramsey(2.1, T1_REF, T)
+    with mock.patch.object(expsim, "_advance", wraps=expsim._advance) as advance:
+        run_trials(builder, None, NoiseModel(seed=4, **noise), 5, T17, randomize_phi)
+    assert advance.call_count == walks
+
+
+def test_a_run_shares_a_value_only_when_every_interval_has_its_bits():
+    run = [Timeline((Wait(0.0), Pulse.wri(1.0))), Timeline((Wait(-0.0), Pulse.wri(1.0)))]
+    (wait, read), duration = expsim._stacked(run)
+    assert read is run[0].events[1]
+    assert np.array_equal(np.signbit(wait.duration), [False, True])
+    assert np.array_equal(duration, [0.0, 0.0])
 
 
 def test_run_trials_calls_the_builder_once_per_interval():

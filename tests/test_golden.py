@@ -58,6 +58,16 @@ VARIANTS = {
         "trials": {"count": 2.0},
         "noise": {"atom_count": 100, "contrast_decay_tau_s": 0.02, "phase_jitter_sigma": 0.1},
     },
+    # shot phases drawn with no binomial after them: every stream's draws are known before the walk
+    "scrambled_trials_phase_draws": {
+        "mode": "scrambled",
+        "seed": 5,
+        "intervals": {"periods": 1.0, "count": 33},
+        "phi_samples": 8,
+        "pulses": {"scramble_area_pi": 0.6},
+        "trials": {"count": 4},
+        "noise": {"contrast_decay_tau_s": 0.03},
+    },
     "retrieved_m2_trials": {
         "mode": "retrieved",
         "seed": 3,

@@ -358,6 +358,40 @@ def test_read_errors_come_config_then_shot_phase_then_choice():
         run_secure_choice("maybe", np.nan, base)
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        # each negative delay keeps delta_s * t2 an odd multiple of pi and the total W phase a whole turn
+        ("t1", lambda c: -c.t2),
+        ("t2", lambda c: -c.t1),
+        ("t3", lambda c: -(c.t1 + c.t2)),
+        ("t2", lambda c: float("nan")),
+    ],
+    ids=["t1=-t2", "t2=-t1", "t3=-(t1+t2)", "t2=nan"],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_config_changed_to_a_bad_delay_is_a_misconfiguration(name, bad, warm):
+    config = default_config()
+    value = bad(config)
+    want = f"{name} must be finite and >= 0, got {value!r}"
+    with pytest.raises(ValueError) as made:
+        ProtocolConfig(**{"frames": config.frames, "t1": config.t1, "t2": config.t2, "t3": config.t3, name: value})
+    assert type(made.value) is ValueError and str(made.value) == want
+    protocol._VALID_CONFIGS.clear()
+    if warm:
+        run_secure_choice(Choice.YES, 0.3, config)
+    setattr(config, name, value)
+    with pytest.raises(ProtocolMisconfigurationError) as checked:
+        validate_secure_config(config)
+    assert str(checked.value) == want
+    # the delay is reported before a bad shot phase and an unknown choice, and on every read
+    for choice, phi in ((Choice.YES, 0.3), ("maybe", np.nan), (Choice.NO, 0.3)):
+        with pytest.raises(ProtocolMisconfigurationError) as read:
+            run_secure_choice(choice, phi, config)
+        assert str(read.value) == want
+    assert len(protocol._VALID_CONFIGS) == int(warm)
+
+
 def _secure_configs() -> list:
     """The reference config, a longer store with a later read, and one at detunings of its own."""
     frames = FrameSet(2 * np.pi * 137.0, 2 * np.pi * 61.0)
