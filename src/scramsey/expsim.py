@@ -18,21 +18,21 @@ the cost of their argument handling.  The projection sample is
 ``rng.binomial(atom_count, p)``, divided by ``atom_count`` once per
 walk for all trials.
 
-:func:`run_trials` cuts the interval grid into runs: consecutive
-intervals whose timelines have the same event kinds and frames, at most
-``_BLOCK_STATES // trials`` of them (at least one), so a run holds at
-most one block of states, or one interval when that alone is more.  A
-walk evaluates every trial at once, on a (trials,) axis of shot phases
-and jitters: the events before the last, the jitter's precession, then
-the last event.  A run whose shots draw a binomial after a shot phase or
-a jitter is walked interval by interval, since each stream's next draw
-waits for the result.  Any other run has every draw known before the
-walk: each stream draws the whole run's values in order (one call when
-the run draws one kind), then one walk covers a (trials, k) grid, each
-event's values stacked along the run's k intervals unless all of them
-share one value bit for bit, and each stream draws its k binomials in
-one call.  The streams are independent, so this keeps each stream's
-draw order, and every sample, exactly as a shot-by-shot loop would.
+:func:`run_trials` reads the interval grid in runs of consecutive
+intervals whose timelines have the same event kinds.  A walk evaluates
+every trial at once, on a (trials,) axis of shot phases and jitters
+(the phases set on one private copy of the frames, unchecked, as every
+draw lies in [0, 2*pi) already): the events before the last, the
+jitter's precession, then the last event.  A run whose shots draw a
+binomial after a shot phase or a jitter is walked interval by interval,
+since each stream's next draw waits for the result.  Any other run is
+read as one float row per interval (event values, then duration), never
+as timelines, at most ``_BLOCK_STATES // trials`` rows (at least one) a
+walk: each stream draws the rows' values in order (one call for one
+kind), the walk covers a (trials, k) grid, each event a (k,) column
+unless all rows share its bits, and each stream draws its k binomials
+in one call.  The streams are independent, so every sample is exactly
+what a shot-by-shot loop gives.
 """
 
 from __future__ import annotations
@@ -182,33 +182,26 @@ def _kinds(timeline: Timeline) -> tuple:
     return tuple(kinds)
 
 
-def _runs(builder, intervals, cap: int):
-    """The timelines of the interval grid, in runs of at most ``cap`` consecutive ones of the same kinds."""
-    for kinds, timelines in itertools.groupby(map(builder, intervals.tolist()), _kinds):
-        while run := list(itertools.islice(timelines, cap)):
-            yield kinds, run
+def _stacked(kinds, timelines, cap: int):
+    """Like timelines, read ``cap`` at a time as ``(events, duration, k)`` for a walk of k intervals.
 
-
-def _stacked(run):
-    """The events and the duration of a run of like timelines.
-
-    Each event's value is stacked along the run into a (k,) array, or
-    kept as the scalar when every timeline has it bit for bit (so -0.0
-    and 0.0 are not shared); the durations are each timeline's own.
+    A timeline is one float row: its event values, then ``Timeline.duration``
+    (a sum of the wait columns need not have its bits).  An event column is
+    the scalar when every row has its bits (-0.0 and 0.0 differ), else a
+    (k,) array; the durations are always the (k,) column.
     """
-    if len(run) == 1:
-        return run[0].events, run[0].duration
-    events = []
-    for column in zip(*(t.events for t in run)):
-        first = column[0]
-        wait = isinstance(first, Wait)
-        values = np.array([e.duration if wait else e.area for e in column])
-        bits = values.view(np.int64)
-        if (bits == bits[0]).all():
-            events.append(first)
-        else:
-            events.append(Wait(values) if wait else Pulse(first.frame, values))
-    return tuple(events), np.array([t.duration for t in run], dtype=float)
+    width = len(kinds) + 1
+    rows = itertools.chain.from_iterable(
+        [*(e.duration if kind is Wait else e.area for e, kind in zip(t.events, kinds)), t.duration] for t in timelines
+    )
+    while (table := np.fromiter(itertools.islice(rows, cap * width), float)).size:
+        *columns, duration = table.reshape(-1, width).T
+        events = []
+        for kind, column in zip(kinds, columns):
+            bits = column.view(np.int64)
+            value = column[0] if (bits == bits[0]).all() else column
+            events.append(Wait(value) if kind is Wait else Pulse(kind, value))
+        yield tuple(events), duration, len(duration)
 
 
 def run_trials(
@@ -232,9 +225,9 @@ def run_trials(
     time.  Each trial consumes an independent child stream of
     noise.seed, in the draw order the module docstring gives.
 
-    Timelines are built run by run, never all at once.  A builder error
-    is raised when its interval is built, which can be before an engine
-    error of an earlier interval of the same run or of the run before.
+    Timelines are built as the walks read them, never held.  A builder
+    error is raised when its interval is built, which can be before an
+    engine error of an earlier interval of the same run or the run before.
     """
     if isinstance(trials, bool) or int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -247,42 +240,46 @@ def run_trials(
     rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(noise.seed).spawn(trials)]
     sigma, atoms = noise.phase_jitter_sigma, noise.atom_count
     samples = np.empty((trials, intervals.shape[0]))
-    j, jitter = 0, sigma > 0.0
-    for kinds, run in _runs(builder, intervals, max(1, _BLOCK_STATES // trials)):
+    # the shot phases go on a private copy, unchecked: every draw lies in [0, 2*pi) already
+    j, jitter, shot_frames = 0, sigma > 0.0, replace(frames)
+    for kinds, timelines in itertools.groupby(map(builder, map(float, intervals)), _kinds):
         draw_phi = bool(randomize_phi) and Frame.S in kinds
-        # a binomial after a shot phase or a jitter needs the walk's result before the stream's next draw
-        step = 1 if atoms is not None and (draw_phi or jitter) else len(run)
-        phis, jitters = np.empty((trials, step)), np.empty((trials, step))
-        for start in range(0, len(run), step):
-            events, duration = _stacked(run[start : start + step])
-            if step > 1 and draw_phi != jitter:
-                # one kind of draw for the whole run: one call per stream
+        walk_frames = shot_frames if draw_phi else frames
+        if atoms is not None and (draw_phi or jitter):
+            # a binomial after a shot phase or a jitter needs the walk's result before the stream's next draw
+            walks = ((t.events, t.duration, 1) for t in timelines)
+        else:
+            walks = _stacked(kinds, timelines, max(1, _BLOCK_STATES // trials))
+        for events, duration, k in walks:
+            phis, jitters = np.empty((trials, k)), np.empty((trials, k))
+            if k > 1 and draw_phi != jitter:
+                # one kind of draw for the whole walk: one call per stream
                 for i, rng in enumerate(rngs):
                     if draw_phi:
-                        phis[i] = 0.0 + TWO_PI * rng.random(step)
+                        phis[i] = 0.0 + TWO_PI * rng.random(k)
                     else:
-                        jitters[i] = 0.0 + sigma * rng.standard_normal(step)
+                        jitters[i] = 0.0 + sigma * rng.standard_normal(k)
             elif draw_phi or jitter:
                 # shot by shot, each stream's shot phase before its jitter: the streams are independent
-                for m in range(step):
+                for m in range(k):
                     if draw_phi:
                         phis[:, m] = [0.0 + TWO_PI * rng.random() for rng in rngs]
                     if jitter:
                         jitters[:, m] = [0.0 + sigma * rng.standard_normal() for rng in rngs]
-            shot_frames = replace(frames, phi_s=phis) if draw_phi else frames
-            xyz, time = _advance(events[:-1], shot_frames, _GROUND_XYZ, 0.0)
+            shot_frames.phi_s = phis
+            xyz, time = _advance(events[:-1], walk_frames, _GROUND_XYZ, 0.0)
             if jitter and events:
                 # the jitter is an extra precession just before the last event
                 xyz = _precess(*xyz, jitters)
-            z = _walk_z(events[-1:], shot_frames, xyz, time)
+            z = _walk_z(events[-1:], walk_frames, xyz, time)
             p = _damp_contrast(_checked_probability(z), duration, noise.contrast_decay_tau)
             if atoms is not None:
-                # one scalar draw per stream for one shot, else one call per stream for the run
-                rows = np.broadcast_to(p, (trials, step))
-                counts = [rng.binomial(atoms, q) for q, rng in zip(rows[:, 0].tolist() if step == 1 else rows, rngs)]
-                p = np.array(counts).reshape(trials, step) / float(atoms)
-            samples[:, j + start : j + start + step] = p
-        j += len(run)
+                # one scalar draw per stream for one shot, else one call per stream for the walk
+                rows = np.broadcast_to(p, (trials, k))
+                counts = [rng.binomial(atoms, q) for q, rng in zip(rows[:, 0].tolist() if k == 1 else rows, rngs)]
+                p = np.array(counts).reshape(trials, k) / float(atoms)
+            samples[:, j : j + k] = p
+            j += k
     return TrialStats(intervals=intervals, samples=samples)
 
 

@@ -303,9 +303,11 @@ def validate_scenario(scenario) -> None:
 
     if mode == "secure-choice" and "choice" not in scenario:
         raise ScenarioError("choice", "required in mode 'secure-choice'")
-    floor = protocol.SECRECY_MIN_PHI_SAMPLES
-    if mode == "secure-choice" and scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES) < floor:
-        raise ScenarioError("phi_samples", f"must be >= {floor} in mode 'secure-choice' (the secrecy check needs them)")
+    if mode == "secure-choice":
+        try:
+            protocol._secrecy_phi_samples(scenario.get("phi_samples", analysis.DEFAULT_PHI_SAMPLES))
+        except ValueError as err:
+            raise ScenarioError("phi_samples", f"{err} (mode 'secure-choice' runs the secrecy check)") from None
     if mode == "fit":
         fit = scenario.get("fit")
         if fit is None:

@@ -32,6 +32,19 @@ TIMING_RTOL = 1e-9
 SECRECY_MIN_PHI_SAMPLES = 16
 
 
+def _secrecy_phi_samples(phi_samples) -> int:
+    """``phi_samples`` as an int, checked to make a phi grid :func:`secrecy_check` can read.
+
+    The yes and no readouts differ by a shot-phase shift of pi/2, so
+    their sample sets agree only on a grid closed under that shift: a
+    multiple of 4 phases, and at least ``SECRECY_MIN_PHI_SAMPLES``.
+    """
+    n = _count("phi_samples", phi_samples, SECRECY_MIN_PHI_SAMPLES)
+    if n % 4:
+        raise ValueError(f"phi_samples must be a multiple of 4, got {n}: only such a phi grid is closed under a pi/2 shift")
+    return n
+
+
 class Choice:
     """The two storable answers."""
 
@@ -280,9 +293,12 @@ def secrecy_check(config: ProtocolConfig, phi_samples: int = DEFAULT_PHI_SAMPLES
     pi scramble pulse makes the two sample sets identical on the
     shift-closed uniform grid, so the gap vanishes (up to rounding).
     Detuned scramble areas generally leave a detectable gap.  The grid
-    needs at least ``SECRECY_MIN_PHI_SAMPLES`` phases.
+    needs at least ``SECRECY_MIN_PHI_SAMPLES`` phases and a multiple of
+    4 of them: the yes and no readouts differ by a pi/2 shift of the
+    shot phase, and on any other grid even a pi scramble shows a gap
+    (0.17 at 18 phases).  Other counts raise ValueError.
     """
-    frames = replace(config.frames, phi_s=phi_grid(_count("phi_samples", phi_samples, SECRECY_MIN_PHI_SAMPLES)))
+    frames = replace(config.frames, phi_s=phi_grid(_secrecy_phi_samples(phi_samples)))
     writes = np.array([[encode_choice(Choice.YES)], [encode_choice(Choice.NO)]])  # one row per choice
     timeline = Timeline((Pulse.wri(writes), Wait(config.t1), Pulse.sri(config.scramble_area), Pulse.wri(config.read_area)))
     yes, no = np.sort(_checked_probability(_walk_z(timeline, frames, _GROUND_XYZ)), axis=-1)

@@ -1,16 +1,19 @@
 """Noise channels, trial ensembles, damped-sinusoid fitting."""
 
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import SCENARIOS, VARIANTS, _variant
 
 from scramsey import _trf, expsim
 from scramsey.analysis import normal_flop
-from scramsey.bloch import TWO_PI, excitation_probability, precess
+from scramsey.bloch import TWO_PI, excitation_probability, precess, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import (
     FitResult,
@@ -371,10 +374,77 @@ def test_only_a_binomial_after_a_draw_walks_interval_by_interval(noise, randomiz
 
 def test_a_run_shares_a_value_only_when_every_interval_has_its_bits():
     run = [Timeline((Wait(0.0), Pulse.wri(1.0))), Timeline((Wait(-0.0), Pulse.wri(1.0)))]
-    (wait, read), duration = expsim._stacked(run)
-    assert read is run[0].events[1]
+    [((wait, read), duration, k)] = expsim._stacked((Wait, Frame.W), iter(run), 2)
+    assert k == 2 and np.ndim(read.area) == 0 and float(read.area).hex() == (1.0).hex()
     assert np.array_equal(np.signbit(wait.duration), [False, True])
     assert np.array_equal(duration, [0.0, 0.0])
+
+
+# (kind, value, constant): a value of "interval" grows with the interval, "signed_zero" is 0.0 or -0.0 by interval
+EVENTS = st.tuples(
+    st.sampled_from(["W", "S", "wait"]),
+    st.sampled_from(["constant", "interval", "signed_zero"]),
+    st.sampled_from([0.0, -0.0, 0.4, 1.3, np.pi]),
+)
+
+
+def _event(kind, value, constant, interval, negative_zero):
+    if value == "interval":
+        constant = interval if kind == "wait" else 2.1 + 300.0 * interval
+    elif value == "signed_zero":
+        constant = -0.0 if negative_zero else 0.0
+    return Wait(constant) if kind == "wait" else Pulse(Frame.W if kind == "W" else Frame.S, constant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    templates=st.lists(st.lists(EVENTS, max_size=5), min_size=1, max_size=3),
+    noise=st.sampled_from(sorted(REFERENCE_NOISE)),
+    trials=st.integers(1, 4),
+    randomize_phi=st.booleans(),
+    budget=st.sampled_from([None, 2, 5, 8]),
+    data=st.data(),
+)
+def test_property_run_trials_equals_the_per_shot_reference(templates, noise, trials, randomize_phi, budget, data):
+    # timelines of one to three kinds, picked interval by interval, so kinds change mid-grid, with empty ones
+    # and signed zeros among them; a small block budget makes the run cap split runs
+    count = data.draw(st.integers(1, 12), label="count")
+    picks = data.draw(st.lists(st.integers(0, len(templates) - 1), min_size=count, max_size=count), label="picks")
+    signs = data.draw(st.lists(st.booleans(), min_size=count, max_size=count), label="signs")
+    grid = np.linspace(0.0, 2 * PERIOD, count)
+    shots = {
+        float(T): Timeline(tuple(_event(*e, float(T), negative) for e in templates[pick]))
+        for T, pick, negative in zip(grid, picks, signs)
+    }
+    frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
+    model = NoiseModel(seed=7, **REFERENCE_NOISE[noise])
+    with mock.patch.object(expsim, "_BLOCK_STATES", budget or expsim._BLOCK_STATES):
+        stats = run_trials(shots.__getitem__, frames, model, trials, grid, randomize_phi)
+    assert np.array_equal(stats.samples, _per_shot_reference(shots.__getitem__, frames, model, trials, grid, randomize_phi))
+
+
+def test_wrap_angle_maps_every_drawn_shot_phase_to_itself():
+    # run_trials sets its drawn shot phases on its frames without the wrap a FrameSet applies: it must be the identity
+    phis = 0.0 + TWO_PI * np.random.default_rng(5).random(1 << 20)
+    phis = np.concatenate([phis, [0.0, TWO_PI * np.nextafter(1.0, 0.0)]])
+    assert phis.max() < TWO_PI
+    assert np.array_equal(wrap_angle(phis).view(np.int64), phis.view(np.int64))
+    assert np.array_equal(FrameSet(1.0, 1.0, phis).phi_s.view(np.int64), phis.view(np.int64))
+    assert all(wrap_angle(phi).hex() == phi.hex() for phi in phis[-2:].tolist())
+
+
+@pytest.mark.parametrize("trials, noise", [(1, {}), (4, {"contrast_decay_tau": 0.05})], ids=["one_trial", "four_decay"])
+def test_a_long_grid_holds_one_row_per_interval_not_its_timelines(trials, noise):
+    # 65 536 intervals in runs of 16 384 // trials: a run's timelines alone would be ~18 MB at one trial
+    grid, model = np.linspace(0.0, 0.02, 65536), NoiseModel(seed=1, **noise)
+    run_trials(ramsey, None, model, trials, grid[:64])  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_trials(ramsey, None, model, trials, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, peak
 
 
 def test_run_trials_calls_the_builder_once_per_interval():

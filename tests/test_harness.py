@@ -93,6 +93,8 @@ def test_structural_rejection(scenario, field):
         (_scenario(mode="retrieved", timing={"t2_s": 1e-3, "store_halfturns_m": 1}), "timing"),
         (_scenario(mode="secure-choice", timing={"t3_s": 0.0, "read_turns_k": 1}), "timing"),
         ({"version": 1, "mode": "secure-choice"}, "choice"),
+        (_scenario(mode="secure-choice", choice="yes", phi_samples=18), "phi_samples"),
+        (_scenario(mode="secure-choice", choice="yes", phi_samples=257), "phi_samples"),
         ({"version": 1, "mode": "fit"}, "fit"),
         (_scenario(mode="fit", fit={"x_column": "a"}), "fit"),
         (
@@ -882,6 +884,9 @@ HOSTILE = [
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"read_turns_k": 10**310}}, "timing.read_turns_k"),
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "timing": {"read_turns_k": 10**308}}, "timing"),
     ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 8}, "phi_samples"),
+    # a grid that is not a multiple of 4 is not closed under the pi/2 shift between yes and no: a perfect
+    # scramble would read a secrecy gap of 0.17 at 18 phases
+    ("secure-choice", {"mode": "secure-choice", "choice": "yes", "phi_samples": 18}, "phi_samples"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 10**310], "y": [0, 1, 0, 1, 0, 1]}}}, "fit.data.x"),
     ("flop", {"trials": {"count": 2}, "intervals": {"count": 3}, "noise": {"atom_count": 10**20}}, "noise.atom_count"),
     *[("flop", {"intervals": grid}, "intervals") for grid in NARROW_GRIDS],
@@ -904,6 +909,15 @@ def test_cli_hostile_values_are_exit_2(tmp_path, capsys, command, overrides, fie
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {field}: ")
     assert err.count("\n") == 1
+
+
+def test_a_secure_choice_phi_grid_that_is_not_a_multiple_of_4_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"version": 1, "mode": "secure-choice", "choice": "yes", "phi_samples": 18}), encoding="utf-8")
+    assert main(["secure-choice", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: phi_samples: phi_samples must be a multiple of 4, got 18")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, mode", [("flop", "normal"), ("ambiguity", "ambiguity-sweep"), ("optimize", "optimize")])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scramsey import protocol
 from scramsey.analysis import phi_grid
-from scramsey.bloch import _GROUND_XYZ, _checked_probability, excitation_probability
+from scramsey.bloch import _GROUND_XYZ, TWO_PI, _checked_probability, excitation_probability
 from scramsey.errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -468,3 +468,100 @@ def test_secrecy_negative_control():
 def test_secrecy_check_rejects_tiny_grid():
     with pytest.raises(ValueError):
         secrecy_check(default_config(), phi_samples=8)
+
+
+@pytest.mark.parametrize("phi_samples", [17, 18, 30, 257])
+def test_secrecy_check_rejects_a_grid_that_is_not_a_multiple_of_4(phi_samples):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        secrecy_check(default_config(), phi_samples)
+
+
+@pytest.mark.parametrize("phi_samples", [16, 20, 64, 256])
+def test_a_pi_scramble_shows_no_gap_on_every_grid_the_check_accepts(phi_samples):
+    assert secrecy_check(default_config(), phi_samples) < 1e-12
+
+
+# ------------------------------------------- secrecy against a stronger reader
+#
+# The yes and no writes (pi/2 and 3*pi/2 about +x) leave the ground state on
+# the equator, pi apart in azimuth, and the t1 hold turns both alike.  A pi
+# scramble about the axis at azimuth eta = (delta_w - delta_s) * t1 + phi_s
+# sends an equatorial azimuth theta to 2 * eta - theta, so the no state at
+# phi_s is the yes state at phi_s - pi/2.  On a phi grid closed under a pi/2
+# shift (a multiple of 4 phases) the two sets of scrambled states are equal,
+# and whatever a reader then does without phi_s (a hold, a W pulse of any
+# area) maps equal sets to equal sets: the sorted readouts agree.
+
+READ_AREAS = np.linspace(0.0, np.pi, 9)
+READ_DELAY_TURNS = np.linspace(0.0, 1.0, 9)  # hold delays over [0, 2*pi/delta_w]
+SECRECY_FRAMES = [default_frames(), FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0)]
+
+
+def _reader_gaps(readouts):
+    """Largest |sorted yes - sorted no| over the phi axis (last), for each reader; axis 0 holds yes, no."""
+    yes, no = np.sort(readouts, axis=-1)
+    return np.abs(yes - no).max(axis=-1)
+
+
+def _engine_readouts(frames, t1, scramble_area, phi_samples):
+    """P_e of yes and no for every (read area, hold delay, phi_s), shape (2, areas, delays, phi), through the engine."""
+    writes = np.array([encode_choice(Choice.YES), encode_choice(Choice.NO)])[:, None, None, None]
+    delays = (READ_DELAY_TURNS * TWO_PI / frames.delta_w)[:, None]
+    timeline = Timeline(
+        (Pulse.wri(writes), Wait(t1), Pulse.sri(scramble_area), Wait(delays), Pulse.wri(READ_AREAS[:, None, None]))
+    )
+    shots = FrameSet(frames.delta_w, frames.delta_s, phi_grid(phi_samples))
+    return excitation_probability(simulate(timeline, shots))
+
+
+def _rodrigues(axis, angle):
+    """Right-hand rotation matrices about the unit ``axis`` (..., 3) by ``angle`` (...): I + sin K + (1 - cos) K^2."""
+    kx, ky, kz = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
+    zero = np.zeros_like(kx)
+    k = np.stack([np.stack([zero, -kz, ky], -1), np.stack([kz, zero, -kx], -1), np.stack([-ky, kx, zero], -1)], -2)
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _rodrigues_readouts(frames, t1, scramble_area, phi_samples):
+    """The same readouts as :func:`_engine_readouts`, from 3x3 rotation matrices applied in order."""
+    phis = phi_grid(phi_samples)
+    x_axis, z_axis = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    eta = (frames.delta_w - frames.delta_s) * t1 + phis
+    scramble = _rodrigues(np.stack([np.cos(eta), np.sin(eta), np.zeros_like(eta)], -1), scramble_area)
+    out = np.empty((2, READ_AREAS.size, READ_DELAY_TURNS.size, phi_samples))
+    for c, choice in enumerate(Choice.ALL):
+        stored = scramble @ _rodrigues(z_axis, frames.delta_w * t1) @ _rodrigues(x_axis, encode_choice(choice)) @ z_axis
+        for a, area in enumerate(READ_AREAS):
+            for d, turns in enumerate(READ_DELAY_TURNS):
+                # a delay of whole turns precesses by 2*pi * turns
+                read = _rodrigues(x_axis, area) @ _rodrigues(z_axis, TWO_PI * turns)
+                out[c, a, d] = (1.0 - (stored @ read.T)[:, 2]) / 2.0
+    return out
+
+
+@pytest.mark.parametrize("frames", SECRECY_FRAMES, ids=["reference", "detuned"])
+def test_a_pi_scramble_hides_the_choice_from_every_read_area_and_hold(frames):
+    config = default_config()
+    gaps = _reader_gaps(_engine_readouts(frames, config.t1, np.pi, 64))
+    assert gaps.shape == (READ_AREAS.size, READ_DELAY_TURNS.size)
+    assert gaps.max() <= 1e-12
+
+
+@pytest.mark.parametrize("frames", SECRECY_FRAMES, ids=["reference", "detuned"])
+def test_an_off_pi_scramble_leaks_what_the_rotation_matrices_predict(frames):
+    config = default_config()
+    engine = _engine_readouts(frames, config.t1, 0.8 * np.pi, 64)
+    matrices = _rodrigues_readouts(frames, config.t1, 0.8 * np.pi, 64)
+    assert np.allclose(engine, matrices, rtol=0.0, atol=1e-12)
+    leak = _reader_gaps(matrices)
+    assert np.allclose(_reader_gaps(engine), leak, rtol=0.0, atol=1e-12)
+    # a read area of 0 or pi sees only +-z, which the scramble leaves alike for both choices; a pi/8 one sees a leak
+    assert leak[[0, -1]].max() <= 1e-12 and leak.max() > 0.25
+
+
+def test_a_grid_that_is_not_a_multiple_of_4_would_read_a_leak_that_is_not_there():
+    # the readouts the secrecy check sorts, on the 18-phase grid it now rejects
+    config = default_config()
+    gaps = _reader_gaps(_engine_readouts(config.frames, config.t1, np.pi, 18))
+    assert gaps[4, 0] > 0.1  # read area pi/2, no hold: the check's own reader
