@@ -11,9 +11,11 @@ Minimization Problems", SIAM J. Sci. Comput. 21(1); the subproblem is
 solved as in Moré (1978), "The Levenberg-Marquardt algorithm:
 implementation and theory".
 
-It returns scipy's ``x``, ``fun`` and ``status`` bit for bit: every
-numpy call, operand order and array layout follows scipy's code, and
-the tests compare the two on a corpus of fits.  Left out are the
+It returns scipy's ``x``, ``fun`` and ``status`` bit for bit: the
+arithmetic, operand order and array layouts follow scipy's code, and
+the tests compare the two on a corpus of fits.  Where scipy calls a
+Python wrapper of numpy's (``norm``, ``np.all``, ``np.diag``, ``np.tile``,
+``ones_like``, ...), this port calls what that wrapper calls.  Left out are the
 multiplications by the unit scale, which are exact, and the branches an
 infinite upper bound never takes.  Two layouts matter: the
 Jacobian is F-ordered, as scipy's finite differences build it, and the
@@ -33,12 +35,16 @@ from __future__ import annotations
 from math import copysign
 
 import numpy as np
-from numpy.linalg import norm
 
 EPS = np.finfo(float).eps
 
 #: Relative forward-difference step of the Jacobian.
 _DIFF_STEP = EPS**0.5
+
+
+def norm(x):
+    """``numpy.linalg.norm(x)`` of a contiguous 1-D float array: its own ``sqrt(x.dot(x))``, without its argument handling."""
+    return np.sqrt(x.dot(x))
 
 
 def least_squares(fun, x0, lower, ftol: float, xtol: float, gtol: float, max_nfev: int | None = None):
@@ -56,11 +62,11 @@ def least_squares(fun, x0, lower, ftol: float, xtol: float, gtol: float, max_nfe
         raise ValueError("`max_nfev` must be None or positive integer.")
     x0 = np.atleast_1d(x0).astype(float)
     lb = np.asarray(lower, dtype=float)
-    if not np.all(x0 >= lb):
+    if not (x0 >= lb).all():
         raise ValueError("Initial guess is outside of provided bounds")
     x0 = _strictly_feasible(x0, lb, 1e-10)
     f0 = fun(x0)
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise ValueError("Residuals are not finite in the initial point.")
     return _trf_bounds(fun, x0, f0, _jacobian(fun, x0, f0, lb), lb, ftol, xtol, gtol, max_nfev)
 
@@ -72,8 +78,8 @@ def _jacobian(fun, x0, f0, lb):
     # with no finite upper bound the step always fits on one side of x0
     h[x0 + h < lb] *= -1
     # row i is x0 with its i-th value stepped; one call evaluates every row
-    x1 = np.tile(x0, (x0.size, 1))
-    np.fill_diagonal(x1, x0 + h)
+    x1 = x0[None].repeat(x0.size, 0)
+    x1.reshape(-1)[:: x0.size + 1] = x0 + h
     J_transposed = (fun(x1) - f0) / ((x0 + h) - x0)[:, None]
     return J_transposed.T
 
@@ -93,7 +99,8 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
         Delta = 1.0
 
     f_augmented = np.zeros(m + n)
-    J_augmented = np.empty((m + n, n))
+    J_augmented = np.zeros((m + n, n))
+    diag_augmented = J_augmented[m:].reshape(-1)[:: n + 1]  # the lower n rows are diagonal
     if max_nfev is None:
         max_nfev = x0.size * 100
     alpha = 0.0  # Levenberg-Marquardt parameter
@@ -101,7 +108,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
 
     while True:
         v, dv = _scaling_vector(x, g, lb)
-        g_norm = norm(g * v, ord=np.inf)
+        g_norm = abs(g * v).max()  # numpy.linalg.norm's arithmetic for ord=inf
         if g_norm < gtol:
             termination_status = 1
         if termination_status is not None or nfev == max_nfev:
@@ -115,7 +122,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
         f_augmented[:m] = f
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h**0.5)
+        diag_augmented[:] = diag_h**0.5
         U, s, V = _svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)
@@ -134,7 +141,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
             nfev += 1
 
             step_h_norm = norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            if not np.isfinite(f_new).all():
                 Delta = 0.25 * step_h_norm
                 continue
 
@@ -173,14 +180,14 @@ def _svd(a):
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
     """The best of the trust-region step, its reflection off the first bound hit, and the Cauchy step."""
-    if np.all(x + p >= lb):
+    if (x + p >= lb).all():
         p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
         return p, p_h, -p_value
 
     p_stride, hits = _step_size_to_bound(x, p, lb)
 
     # the reflected direction
-    r_h = np.copy(p_h)
+    r_h = p_h.copy()
     r_h[hits.astype(bool)] *= -1
     r = d * r_h
 
@@ -247,7 +254,7 @@ def _phi_and_derivative(alpha, suf, s, Delta):
     denom = s**2 + alpha
     p_norm = norm(suf / denom)
     phi = p_norm - Delta
-    phi_prime = -np.sum(suf**2 / denom**3) / p_norm
+    phi_prime = -(suf**2 / denom**3).sum() / p_norm
     return phi, phi_prime
 
 
@@ -375,7 +382,7 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
             t.append(extremum)
     t = np.asarray(t)
     y = t * (a * t + b) + c
-    min_index = np.argmin(y)
+    min_index = y.argmin()
     return t[min_index], y[min_index]
 
 
@@ -390,13 +397,13 @@ def _evaluate_quadratic(J, g, s, diag):
 
 def _step_size_to_bound(x, s, lb):
     """The smallest t >= 0 that puts ``x + s*t`` on a bound, and which bounds it hits (-1 lower, 1 upper)."""
-    non_zero = np.nonzero(s)
+    non_zero = s.nonzero()
     s_non_zero = s[non_zero]
     steps = np.empty_like(x)
     steps.fill(np.inf)
     with np.errstate(over="ignore"):
         steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero, (np.inf - x)[non_zero] / s_non_zero)
-    min_step = np.min(steps)
+    min_step = steps.min()
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 
 
@@ -416,12 +423,8 @@ def _strictly_feasible(x, lb, rstep):
 def _scaling_vector(x, g, lb):
     """The Coleman-Li scaling vector v and its derivative dv: the distance to the lower bound the gradient points
     away from, else 1."""
-    v = np.ones_like(x)
-    dv = np.zeros_like(x)
     mask = (g > 0) & np.isfinite(lb)
-    v[mask] = x[mask] - lb[mask]
-    dv[mask] = 1
-    return v, dv
+    return np.where(mask, x - lb, 1.0), mask.astype(float)
 
 
 def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):

@@ -28,9 +28,15 @@ pulse's ``x`` and ``y`` are never computed.  The grid scans need less
 still for the W read (azimuth 0) that ends every fringe, right after its
 wait: ``_precess_rotate_x_z`` takes the wait's ``y`` alone and the read's
 ``z`` from ``y`` and ``z``, written into a block of the scan's output.
+
+Scalar inputs stay Python floats through the cores, which take the
+cosine and sine of a finite float from :mod:`math` (numpy's bits on every
+value the tests sample), so a scalar walk never pays numpy's per-call cost.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,7 +52,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def _freeze(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only float view of ``a``: a float array's own memory, which its owner can still write."""
+    a = np.asarray(a, dtype=float).view()
     a.setflags(write=False)
     return a
 
@@ -54,8 +61,8 @@ def _freeze(a) -> np.ndarray:
 GROUND = _freeze([0.0, 0.0, 1.0])
 EXCITED = _freeze([0.0, 0.0, -1.0])
 
-#: GROUND as a component triple of scalars, the start of every shot.
-_GROUND_XYZ = tuple(GROUND)
+#: GROUND as a component triple of Python floats, the start of every shot.
+_GROUND_XYZ = tuple(GROUND.tolist())
 
 
 def wrap_angle(angle):
@@ -170,8 +177,8 @@ def _rotate(x, y, z, axis_azimuth, angle, z_only=False):
     With ``z_only`` it returns the rotated ``z`` alone, the same array the
     triple would hold, and never computes ``x`` or ``y``.
     """
-    ax, ay = np.cos(axis_azimuth), np.sin(axis_azimuth)
-    ct, st = np.cos(angle), np.sin(angle)
+    ax, ay = _cos_sin(axis_azimuth)
+    ct, st = _cos_sin(angle)
     rz = z * ct + (ax * y - ay * x) * st
     if z_only:
         return rz
@@ -203,8 +210,15 @@ def precess(state, phase):
 
 def _precess(x, y, z, phase):
     """Unchecked core of :func:`precess` on the components; returns the precessed triple, ``z`` as it was."""
-    cb, sb = np.cos(phase), np.sin(phase)
+    cb, sb = _cos_sin(phase)
     return x * cb - y * sb, x * sb + y * cb, z
+
+
+def _cos_sin(angle):
+    """``(cos, sin)`` of ``angle``: math's for a finite float (numpy's bits), else numpy's, whose NaN math would raise."""
+    if isinstance(angle, float) and math.isfinite(angle):
+        return math.cos(angle), math.sin(angle)
+    return np.cos(angle), np.sin(angle)
 
 
 def _precess_rotate_x_z(x, y, z, cb, sb, angle, out):

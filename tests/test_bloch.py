@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,14 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from scramsey.bloch import (
+    _GROUND_XYZ,
     EXCITED,
     GROUND,
+    TWO_PI,
     Z_TOL,
     _checked_probability,
+    _precess,
+    _rotate,
     excitation_probability,
     precess,
     rotate_inplane,
@@ -232,3 +238,42 @@ def test_property_pi_rotation_reflects_equatorial_azimuth(a, axis):
     out = rotate_inplane(v, axis, np.pi)
     want = np.array([np.cos(2 * axis - a), np.sin(2 * axis - a), 0.0])
     assert np.allclose(out, want, atol=1e-12)
+
+
+# ------------------------------------------------- scalar walks on floats
+
+# A scalar walk takes its cosines and sines from libm (math) and an array
+# walk from numpy, so a shot walked alone and a run walked on arrays give
+# the same bits only while the two agree on the values the cores see.
+
+
+def _trig_values():
+    rng = np.random.default_rng(2022)
+    tiny = [0.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308]
+    return {
+        # shot phases as run_trials draws them
+        "drawn phases": 0.0 + TWO_PI * rng.random(2**20),
+        "areas": np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 4097), rng.uniform(-4 * np.pi, 4 * np.pi, 2**16)]),
+        "wait phases": np.concatenate([np.geomspace(1e-12, 1e6, 4097), rng.uniform(0.0, 1e6, 2**16)]),
+        "signed zeros and subnormals": np.array(tiny + [-v for v in tiny]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_trig_values()))
+def test_math_cos_and_sin_equal_numpys_bit_for_bit(name):
+    values = _trig_values()[name]
+    for scalar, ufunc in ((math.cos, np.cos), (math.sin, np.sin)):
+        ours = np.fromiter(map(scalar, values.tolist()), float, values.size)
+        assert (ours.view(np.int64) == ufunc(values).view(np.int64)).all(), (name, ufunc.__name__)
+        # numpy on one scalar, as the cores called it before
+        assert all(scalar(v).hex() == float(ufunc(v)).hex() for v in values[:1024]), (name, ufunc.__name__)
+
+
+def test_scalar_walks_stay_python_floats():
+    # a slide back to numpy scalars would put numpy's per-call cost back into every shot
+    assert all(type(c) is float for c in _GROUND_XYZ)
+    xyz = _rotate(*_GROUND_XYZ, 0.3, np.pi / 2)
+    assert all(type(c) is float for c in xyz)
+    xyz = _precess(*xyz, 1.7)
+    assert all(type(c) is float for c in xyz)
+    assert type(_rotate(*xyz, np.float64(0.3), np.float64(np.pi), z_only=True)) is float

@@ -136,6 +136,20 @@ def test_apply_event_checks_only_an_s_pulse_fire_time(time):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_an_overflowed_scalar_phase_is_an_invalid_timeline():
+    # a scalar walk takes libm's cosine of a finite phase; an overflowed one must keep numpy's NaN (libm raises
+    # ValueError), so that the non-finite state, not the cosine, reports it
+    fr = FrameSet(delta_w=2 * np.pi * 110.0, delta_s=2 * np.pi * 100.0, phi_s=0.3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            simulate(Timeline((Pulse.wri(np.pi / 2), Wait(1e306), Pulse.sri(np.pi))), fr)
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            apply_event(np.array([0.6, 0.0, 0.8]), Wait(1e306), 0.0, fr)
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            # the S axis overflows at this fire time
+            apply_event(np.array([0.6, 0.0, 0.8]), Pulse.sri(np.pi), 1e307, fr)
+
+
 def test_s_pulse_axis_uses_accumulated_wait_time():
     fr = FrameSet(delta_w=2 * np.pi * 110.0, delta_s=2 * np.pi * 100.0, phi_s=0.3)
     tl = Timeline((Wait(0.025), Pulse.sri(1.1)))
