@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _precess_rotate_x_z, _rotate, _stack,
-    validate_state,
+    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _precess_rotate_x_z, _real, _rotate,
+    _stack, validate_state,
 )
 from .sequence import FrameSet, Pulse, _advance, _check_finite, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
 
@@ -48,10 +48,7 @@ _PLATEAU_TOL = 1e-9
 
 def default_intervals(delta_w: float, periods: float = DEFAULT_PERIODS, count: int = DEFAULT_INTERVAL_POINTS) -> np.ndarray:
     """Uniform interval grid covering ``periods`` fringe periods of delta_w."""
-    if not np.isfinite(delta_w) or delta_w <= 0.0:
-        raise ValueError(f"delta_w must be finite and positive, got {delta_w!r}")
-    if not np.isfinite(periods) or periods <= 0.0:
-        raise ValueError(f"periods must be finite and positive, got {periods!r}")
+    delta_w, periods = _real("delta_w", delta_w, 0.0, strict=True), _real("periods", periods, 0.0, strict=True)
     return np.linspace(0.0, periods * TWO_PI / delta_w, _count("count", count, 2))
 
 
@@ -75,13 +72,6 @@ def _as_intervals(intervals) -> np.ndarray:
 def _outside_unit(p: np.ndarray) -> bool:
     """Whether a value of ``p`` (NaN aside) lies more than P_TOL outside [0, 1]; makes no temporary the size of ``p``."""
     return bool(np.fmin.reduce(p, axis=None) < -P_TOL or np.fmax.reduce(p, axis=None) > 1.0 + P_TOL)
-
-
-def _as_area(area: float) -> float:
-    area = float(area)
-    if not np.isfinite(area):
-        raise ValueError("pulse area must be finite")
-    return area
 
 
 def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
@@ -271,7 +261,7 @@ class SDBV:
         if pts.shape != (phis.size, 3):
             raise ValueError(f"points shape {pts.shape} does not match phi grid {phis.shape}")
         object.__setattr__(self, "recorded", _freeze(rec))
-        object.__setattr__(self, "scramble_area", _as_area(self.scramble_area))
+        object.__setattr__(self, "scramble_area", _real("pulse area", self.scramble_area))
         object.__setattr__(self, "phis", _freeze(phis))
         object.__setattr__(self, "points", _freeze(pts))
 
@@ -298,7 +288,7 @@ class AmbiguityReport:
             raise ValueError("ranges must lie in [0, 1]")
         if float(self.ambiguity) != float(r.min()):
             raise ValueError("ambiguity must equal min(ranges)")
-        object.__setattr__(self, "scramble_area", _as_area(self.scramble_area))
+        object.__setattr__(self, "scramble_area", _real("pulse area", self.scramble_area))
         object.__setattr__(self, "intervals", _freeze(t))
         object.__setattr__(self, "ranges", _freeze(r))
         object.__setattr__(self, "ambiguity", float(self.ambiguity))
@@ -328,7 +318,7 @@ def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES)
     """
     rec = _recorded(recorded)
     phis = phi_grid(phi_samples)
-    points = _stack(_rotate(*_components(rec), phis, _as_area(scramble_area)))
+    points = _stack(_rotate(*_components(rec), phis, _real("pulse area", scramble_area)))
     return SDBV(rec, scramble_area, phis, points)
 
 
@@ -339,9 +329,7 @@ def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_sa
     W pi/2 pulse; the (x, z) pairs returned are what a fringe readout
     can distinguish.  Shape (phi_samples, 2).
     """
-    wait_phase = float(wait_phase)
-    if not np.isfinite(wait_phase):
-        raise ValueError("wait_phase must be finite")
+    wait_phase = _real("wait_phase", wait_phase)
     cloud = sdbv(recorded, scramble_area, phi_samples).points
     return np.column_stack(_rotate(*_precess(*_components(cloud), wait_phase), 0.0, np.pi / 2)[::2])  # x and z
 
@@ -354,7 +342,7 @@ def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frame
     """
     t = _as_intervals(intervals)
     phis = phi_grid(phi_samples)
-    area = _as_area(scramble_area)
+    area = _real("pulse area", scramble_area)
     fr = _phi_rows(frames, phis)
     *head, _, _ = build(area, 0.0).events
     p = _fringes((phis.size, 1, t.size), fr, head, t)  # the head's (P, 1) column by the intervals
@@ -409,7 +397,7 @@ def ambiguity_report(
     """
     rec = _recorded(recorded)
     t = _as_intervals(intervals)
-    area = _as_area(scramble_area)
+    area = _real("pulse area", scramble_area)
     ranges = _readout_ranges(rec, _phi_rows(frames, phi_grid(phi_samples)), area, t)[0]
     return AmbiguityReport(area, t, ranges, float(ranges.min()))
 
@@ -458,8 +446,7 @@ def optimize_scramble_area(
     optimum (degenerate when only the winning point qualifies).
     """
     rec = _recorded(recorded)
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    tolerance = _real("tolerance", tolerance, 0.0, strict=True)
     coarse_points = _count("coarse_points", coarse_points, 3)
 
     t = _as_intervals(intervals)

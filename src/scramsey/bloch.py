@@ -89,6 +89,29 @@ def _count(name: str, value, lowest: int) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``float(value)``, NaN for an integer beyond the float range, which ``float`` refuses with OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _real(name: str, value, lowest: float = -math.inf, strict: bool = False) -> float:
+    """``value`` as a float, checked to be finite and >= ``lowest`` (> it if ``strict``); the error names ``name``.
+
+    The real-valued twin of :func:`_count`, the one rule for every scalar
+    real input.  An integer beyond the float range fails it like any other
+    bad value.  ``strict`` is meant for ``lowest`` 0: the message says
+    "positive".
+    """
+    v = _float(value)
+    if not (math.isfinite(v) and (v > lowest if strict else v >= lowest)):
+        bound = "" if lowest == -math.inf else " and positive" if strict else f" and >= {lowest:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return v
+
+
 def _as_state(state) -> np.ndarray:
     v = np.asarray(state, dtype=float)
     if v.shape[-1:] != (3,):

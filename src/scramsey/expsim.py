@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _BLOCK_STATES, _as_intervals, _freeze
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _precess, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
@@ -57,6 +57,14 @@ def _atom_count(count) -> int:
     if int(count) != count or not 1 <= count <= _MAX_ATOMS:
         raise ValueError(f"atom_count must be an integer in [1, {_MAX_ATOMS}], got {count!r}")
     return int(count)
+
+
+def _decay_time(name: str, value) -> float:
+    """``value`` as a float, checked to be a positive 1/e decay time; inf is allowed and means no decay."""
+    tau = _float(value)
+    if not tau > 0.0:  # NaN fails the comparison too
+        raise ValueError(f"{name} must be positive (inf allowed), got {value!r}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -78,14 +86,8 @@ class NoiseModel:
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.atom_count is not None:
             object.__setattr__(self, "atom_count", _atom_count(self.atom_count))
-        tau = float(self.contrast_decay_tau)
-        if np.isnan(tau) or tau <= 0.0:
-            raise ValueError(f"contrast_decay_tau must be positive (inf allowed), got {self.contrast_decay_tau!r}")
-        object.__setattr__(self, "contrast_decay_tau", tau)
-        sigma = float(self.phase_jitter_sigma)
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise ValueError(f"phase_jitter_sigma must be finite and >= 0, got {self.phase_jitter_sigma!r}")
-        object.__setattr__(self, "phase_jitter_sigma", sigma)
+        object.__setattr__(self, "contrast_decay_tau", _decay_time("contrast_decay_tau", self.contrast_decay_tau))
+        object.__setattr__(self, "phase_jitter_sigma", _real("phase_jitter_sigma", self.phase_jitter_sigma, 0.0))
 
 
 def damp_contrast(p_e, hold_time, tau: float):
@@ -94,9 +96,7 @@ def damp_contrast(p_e, hold_time, tau: float):
     With tau = inf the input is returned unchanged (same object for
     arrays).  ``hold_time`` must be >= 0 (inf allowed: the result is 1/2).
     """
-    tau = float(tau)
-    if np.isnan(tau) or tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    tau = _decay_time("tau", tau)
     hold = np.asarray(hold_time, dtype=float)
     if not (hold >= 0.0).all():  # NaN fails the comparison too
         raise ValueError(f"hold_time must be >= 0 (inf allowed), got {hold_time!r}")

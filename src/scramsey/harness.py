@@ -17,11 +17,12 @@ dependency.  Three key tables (``_TOP_KEYS``,
 drive both validation (any other key is rejected) and resolution: every
 accepted section is converted to engine units once, in one place, and
 echoed in the report.  The CLI reads ``_TOP_KEYS`` to tell which modes
-take a seed, and ``TABLE_FORMATS`` for its format choices.  A JSON
-integer beyond int64 that the schema types as a number becomes a float
-before anything reads it.  A value that overflows once converted, or an
-interval grid the engine would refuse (in ``retrieved`` also once
-shifted by t1 + t2), is a scenario error, like a schema violation.
+take a seed, and ``TABLE_FORMATS`` for its format choices.  Validation
+bounds every JSON integer to the float range, and each engine entry
+takes ``float()`` of its real inputs, so an integer beyond int64 runs as
+its float.  A value that overflows once converted, or an interval grid
+the engine would refuse (in ``retrieved`` also once shifted by t1 + t2),
+is a scenario error, like a schema violation.
 
 Every run writes a ``report.json`` plus mode-specific data tables with
 fixed names into the output directory; tables are CSV by default or
@@ -391,25 +392,6 @@ def _grid_states(scenario: dict) -> int:
     return max(count * phis * areas, int(scenario.get("trials", {}).get("count", 0)) * count)
 
 
-def _numbers_as_floats(value, schema):
-    """``value`` with each JSON integer beyond int64 that ``schema`` types as a number, not an integer,
-    made a float.
-
-    numpy holds a larger integer only as an object array, which its ufuncs
-    refuse; validation has bounded every integer to the float range.
-    Smaller integers stay as given, and so does their echo in the report.
-    Arrays of numbers are read with ``dtype=float`` where they are used.
-    """
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        return {key: _numbers_as_floats(item, properties.get(key, {})) for key, item in value.items()}
-    types = schema.get("type", ())
-    types = [types] if isinstance(types, str) else types
-    if type(value) is int and "number" in types and "integer" not in types and abs(value) >= 2**63:
-        return float(value)
-    return value
-
-
 def _resolve(scenario: dict, base_dir) -> tuple:
     """Engine inputs of every section the scenario's mode accepts, and their echo.
 
@@ -419,7 +401,6 @@ def _resolve(scenario: dict, base_dir) -> tuple:
     """
     if (states := _grid_states(scenario)) > MAX_GRID_STATES:
         raise ScenarioError("grid", f"asks for {states} final states on one grid; at most {MAX_GRID_STATES} are allowed")
-    scenario = _numbers_as_floats(scenario, scenario_schema())
     mode, top = scenario["mode"], _TOP_KEYS[scenario["mode"]]
     timing_keys, timing = _TIMING_KEYS.get(mode, set()), scenario.get("timing", {})
     pulse_keys, pulses = _PULSE_KEYS.get(mode, set()), scenario.get("pulses", {})
@@ -436,7 +417,7 @@ def _resolve(scenario: dict, base_dir) -> tuple:
         cfg = scenario.get("intervals", {})
         count = int(cfg.get("count", analysis.DEFAULT_INTERVAL_POINTS))
         if "start_s" in cfg:
-            grid = _converted("intervals", np.linspace, cfg["start_s"], cfg["stop_s"], count)
+            grid = _converted("intervals", np.linspace, float(cfg["start_s"]), float(cfg["stop_s"]), count)
         else:
             periods = cfg.get("periods", analysis.DEFAULT_PERIODS)
             grid = _converted("intervals", analysis.default_intervals, r.frames.delta_w, periods, count)

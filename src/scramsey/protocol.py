@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import DEFAULT_PHI_SAMPLES, phi_grid
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _real, _wrap_centred
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -64,10 +64,7 @@ def _off_target(phase: float, target: float) -> bool:
 
 def _half_turns_delay(delta_name: str, delta: float, count_name: str, count: int) -> float:
     """Delay t with delta * t = (2 * count + 1) * pi; errors name the caller's arguments."""
-    delta = float(delta)
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ValueError(f"{delta_name} must be finite and positive, got {delta!r}")
-    return (2 * _count(count_name, count, 0) + 1) * np.pi / delta
+    return (2 * _count(count_name, count, 0) + 1) * np.pi / _real(delta_name, delta, 0.0, strict=True)
 
 
 def retrieve_delay(delta_s: float, m: int = 0) -> float:
@@ -90,10 +87,15 @@ def faithful_read_delay(delta_w: float, n: int = 0) -> float:
 
 
 def smallest_secure_k(frames: FrameSet, t1: float, t2: float) -> int:
-    """Smallest k >= 0 with 2*pi*k >= delta_w * (t1 + t2) (to tolerance)."""
-    phase = frames.delta_w * (float(t1) + float(t2))
-    if not np.isfinite(phase) or frames.delta_w <= 0.0:
-        raise ValueError("delta_w must be positive and timings finite")
+    """Smallest k >= 0 with 2*pi*k >= delta_w * (t1 + t2) (to tolerance).
+
+    Raises ValueError unless t1 and t2 are finite and >= 0, delta_w is
+    finite and positive and their phase does not overflow.
+    """
+    t1, t2 = _real("t1", t1, 0.0), _real("t2", t2, 0.0)
+    phase = _real("delta_w", frames.delta_w, 0.0, strict=True) * (t1 + t2)
+    if not math.isfinite(phase):
+        raise ValueError(f"delta_w * (t1 + t2) = {phase!r} rad overflows")
     return max(0, math.ceil((phase - _phase_tol(phase)) / TWO_PI))
 
 
@@ -104,15 +106,12 @@ def secure_read_delay(frames: FrameSet, t1: float, t2: float, k: int | None = No
     the recorded state at its original azimuth and the readout becomes
     deterministic.  ``k=None`` picks the smallest feasible turn count
     (see :func:`smallest_secure_k`); an explicit k whose phase budget is
-    already exceeded raises :class:`InfeasibleTimingError`.
+    already exceeded raises :class:`InfeasibleTimingError`.  The inputs
+    are checked as :func:`smallest_secure_k` checks them.
     """
-    t1, t2 = float(t1), float(t2)
-    if t1 < 0.0 or t2 < 0.0 or not np.isfinite(t1 + t2):
-        raise ValueError("t1 and t2 must be finite and >= 0")
-    phase = frames.delta_w * (t1 + t2)
-    if frames.delta_w <= 0.0:
-        raise ValueError(f"delta_w must be positive, got {frames.delta_w!r}")
-    k = smallest_secure_k(frames, t1, t2) if k is None else _count("k", k, 0)
+    smallest = smallest_secure_k(frames, t1, t2)
+    phase = frames.delta_w * (float(t1) + float(t2))
+    k = smallest if k is None else _count("k", k, 0)
     t3 = (TWO_PI * k - phase) / frames.delta_w
     if t3 < 0.0:
         if TWO_PI * k >= phase - _phase_tol(phase):
@@ -125,13 +124,6 @@ def secure_read_delay(frames: FrameSet, t1: float, t2: float, k: int | None = No
 
 #: The three delays of a secure-choice timeline: the hold, the store and the read delay.
 _DURATIONS = ("t1", "t2", "t3")
-
-
-def _duration_problem(name: str, value: float) -> str | None:
-    """Why ``value`` is no valid delay ``name``, or None when it is finite and >= 0."""
-    if not np.isfinite(value) or value < 0.0:
-        return f"{name} must be finite and >= 0, got {value!r}"
-    return None
 
 
 @dataclass
@@ -147,15 +139,9 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for name in _DURATIONS:
-            value = float(getattr(self, name))
-            if problem := _duration_problem(name, value):
-                raise ValueError(problem)
-            setattr(self, name, value)
+            setattr(self, name, _real(name, getattr(self, name), 0.0))
         for name in ("scramble_area", "read_area"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            setattr(self, name, value)
+            setattr(self, name, _real(name, getattr(self, name)))
 
 
 def default_config(t1: float = 5e-3, m: int = 0, k: int | None = None) -> ProtocolConfig:
@@ -192,8 +178,10 @@ def validate_secure_config(config: ProtocolConfig) -> None:
     then a phase off its target by more than TIMING_RTOL relative to it.
     """
     for name in _DURATIONS:
-        if problem := _duration_problem(name, float(getattr(config, name))):
-            raise ProtocolMisconfigurationError(problem)
+        try:
+            _real(name, getattr(config, name), 0.0)
+        except ValueError as err:
+            raise ProtocolMisconfigurationError(str(err)) from None
     if problem := store_phase_problem(config.frames.delta_s, config.t2):
         raise ProtocolMisconfigurationError(problem)
     total_phase = config.frames.delta_w * (config.t1 + config.t2 + config.t3)

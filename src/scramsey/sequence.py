@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import GROUND, _as_state, _components, _freeze, _precess, _rotate, _stack, validate_state, wrap_angle
+from .bloch import GROUND, _as_state, _components, _float, _freeze, _precess, _real, _rotate, _stack, validate_state, wrap_angle
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -56,11 +56,14 @@ class Frame(Enum):
 
 
 def _event_value(value, lowest: float):
-    """``value`` as a float (an array as a read-only float copy), and whether it is all finite and >= ``lowest``."""
+    """``value`` as a float (an array as a read-only float copy), and whether it is all finite and >= ``lowest``.
+
+    An integer beyond the float range is NaN here, so it fails the check.
+    """
     if isinstance(value, np.ndarray) and value.ndim:
         v = _freeze(np.array(value, dtype=float))
         return v, bool(np.isfinite(v).all() and (v >= lowest).all())
-    v = float(value)
+    v = _float(value)
     return v, math.isfinite(v) and v >= lowest
 
 
@@ -169,14 +172,15 @@ class FrameSet:
     phi_s: object = 0.0
 
     def __post_init__(self):
-        self.delta_w = float(self.delta_w)
-        self.delta_s = float(self.delta_s)
-        if not math.isfinite(self.delta_w) or not math.isfinite(self.delta_s):
-            raise ValueError("detunings must be finite")
-        phi = np.asarray(self.phi_s, dtype=float)
-        if not (math.isfinite(phi) if phi.ndim == 0 else np.isfinite(phi).all()):
+        self.delta_w = _real("delta_w", self.delta_w)
+        self.delta_s = _real("delta_s", self.delta_s)
+        phi = self.phi_s
+        if isinstance(phi, float) or not np.ndim(phi):  # a float skips np.ndim's cost
+            self.phi_s = wrap_angle(_real("phi_s", phi))
+        elif np.isfinite(phi := np.asarray(phi, dtype=float)).all():
+            self.phi_s = wrap_angle(phi)
+        else:
             raise ValueError("phi_s must be finite")
-        self.phi_s = wrap_angle(phi) if phi.ndim else wrap_angle(float(phi))
 
 
 def default_frames(phi_s: float = 0.0) -> FrameSet:
@@ -188,20 +192,12 @@ def _sri_axis(t, frames: FrameSet):
     return wrap_angle((frames.delta_w - frames.delta_s) * t + frames.phi_s)
 
 
-def _fire_time(t) -> float:
-    """``t`` as a float, checked to be a valid absolute fire time of an S pulse."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"pulse time must be finite and >= 0, got {t!r}")
-    return t
-
-
 def sri_axis_angle(t: float, frames: FrameSet):
     """Rotation-axis azimuth of an S pulse fired at absolute time ``t``.
 
     eta(t) = (delta_w - delta_s) * t + phi_s, reduced to [0, 2*pi).
     """
-    return _sri_axis(_fire_time(t), frames)
+    return _sri_axis(_real("pulse time", t, 0.0), frames)
 
 
 def _advance(events, frames: FrameSet, xyz, time):
@@ -262,7 +258,7 @@ def apply_event(state, event: Pulse | Wait, time: float, frames: FrameSet):
     """Apply one event to ``state`` at absolute time ``time``; an S pulse's time must be finite and >= 0."""
     timeline, xyz = Timeline((event,)), _components(_as_state(state))
     if isinstance(event, Pulse) and event.frame is Frame.S:
-        time = _fire_time(time)
+        time = _real("pulse time", time, 0.0)
     return _stack(_walk(timeline, frames, xyz, time))
 
 

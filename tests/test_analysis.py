@@ -51,6 +51,23 @@ def test_default_intervals_cover_two_periods():
         default_intervals(DELTA_W_REF, count=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda periods: default_intervals(2 * np.pi * 100, periods, 3),
+        lambda tolerance: optimize_scramble_area(EXCITED, np.linspace(0, 0.01, 5), 8, tolerance=tolerance),
+    ],
+    ids=["default_intervals-periods", "optimize_scramble_area-tolerance"],
+)
+def test_an_integer_beyond_int64_runs_as_its_float(call):
+    # numpy refuses such an integer in np.isfinite; each entry reads float() of it first
+    got, want = call(10**20), call(1e20)
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
 def test_phi_grid_values():
     assert np.allclose(phi_grid(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     with pytest.raises(ValueError):

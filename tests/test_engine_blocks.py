@@ -31,8 +31,8 @@ from scramsey.analysis import (
 )
 from scramsey.bloch import GROUND, Z_TOL, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
-from scramsey.expsim import TrialStats, fit_damped_sinusoid
-from scramsey.protocol import ProtocolConfig
+from scramsey.expsim import NoiseModel, TrialStats, damp_contrast, fit_damped_sinusoid
+from scramsey.protocol import ProtocolConfig, retrieve_delay, smallest_secure_k
 from scramsey.sequence import (
     Frame,
     FrameSet,
@@ -212,6 +212,16 @@ def test_public_entry_points_still_reject_non_finite_input(call):
         (lambda: TrialStats([0.0, 1e-3], [[0.5, np.nan]]), "samples must be finite"),
         (lambda: fit_damped_sinusoid(np.zeros((6, 2)), np.zeros((6, 2))), "x and y must be 1-D arrays"),
         (lambda: ProtocolConfig(default_frames(), 0.0, 0.0, 0.0, read_area=np.inf), "read_area must be finite"),
+        # integers beyond the float range, which float() refuses with OverflowError, not a ValueError
+        (lambda: retrieve_delay(10**400), "^delta_s must be finite and positive, got 1000"),
+        (lambda: NoiseModel(phase_jitter_sigma=10**400), "^phase_jitter_sigma must be finite and >= 0, got 1000"),
+        (lambda: FrameSet(10**400, 1.0), "^delta_w must be finite, got 1000"),
+        (lambda: ProtocolConfig(default_frames(), 10**400, 0.0, 0.0), "^t1 must be finite and >= 0, got 1000"),
+        # a negative delay has no smallest secure turn count
+        (lambda: smallest_secure_k(default_frames(), -1.0, 0.0), r"^t1 must be finite and >= 0, got -1\.0$"),
+        (lambda: smallest_secure_k(default_frames(), 0.0, -1.0), r"^t2 must be finite and >= 0, got -1\.0$"),
+        # one decay-time rule for the noise model and the damping
+        (lambda: damp_contrast(0.5, 0.0, np.nan), r"^tau must be positive \(inf allowed\), got nan$"),
     ],
 )
 def test_public_entry_points_reject_bad_grids_areas_and_samples(call, message):

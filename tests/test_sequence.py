@@ -57,6 +57,21 @@ def test_pulse_rejects_bad_inputs():
         Pulse(Frame.W, np.inf)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Wait(10**400), "wait duration must be finite and >= 0, got 1000"),
+        (lambda: Pulse.wri(10**400), "pulse area must be finite"),
+        (lambda: Pulse.sri(-(10**400)), "pulse area must be finite"),
+    ],
+    ids=["wait", "wri", "sri"],
+)
+def test_an_event_value_beyond_the_float_range_is_an_invalid_timeline(build, message):
+    # float() refuses such an integer with OverflowError, which is not a ValueError
+    with pytest.raises(InvalidTimelineError, match=f"^{message}"):
+        build()
+
+
 def test_array_events_compare_and_hash_by_value():
     a = np.array([1e-3, 2e-3])
     assert Wait(a) == Wait(a.copy())
