@@ -112,8 +112,29 @@ def _read_z(xyz, frames: FrameSet, intervals: np.ndarray, trig, out) -> np.ndarr
     zero).  On the components of a Bloch vector, which keep the skipped
     ``x`` finite, this is the general read's ``z`` except in the sign of
     an exact zero, so a block holding one is read again the general way.
+
+    The shortcut runs with a small ufunc buffer: its (rows, 1, 1) columns
+    meet a (T,) row of intervals, and where that row is shorter than the
+    buffer numpy copies each broadcast operand into iterator buffers, on a
+    (16, 1, 1024) block (numpy 2.4) as much memory as the block and half
+    the kernel's time at the default 8192 elements.  A row of 64 intervals
+    or more is read unbuffered, at numpy's smallest legal size, 16.  A
+    shorter row, such as the optimizer's coarse scan's 17-33, ran up to
+    1.8 times slower so, and is read through 1024-element buffers, as fast
+    as the default with an eighth of its buffers.  The operands,
+    operations and their order are the same at any size, and nothing is
+    summed, so the bits are too.  The scope is the kernel alone: the zero
+    test, a float-to-bool reduction, runs ten times slower under a small
+    buffer, and the general re-read, taken by under one block in a
+    hundred, keeps numpy's default.  The size is restored in a
+    ``finally`` (``np.errstate`` restores it only on numpy 2), and the
+    scope holds no ``yield``, so the caller of :func:`_scan` never sees it.
     """
-    z = _precess_rotate_x_z(*xyz, *trig, _READ_AREA, out)
+    old = np.setbufsize(16 if intervals.size >= 64 else 1024)
+    try:
+        z = _precess_rotate_x_z(*xyz, *trig, _READ_AREA, out)
+    finally:
+        np.setbufsize(old)
     if not z.all():
         x, y, z = _precess(*xyz, frames.delta_w * intervals)
         out[...] = _rotate(x, y, z, 0.0, _READ_AREA, z_only=True)
@@ -131,10 +152,13 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     at the wait, whose cosine and sine ``trig`` holds (:func:`_wait_trig`).
     Each block (:func:`_blocks`) is a run of whole phi rows of at most
     ``_BLOCK_STATES`` states, and :func:`_read_z` reads its ``z`` from the
-    head's state on those rows: the same arithmetic in the same order as
-    walking the whole timeline, and the same bits.  With ``out``, the
-    whole grid, ``z`` is written straight into the block's contiguous
-    slice of it; without, into one scratch array that every block reuses.
+    head's state on those rows, with little or no buffering by numpy's
+    iterator: the same arithmetic in the same order as walking the whole
+    timeline, and the same bits.  The buffer
+    size is set and restored inside each read, never across a ``yield``,
+    so an abandoned scan leaves it as it was.  With ``out``, the whole
+    grid, ``z`` is written straight into the block's contiguous slice of
+    it; without, into one scratch array that every block reuses.
     ``index`` places the block in the grid without its phi axis, where a
     reduction over phi lands.
     """

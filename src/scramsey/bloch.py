@@ -37,6 +37,7 @@ value the tests sample), so a scalar walk never pays numpy's per-call cost.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -82,10 +83,26 @@ def _wrap_centred(angle):
     return (angle + np.pi) % TWO_PI - np.pi
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an integer too long for Python to write out is named by that limit."""
+    try:
+        return repr(value)
+    except ValueError:  # the int-to-str digit limit
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _count(name: str, value, lowest: int) -> int:
-    """``value`` as an int, checked to be an integer >= ``lowest``; the error names ``name``."""
-    if int(value) != value or value < lowest:
-        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    """``value`` as an int, checked to be an integer >= ``lowest``; the error names ``name``.
+
+    A non-finite float fails the rule like any other bad value, not with
+    ``int``'s own OverflowError or ValueError.
+    """
+    try:
+        ok = int(value) == value and value >= lowest
+    except (OverflowError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {_shown(value)}")
     return int(value)
 
 
@@ -108,7 +125,7 @@ def _real(name: str, value, lowest: float = -math.inf, strict: bool = False) -> 
     v = _float(value)
     if not (math.isfinite(v) and (v > lowest if strict else v >= lowest)):
         bound = "" if lowest == -math.inf else " and positive" if strict else f" and >= {lowest:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
     return v
 
 
@@ -257,6 +274,12 @@ def _precess_rotate_x_z(x, y, z, cb, sb, angle, out):
     ``x`` the result equals the full rotation's ``z`` except in the sign
     of an exact zero: ``y - 0.0 * x`` turns a ``y`` of ``-0.0`` into
     ``+0.0`` when ``x`` is negative, and that zero can reach the result.
+    The grid scans call it with a small ufunc buffer, none at all for a
+    row of 64 intervals or more (``analysis._read_z``): three of the steps
+    broadcast columns against a row shorter than numpy's default buffer,
+    and numpy would copy those operands into iterator buffers of that
+    size.  Nothing here is summed, so buffering changes no bits, only time
+    and memory.
     """
     r = np.multiply(x, sb, out=out)
     r += y * cb

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _BLOCK_STATES, _as_intervals, _freeze
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _shown, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
@@ -55,7 +55,7 @@ _MAX_ATOMS = int(np.iinfo(np.int64).max)
 def _atom_count(count) -> int:
     """``count`` as an int, checked to be a positive ensemble size the binomial draw accepts."""
     if int(count) != count or not 1 <= count <= _MAX_ATOMS:
-        raise ValueError(f"atom_count must be an integer in [1, {_MAX_ATOMS}], got {count!r}")
+        raise ValueError(f"atom_count must be an integer in [1, {_MAX_ATOMS}], got {_shown(count)}")
     return int(count)
 
 
@@ -63,7 +63,7 @@ def _decay_time(name: str, value) -> float:
     """``value`` as a float, checked to be a positive 1/e decay time; inf is allowed and means no decay."""
     tau = _float(value)
     if not tau > 0.0:  # NaN fails the comparison too
-        raise ValueError(f"{name} must be positive (inf allowed), got {value!r}")
+        raise ValueError(f"{name} must be positive (inf allowed), got {_shown(value)}")
     return tau
 
 
@@ -97,9 +97,10 @@ def damp_contrast(p_e, hold_time, tau: float):
     arrays).  ``hold_time`` must be >= 0 (inf allowed: the result is 1/2).
     """
     tau = _decay_time("tau", tau)
-    hold = np.asarray(hold_time, dtype=float)
-    if not (hold >= 0.0).all():  # NaN fails the comparison too
-        raise ValueError(f"hold_time must be >= 0 (inf allowed), got {hold_time!r}")
+    # an integer beyond the float range reads as NaN, which fails the comparison too
+    hold = np.asarray(_float(hold_time) if isinstance(hold_time, int) else hold_time, dtype=float)
+    if not (hold >= 0.0).all():
+        raise ValueError(f"hold_time must be >= 0 (inf allowed), got {_shown(hold_time)}")
     return _damp_contrast(p_e, hold_time, tau)
 
 
@@ -230,7 +231,7 @@ def run_trials(
     engine error of an earlier interval of the same run or the run before.
     """
     if isinstance(trials, bool) or int(trials) != trials or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+        raise ValueError(f"trials must be a positive integer, got {_shown(trials)}")
     if frames is None:
         frames = default_frames()
     if np.ndim(frames.phi_s):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import DEFAULT_PHI_SAMPLES, phi_grid
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _real, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _real, _shown, _wrap_centred
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
@@ -259,17 +259,16 @@ def decode_choice(p_e: float, threshold: float = 0.5) -> str:
     exactly on the threshold raises IndeterminateReadoutError rather
     than guessing.
     """
-    p_e = float(p_e)
-    if not np.isfinite(p_e) or p_e < 0.0 or p_e > 1.0:
-        raise ValueError(f"p_e must lie in [0, 1], got {p_e!r}")
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold!r}")
-    if p_e > threshold:
+    p, t = _float(p_e), _float(threshold)  # NaN, which fails both rules, for an integer beyond the float range
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p_e must lie in [0, 1], got {_shown(p_e)}")
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"threshold must lie strictly inside (0, 1), got {_shown(threshold)}")
+    if p > t:
         return Choice.YES
-    if p_e < threshold:
+    if p < t:
         return Choice.NO
-    raise IndeterminateReadoutError(f"readout {p_e!r} sits exactly on the threshold {threshold!r}")
+    raise IndeterminateReadoutError(f"readout {p!r} sits exactly on the threshold {t!r}")
 
 
 def secrecy_check(config: ProtocolConfig, phi_samples: int = DEFAULT_PHI_SAMPLES) -> float:
