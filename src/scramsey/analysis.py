@@ -11,7 +11,8 @@ The central objects:
   phi_s grid; aggregated as the minimum spread over the interval grid.
 
 Everything is computed through the timeline engine; closed forms appear
-only in the tests as independent checks.
+only in the tests as independent checks.  The entry points check their
+inputs once and skip the record constructors' checks (:func:`bloch._record`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    GROUND, TWO_PI, _components, _count, _excitation_probability, _freeze, _precess, _precess_rotate_x_z, _real, _rotate,
+    GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _record, _rotate,
     _stack, validate_state,
 )
 from .sequence import FrameSet, Pulse, _advance, _check_finite, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
@@ -234,8 +235,7 @@ class FlopCurve:
             raise ValueError(f"p_e shape {p.shape} does not match intervals {t.shape}")
         if _outside_unit(p):
             raise ValueError("p_e values must lie in [0, 1]")
-        object.__setattr__(self, "intervals", _freeze(t))
-        object.__setattr__(self, "p_e", _freeze(p))
+        _record(self, intervals=t, p_e=p)
 
 
 @dataclass(frozen=True)
@@ -256,13 +256,13 @@ class FlopFamily:
             raise ValueError(f"p_e shape {p.shape} does not match (phis, intervals) = ({phis.size}, {t.size})")
         if _outside_unit(p):
             raise ValueError("p_e values must lie in [0, 1]")
-        object.__setattr__(self, "intervals", _freeze(t))
-        object.__setattr__(self, "phis", _freeze(phis))
-        object.__setattr__(self, "p_e", _freeze(p))
+        _record(self, intervals=t, phis=phis, p_e=p)
 
     def curve(self, k: int) -> FlopCurve:
         """The flop curve at phi grid index ``k``."""
-        return FlopCurve(self.intervals, np.clip(self.p_e[k], 0.0, 1.0))
+        t, p = self.intervals, np.clip(self.p_e[k], 0.0, 1.0)
+        # a ``k`` that picks no row goes to the checked constructor, which rejects it
+        return _record(FlopCurve, intervals=t, p_e=p) if p.shape == t.shape else FlopCurve(t, p)
 
     def ranges(self) -> np.ndarray:
         """Per-interval spread max - min of P_e over the phi grid."""
@@ -284,10 +284,7 @@ class SDBV:
         phis = np.asarray(self.phis, dtype=float)
         if pts.shape != (phis.size, 3):
             raise ValueError(f"points shape {pts.shape} does not match phi grid {phis.shape}")
-        object.__setattr__(self, "recorded", _freeze(rec))
-        object.__setattr__(self, "scramble_area", _real("pulse area", self.scramble_area))
-        object.__setattr__(self, "phis", _freeze(phis))
-        object.__setattr__(self, "points", _freeze(pts))
+        _record(self, recorded=rec, scramble_area=_real("pulse area", self.scramble_area), phis=phis, points=pts)
 
 
 @dataclass(frozen=True)
@@ -312,10 +309,8 @@ class AmbiguityReport:
             raise ValueError("ranges must lie in [0, 1]")
         if float(self.ambiguity) != float(r.min()):
             raise ValueError("ambiguity must equal min(ranges)")
-        object.__setattr__(self, "scramble_area", _real("pulse area", self.scramble_area))
-        object.__setattr__(self, "intervals", _freeze(t))
-        object.__setattr__(self, "ranges", _freeze(r))
-        object.__setattr__(self, "ambiguity", float(self.ambiguity))
+        area = _real("pulse area", self.scramble_area)
+        _record(self, scramble_area=area, intervals=t, ranges=r, ambiguity=float(self.ambiguity))
 
 
 @dataclass(frozen=True)
@@ -331,7 +326,7 @@ def normal_flop(delta_w: float, intervals) -> FlopCurve:
     """Unscrambled write/read fringe, P_e(T) = (1 + cos(delta_w T)) / 2."""
     t = _as_intervals(intervals)
     *head, _, _ = ramsey(0.0).events  # the scan brings the wait and the read
-    return FlopCurve(t, _fringes(t.shape, FrameSet(delta_w, delta_w, 0.0), head, t))
+    return _record(FlopCurve, intervals=t, p_e=_fringes(t.shape, FrameSet(delta_w, delta_w, 0.0), head, t))
 
 
 def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES) -> SDBV:
@@ -342,8 +337,8 @@ def sdbv(recorded, scramble_area: float, phi_samples: int = DEFAULT_PHI_SAMPLES)
     """
     rec = _recorded(recorded)
     phis = phi_grid(phi_samples)
-    points = _stack(_rotate(*_components(rec), phis, _real("pulse area", scramble_area)))
-    return SDBV(rec, scramble_area, phis, points)
+    area = _real("pulse area", scramble_area)
+    return _record(SDBV, recorded=rec, scramble_area=area, phis=phis, points=_stack(_rotate(*_components(rec), phis, area)))
 
 
 def sdbv_projection_xz(recorded, scramble_area: float, wait_phase: float, phi_samples: int = DEFAULT_PHI_SAMPLES) -> np.ndarray:
@@ -370,7 +365,7 @@ def _flop_family(build, scramble_area: float, intervals, phi_samples: int, frame
     fr = _phi_rows(frames, phis)
     *head, _, _ = build(area, 0.0).events
     p = _fringes((phis.size, 1, t.size), fr, head, t)  # the head's (P, 1) column by the intervals
-    return FlopFamily(t, phis, p[:, 0])
+    return _record(FlopFamily, intervals=t, phis=phis, p_e=p[:, 0])
 
 
 def scrambled_flop(
@@ -423,7 +418,7 @@ def ambiguity_report(
     t = _as_intervals(intervals)
     area = _real("pulse area", scramble_area)
     ranges = _readout_ranges(rec, _phi_rows(frames, phi_grid(phi_samples)), area, t)[0]
-    return AmbiguityReport(area, t, ranges, float(ranges.min()))
+    return _record(AmbiguityReport, scramble_area=area, intervals=t, ranges=ranges, ambiguity=float(ranges.min()))
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -59,6 +59,14 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+def _record(record, **fields):
+    """Frozen dataclass ``record`` with ``fields`` set, arrays as :func:`_freeze` views; given a class, a new one, unchecked."""
+    record = object.__new__(record) if isinstance(record, type) else record
+    for name, value in fields.items():
+        object.__setattr__(record, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return record
+
+
 GROUND = _freeze([0.0, 0.0, 1.0])
 EXCITED = _freeze([0.0, 0.0, -1.0])
 
@@ -91,18 +99,19 @@ def _shown(value) -> str:
         return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
-def _count(name: str, value, lowest: int) -> int:
-    """``value`` as an int, checked to be an integer >= ``lowest``; the error names ``name``.
+def _count(name: str, value, lowest: int, highest: float = math.inf) -> int:
+    """``value`` as an int, checked to be an integer in [``lowest``, ``highest``] and not a bool; the error names ``name``.
 
     A non-finite float fails the rule like any other bad value, not with
     ``int``'s own OverflowError or ValueError.
     """
     try:
-        ok = int(value) == value and value >= lowest
+        ok = not isinstance(value, (bool, np.bool_)) and int(value) == value and lowest <= value <= highest
     except (OverflowError, ValueError):
         ok = False
     if not ok:
-        raise ValueError(f"{name} must be an integer >= {lowest}, got {_shown(value)}")
+        bound = f">= {lowest}" if highest == math.inf else f"in [{lowest}, {highest}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
     return int(value)
 
 

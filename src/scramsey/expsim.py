@@ -32,7 +32,8 @@ walk: each stream draws the rows' values in order (one call for one
 kind), the walk covers a (trials, k) grid, each event a (k,) column
 unless all rows share its bits, and each stream draws its k binomials
 in one call.  The streams are independent, so every sample is exactly
-what a shot-by-shot loop gives.
+what a shot-by-shot loop gives.  The walks' events and the result skip
+their constructors' checks (:func:`bloch._record`), done on the way in.
 """
 
 from __future__ import annotations
@@ -44,19 +45,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _BLOCK_STATES, _as_intervals, _freeze
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _shown, _wrap_centred
+from .analysis import _BLOCK_STATES, _as_intervals
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _record, _shown, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
-
-
-def _atom_count(count) -> int:
-    """``count`` as an int, checked to be a positive ensemble size the binomial draw accepts."""
-    if int(count) != count or not 1 <= count <= _MAX_ATOMS:
-        raise ValueError(f"atom_count must be an integer in [1, {_MAX_ATOMS}], got {_shown(count)}")
-    return int(count)
 
 
 def _decay_time(name: str, value) -> float:
@@ -65,6 +59,15 @@ def _decay_time(name: str, value) -> float:
     if not tau > 0.0:  # NaN fails the comparison too
         raise ValueError(f"{name} must be positive (inf allowed), got {_shown(value)}")
     return tau
+
+
+def _in_range(name: str, value, highest: float) -> np.ndarray:
+    """``value`` as a float array checked to lie in [0, ``highest``]; NaN fails, as does an integer past the float range."""
+    v = np.asarray(_float(value) if isinstance(value, int) else value, dtype=float)
+    if not ((v >= 0.0) & (v <= highest)).all():
+        rule = "be >= 0 (inf allowed)" if highest == math.inf else f"lie in [0, {highest:g}]"
+        raise ValueError(f"{name} must {rule}, got {_shown(value)}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class NoiseModel:
     def __post_init__(self):
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.atom_count is not None:
-            object.__setattr__(self, "atom_count", _atom_count(self.atom_count))
+            object.__setattr__(self, "atom_count", _count("atom_count", self.atom_count, 1, _MAX_ATOMS))
         object.__setattr__(self, "contrast_decay_tau", _decay_time("contrast_decay_tau", self.contrast_decay_tau))
         object.__setattr__(self, "phase_jitter_sigma", _real("phase_jitter_sigma", self.phase_jitter_sigma, 0.0))
 
@@ -94,13 +97,12 @@ def damp_contrast(p_e, hold_time, tau: float):
     """Pull excitation probabilities toward 1/2 by exp(-hold_time/tau).
 
     With tau = inf the input is returned unchanged (same object for
-    arrays).  ``hold_time`` must be >= 0 (inf allowed: the result is 1/2).
+    arrays).  ``p_e`` must lie in [0, 1] and ``hold_time`` be >= 0 (inf
+    allowed: the result is 1/2).
     """
     tau = _decay_time("tau", tau)
-    # an integer beyond the float range reads as NaN, which fails the comparison too
-    hold = np.asarray(_float(hold_time) if isinstance(hold_time, int) else hold_time, dtype=float)
-    if not (hold >= 0.0).all():
-        raise ValueError(f"hold_time must be >= 0 (inf allowed), got {_shown(hold_time)}")
+    _in_range("hold_time", hold_time, math.inf)
+    _in_range("p_e", p_e, 1.0)
     return _damp_contrast(p_e, hold_time, tau)
 
 
@@ -117,10 +119,8 @@ def _damp_contrast(p_e, hold_time, tau: float):
 
 def project_noise(p_e, atom_count: int, rng: np.random.Generator):
     """Replace probabilities by binomial excitation fractions of the ensemble."""
-    atom_count = _atom_count(atom_count)
-    p = np.asarray(p_e, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    atom_count = _count("atom_count", atom_count, 1, _MAX_ATOMS)
+    p = _in_range("p_e", p_e, 1.0)
     fraction = rng.binomial(atom_count, p) / float(atom_count)
     if np.ndim(p_e) == 0 and np.ndim(fraction) == 0:
         return float(fraction)
@@ -147,8 +147,7 @@ class TrialStats:
             raise ValueError("need at least one trial")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        object.__setattr__(self, "intervals", _freeze(intervals))
-        object.__setattr__(self, "samples", _freeze(samples))
+        _record(self, intervals=intervals, samples=samples)
 
     @property
     def trials(self) -> int:
@@ -188,8 +187,8 @@ def _stacked(kinds, timelines, cap: int):
 
     A timeline is one float row: its event values, then ``Timeline.duration``
     (a sum of the wait columns need not have its bits).  An event column is
-    the scalar when every row has its bits (-0.0 and 0.0 differ), else a
-    (k,) array; the durations are always the (k,) column.
+    a Python float when every row has its bits (-0.0 and 0.0 differ), else
+    a read-only (k,) view of the table; the durations are the (k,) column.
     """
     width = len(kinds) + 1
     rows = itertools.chain.from_iterable(
@@ -200,8 +199,8 @@ def _stacked(kinds, timelines, cap: int):
         events = []
         for kind, column in zip(kinds, columns):
             bits = column.view(np.int64)
-            value = column[0] if (bits == bits[0]).all() else column
-            events.append(Wait(value) if kind is Wait else Pulse(kind, value))
+            value = float(column[0]) if (bits == bits[0]).all() else column
+            events.append(_record(Wait, duration=value) if kind is Wait else _record(Pulse, frame=kind, area=value))
         yield tuple(events), duration, len(duration)
 
 
@@ -230,14 +229,12 @@ def run_trials(
     error is raised when its interval is built, which can be before an
     engine error of an earlier interval of the same run or the run before.
     """
-    if isinstance(trials, bool) or int(trials) != trials or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {_shown(trials)}")
+    trials = _count("trials", trials, 1)
     if frames is None:
         frames = default_frames()
     if np.ndim(frames.phi_s):
         raise ValueError("run_trials needs one scalar shot phase; frames.phi_s is an array")
     intervals = _as_intervals(intervals)
-    trials = int(trials)
     rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(noise.seed).spawn(trials)]
     sigma, atoms = noise.phase_jitter_sigma, noise.atom_count
     samples = np.empty((trials, intervals.shape[0]))
@@ -281,10 +278,7 @@ def run_trials(
                 p = np.array(counts).reshape(trials, k) / float(atoms)
             samples[:, j : j + k] = p
             j += k
-    stats = object.__new__(TrialStats)  # skips its checks: the grid passed them above, every sample is a probability
-    object.__setattr__(stats, "intervals", _freeze(intervals))
-    object.__setattr__(stats, "samples", _freeze(samples))
-    return stats
+    return _record(TrialStats, intervals=intervals, samples=samples)
 
 
 # ----------------------------------------------------------------- fitting

@@ -8,6 +8,8 @@ just past and far past block edges without large reference loops; the
 fixed tests check the same edges at the shipped budget.
 """
 
+import contextlib
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +21,9 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from scramsey import analysis, sequence
 from scramsey.analysis import (
+    SDBV,
     AmbiguityReport,
+    FlopCurve,
     FlopFamily,
     ambiguity_report,
     normal_flop,
@@ -27,11 +31,12 @@ from scramsey.analysis import (
     phi_grid,
     retrieved_flop,
     scrambled_flop,
+    sdbv,
     sdbv_projection_xz,
 )
 from scramsey.bloch import GROUND, Z_TOL, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
-from scramsey.expsim import NoiseModel, TrialStats, damp_contrast, fit_damped_sinusoid
+from scramsey.expsim import NoiseModel, TrialStats, damp_contrast, fit_damped_sinusoid, run_trials
 from scramsey.protocol import ProtocolConfig, decode_choice, retrieve_delay, smallest_secure_k
 from scramsey.sequence import (
     Frame,
@@ -267,11 +272,91 @@ def test_array_events_hold_read_only_copies():
     assert isinstance(Wait(np.float64(1e-3)).duration, float)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: phi_grid(True), "phi sample count"),
+        (lambda: phi_grid(np.True_), "phi sample count"),
+        (lambda: NoiseModel(seed=True), "seed"),
+        (lambda: NoiseModel(seed=False), "seed"),
+        (lambda: NoiseModel(atom_count=True), "atom_count"),
+        (lambda: retrieve_delay(1.0, True), "m"),
+        (lambda: run_trials(ramsey, None, NoiseModel(), True, [0.0, 1e-3]), "trials"),
+    ],
+)
+def test_a_bool_is_not_a_count(call, name):
+    # each of these used to run as a count of 1 (or 0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer (>=|in) "):
+        call()
+
+
 def test_simulate_rejects_an_overflowing_phase():
     # the per-kernel checks used to catch this; now one check of the final state does
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(InvalidTimelineError):
             simulate(Timeline((Wait(1e307), Wait(1e307))), default_frames(), [1.0, 0.0, 0.0])
+
+
+# --------------------------------------------------- records built once
+
+def engine_records() -> dict:
+    """Every record an entry point builds without its constructor, by that entry."""
+    g = grid(5, 17)
+    T, fr = g["intervals"], g["frames"]
+    family = scrambled_flop(g["area"], g["t1"], T, 8, fr)
+    return {
+        "normal_flop": normal_flop(fr.delta_w, T),
+        "scrambled_flop": family,
+        "retrieved_flop": retrieved_flop(g["area"], g["t1"], g["t2"], T, 8, fr),
+        "ambiguity_report": ambiguity_report(g["record"], g["area"], T, 8, fr),
+        "sdbv": sdbv(g["record"], g["area"], 8),
+        "FlopFamily.curve": family.curve(3),
+        "run_trials": run_trials(lambda t: scrambled_ramsey(g["area"], g["t1"], t), fr, NoiseModel(seed=2), 3, T),
+    }
+
+
+def fields(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def assert_same_bits(got, want, name):
+    got_fields, want_fields = fields(got), fields(want)
+    assert type(got) is type(want) and got_fields.keys() == want_fields.keys(), name
+    for key, a in got_fields.items():
+        b = want_fields[key]
+        assert type(a) is type(b), (name, key)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, key)
+            assert not a.flags.writeable, (name, key)
+        else:
+            assert a.hex() == b.hex(), (name, key)
+
+
+def test_an_engine_record_equals_the_one_its_checked_constructor_builds():
+    for name, record in engine_records().items():
+        assert_same_bits(record, type(record)(**fields(record)), name)
+
+
+def test_the_engine_does_not_check_its_own_records_again():
+    # each entry checked its grid, record state and area where they entered, and a constructor's checks
+    # would repeat them and pass twice over a whole P x T family for values the engine clips into [0, 1]
+    want = engine_records()
+    with contextlib.ExitStack() as patches:
+        for cls in (FlopCurve, FlopFamily, SDBV, AmbiguityReport, TrialStats):
+            checked = AssertionError(f"{cls.__name__} checked")
+            patches.enter_context(mock.patch.object(cls, "__post_init__", side_effect=checked))
+        got = engine_records()
+        with pytest.raises(AssertionError, match="FlopCurve checked"):
+            FlopCurve([0.0, 1.0], [0.5, 0.5])
+    for name in want:
+        assert_same_bits(got[name], want[name], name)
+
+
+def test_a_curve_index_that_picks_no_row_is_still_rejected():
+    family = engine_records()["scrambled_flop"]
+    for k in (slice(0, 2), None, True, (slice(None), 0)):
+        with pytest.raises(ValueError, match="^p_e shape"):
+            family.curve(k)
 
 
 # ------------------------------------------------------- component triples

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_golden import SCENARIOS, VARIANTS, _variant
 
 from scramsey import _trf, expsim
-from scramsey.analysis import normal_flop
+from scramsey.analysis import ambiguity_report, normal_flop, scrambled_flop, sdbv
 from scramsey.bloch import TWO_PI, excitation_probability, precess, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import (
@@ -109,6 +109,23 @@ def test_damp_contrast_rejects_a_negative_or_nan_hold_time(hold_time, tau):
         damp_contrast(0.9, hold_time, tau)
 
 
+@pytest.mark.parametrize(
+    "p_e",
+    [1.5, -0.1, -5e-324, 1.0000000000000002, np.nan, np.inf, 10**400, -(10**400)]
+    + [np.array([0.5, 1.5]), np.array([0.5, np.nan]), np.array([[0.0], [-0.1]])],
+)
+def test_damp_contrast_rejects_a_p_e_outside_the_unit_interval(p_e):
+    # 1.5 used to give 0.868, a NaN passed through and 10**400 raised OverflowError
+    for tau in (1.0, np.inf):
+        with pytest.raises(ValueError, match=r"^p_e must lie in \[0, 1\], got "):
+            damp_contrast(p_e, 1.0, tau)
+
+
+def test_damp_contrast_accepts_the_unit_interval_ends():
+    assert damp_contrast(0, 0.0, 1.0) == 0.0 and damp_contrast(1, 0.0, 1.0) == 1.0
+    assert np.array_equal(damp_contrast(np.array([0.0, -0.0, 1.0]), 0.0, 1.0), [0.0, 0.0, 1.0])
+
+
 def test_damp_contrast_infinite_hold_time_gives_one_half():
     assert damp_contrast(0.9, np.inf, 0.1) == 0.5
     assert np.array_equal(damp_contrast(np.array([0.0, 1.0]), np.array([np.inf, 0.0]), 0.1), [0.5, 1.0])
@@ -142,6 +159,10 @@ def test_project_noise_rejects_out_of_range():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         project_noise(1.5, 10, rng)
+    # the damping's rule: a NaN and an integer beyond the float range are rejected too
+    for p_e in (np.nan, np.array([0.5, np.nan]), 10**400):
+        with pytest.raises(ValueError, match=r"^p_e must lie in \[0, 1\], got "):
+            project_noise(p_e, 10, rng)
     with pytest.raises(ValueError):
         project_noise(0.5, 0, rng)
     with pytest.raises(ValueError):
@@ -380,6 +401,19 @@ def test_a_run_shares_a_value_only_when_every_interval_has_its_bits():
     assert np.array_equal(duration, [0.0, 0.0])
 
 
+def test_a_runs_event_columns_are_views_of_its_table():
+    # the values were checked when their timelines were built: a column is not copied and checked again
+    run = [Timeline((Pulse.wri(1.0), Wait(t), Pulse.sri(2.0 + t))) for t in (0.0, 1e-3, 2e-3)]
+    [((write, wait, read), duration, k)] = expsim._stacked((Frame.W, Wait, Frame.S), iter(run), 3)
+    table = duration.base
+    assert k == 3 and table.shape == (12,)
+    assert type(write.area) is float and write.area == 1.0
+    for column, want in ((wait.duration, [0.0, 1e-3, 2e-3]), (read.area, [2.0, 2.001, 2.002])):
+        assert np.shares_memory(column, table) and not column.flags.writeable
+        assert np.array_equal(column, want)
+    assert (write.frame, read.frame) == (Frame.W, Frame.S)
+
+
 # (kind, value, constant): a value of "interval" grows with the interval, "signed_zero" is 0.0 or -0.0 by interval
 EVENTS = st.tuples(
     st.sampled_from(["W", "S", "wait"]),
@@ -463,17 +497,23 @@ def test_run_trials_does_not_check_its_own_result_again():
 
 def test_results_leave_the_callers_arrays_writeable():
     # a result is a read-only view of a float64 input, sharing its memory; the caller's own array stays writeable
-    grid, samples = np.linspace(0.0, 0.02, 17), np.full((2, 17), 0.5)
+    grid, samples, state = np.linspace(0.0, 0.02, 17), np.full((2, 17), 0.5), np.array([0.6, 0.0, 0.8])
     results = {
-        "run_trials": run_trials(ramsey, None, NoiseModel(), 2, grid),
-        "TrialStats": TrialStats(grid, samples),
-        "normal_flop": normal_flop(DELTA_W_REF, grid),
+        "run_trials": (run_trials(ramsey, None, NoiseModel(), 2, grid), "intervals", "samples"),
+        "TrialStats": (TrialStats(grid, samples), "intervals", "samples"),
+        "normal_flop": (normal_flop(DELTA_W_REF, grid), "intervals", "p_e"),
+        "scrambled_flop": (scrambled_flop(np.pi, T1_REF, grid, 8), "intervals", "phis", "p_e"),
+        "ambiguity_report": (ambiguity_report(state, np.pi, grid, 8), "intervals", "ranges"),
+        "sdbv": (sdbv(state, np.pi, 8), "recorded", "phis", "points"),
     }
-    assert grid.flags.writeable and samples.flags.writeable
-    for name, result in results.items():
-        assert not result.intervals.flags.writeable, name
-        assert not (result.p_e if name == "normal_flop" else result.samples).flags.writeable, name
-    assert np.shares_memory(results["TrialStats"].samples, samples)
+    assert grid.flags.writeable and samples.flags.writeable and state.flags.writeable
+    for name, (result, *arrays) in results.items():
+        for array in arrays:
+            assert not getattr(result, array).flags.writeable, (name, array)
+        if name != "sdbv":
+            assert np.shares_memory(result.intervals, grid), name
+    assert np.shares_memory(results["TrialStats"][0].samples, samples)
+    assert np.shares_memory(results["sdbv"][0].recorded, state)
 
 
 def test_run_trials_calls_the_builder_once_per_interval():
