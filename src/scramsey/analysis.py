@@ -260,9 +260,7 @@ class FlopFamily:
 
     def curve(self, k: int) -> FlopCurve:
         """The flop curve at phi grid index ``k``."""
-        t, p = self.intervals, np.clip(self.p_e[k], 0.0, 1.0)
-        # a ``k`` that picks no row goes to the checked constructor, which rejects it
-        return _record(FlopCurve, intervals=t, p_e=p) if p.shape == t.shape else FlopCurve(t, p)
+        return FlopCurve(self.intervals, np.clip(self.p_e[k], 0.0, 1.0))
 
     def ranges(self) -> np.ndarray:
         """Per-interval spread max - min of P_e over the phi grid."""

@@ -188,14 +188,15 @@ def _stacked(kinds, timelines, cap: int):
     A timeline is one float row: its event values, then ``Timeline.duration``
     (a sum of the wait columns need not have its bits).  An event column is
     a Python float when every row has its bits (-0.0 and 0.0 differ), else
-    a read-only (k,) view of the table; the durations are the (k,) column.
+    a read-only (k,) row of one transposed copy of the table, so the kernels
+    read it in order; the durations are the last row.
     """
     width = len(kinds) + 1
     rows = itertools.chain.from_iterable(
         [*(e.duration if kind is Wait else e.area for e, kind in zip(t.events, kinds)), t.duration] for t in timelines
     )
     while (table := np.fromiter(itertools.islice(rows, cap * width), float)).size:
-        *columns, duration = table.reshape(-1, width).T
+        *columns, duration = table.reshape(-1, width).T.copy()
         events = []
         for kind, column in zip(kinds, columns):
             bits = column.view(np.int64)

@@ -303,14 +303,12 @@ def engine_records() -> dict:
     """Every record an entry point builds without its constructor, by that entry."""
     g = grid(5, 17)
     T, fr = g["intervals"], g["frames"]
-    family = scrambled_flop(g["area"], g["t1"], T, 8, fr)
     return {
         "normal_flop": normal_flop(fr.delta_w, T),
-        "scrambled_flop": family,
+        "scrambled_flop": scrambled_flop(g["area"], g["t1"], T, 8, fr),
         "retrieved_flop": retrieved_flop(g["area"], g["t1"], g["t2"], T, 8, fr),
         "ambiguity_report": ambiguity_report(g["record"], g["area"], T, 8, fr),
         "sdbv": sdbv(g["record"], g["area"], 8),
-        "FlopFamily.curve": family.curve(3),
         "run_trials": run_trials(lambda t: scrambled_ramsey(g["area"], g["t1"], t), fr, NoiseModel(seed=2), 3, T),
     }
 
@@ -350,13 +348,6 @@ def test_the_engine_does_not_check_its_own_records_again():
             FlopCurve([0.0, 1.0], [0.5, 0.5])
     for name in want:
         assert_same_bits(got[name], want[name], name)
-
-
-def test_a_curve_index_that_picks_no_row_is_still_rejected():
-    family = engine_records()["scrambled_flop"]
-    for k in (slice(0, 2), None, True, (slice(None), 0)):
-        with pytest.raises(ValueError, match="^p_e shape"):
-            family.curve(k)
 
 
 # ------------------------------------------------------- component triples

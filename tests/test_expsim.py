@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_golden import SCENARIOS, VARIANTS, _variant
 
 from scramsey import _trf, expsim
-from scramsey.analysis import ambiguity_report, normal_flop, scrambled_flop, sdbv
+from scramsey.analysis import FlopCurve, ambiguity_report, normal_flop, scrambled_flop, sdbv
 from scramsey.bloch import TWO_PI, excitation_probability, precess, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import (
@@ -124,6 +124,16 @@ def test_damp_contrast_rejects_a_p_e_outside_the_unit_interval(p_e):
 def test_damp_contrast_accepts_the_unit_interval_ends():
     assert damp_contrast(0, 0.0, 1.0) == 0.0 and damp_contrast(1, 0.0, 1.0) == 1.0
     assert np.array_equal(damp_contrast(np.array([0.0, -0.0, 1.0]), 0.0, 1.0), [0.0, 0.0, 1.0])
+
+
+def test_a_records_rounding_past_the_unit_interval_is_clipped_before_damping():
+    # a record keeps a p_e within P_TOL of [0, 1] as given; the noise functions take probabilities only
+    curve = FlopCurve([0.0, 1.0], [0.5, 1.0 + 1e-13])
+    assert curve.p_e[1] == 1.0 + 1e-13
+    for noisy in (lambda p: damp_contrast(p, 1.0, 1.0), lambda p: project_noise(p, 10, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match=r"^p_e must lie in \[0, 1\]"):
+            noisy(curve.p_e)
+    assert np.array_equal(damp_contrast(np.clip(curve.p_e, 0.0, 1.0), 0.0, 1.0), [0.5, 1.0])
 
 
 def test_damp_contrast_infinite_hold_time_gives_one_half():
@@ -402,14 +412,15 @@ def test_a_run_shares_a_value_only_when_every_interval_has_its_bits():
 
 
 def test_a_runs_event_columns_are_views_of_its_table():
-    # the values were checked when their timelines were built: a column is not copied and checked again
+    # the values were checked when their timelines were built: a column is not copied and checked again,
+    # and the walk's table is transposed once so that each column is contiguous for the kernels
     run = [Timeline((Pulse.wri(1.0), Wait(t), Pulse.sri(2.0 + t))) for t in (0.0, 1e-3, 2e-3)]
     [((write, wait, read), duration, k)] = expsim._stacked((Frame.W, Wait, Frame.S), iter(run), 3)
     table = duration.base
-    assert k == 3 and table.shape == (12,)
+    assert k == 3 and table.shape == (4, 3) and duration.flags.c_contiguous
     assert type(write.area) is float and write.area == 1.0
     for column, want in ((wait.duration, [0.0, 1e-3, 2e-3]), (read.area, [2.0, 2.001, 2.002])):
-        assert np.shares_memory(column, table) and not column.flags.writeable
+        assert np.shares_memory(column, table) and column.flags.c_contiguous and not column.flags.writeable
         assert np.array_equal(column, want)
     assert (write.frame, read.frame) == (Frame.W, Frame.S)
 
