@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _record, _rotate,
+    GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _reals, _record, _rotate,
     _stack, validate_state,
 )
 from .sequence import FrameSet, Pulse, _advance, _check_finite, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
@@ -63,8 +63,7 @@ def _as_intervals(intervals) -> np.ndarray:
     t = np.asarray(intervals, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("interval grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
-        raise ValueError("intervals must be finite and >= 0")
+    t = _reals("intervals", t, 0.0)
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("intervals must be strictly increasing")
     return t
@@ -147,7 +146,8 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     """Yield ``(index, z)`` block by block: ``z`` after ``head``, a wait of each interval and a W pi/2 read.
 
     ``head`` holds the events before the wait, which do not depend on the
-    interval.  They are walked once from ``state``, over the column of the
+    interval.  They are walked once from ``state``, a Bloch vector its
+    caller checked (:func:`_recorded`, or GROUND), over the column of the
     phi rows of ``frames`` (P, 1), or (P, C) when a head pulse has a row of
     C areas; the grid is that column by the intervals, which first appear
     at the wait, whose cosine and sine ``trig`` holds (:func:`_wait_trig`).
@@ -163,7 +163,7 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     ``index`` places the block in the grid without its phi axis, where a
     reduction over phi lands.
     """
-    xyz = _advance(head, frames, _components(validate_state(state)), 0.0)[0]
+    xyz = _advance(head, frames, _components(np.asarray(state, dtype=float)), 0.0)[0]
     column = np.broadcast(*xyz, frames.phi_s).shape
     xyz = [(c if np.shape(c) == column else np.broadcast_to(c, column))[..., None] for c in xyz]
     cb, sb = trig

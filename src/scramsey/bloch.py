@@ -123,18 +123,41 @@ def _float(value) -> float:
         return math.nan
 
 
+def _must(name: str, lowest: float, strict: bool) -> str:
+    """The rule's message without the value: ``name`` must be finite, and >= ``lowest`` or positive."""
+    bound = "" if lowest == -math.inf else " and positive" if strict else f" and >= {lowest:g}"
+    return f"{name} must be finite{bound}"
+
+
 def _real(name: str, value, lowest: float = -math.inf, strict: bool = False) -> float:
     """``value`` as a float, checked to be finite and >= ``lowest`` (> it if ``strict``); the error names ``name``.
 
     The real-valued twin of :func:`_count`, the one rule for every scalar
-    real input.  An integer beyond the float range fails it like any other
-    bad value.  ``strict`` is meant for ``lowest`` 0: the message says
-    "positive".
+    real input; an array fails ``float()``.  An integer beyond the float
+    range fails it like any other bad value.  ``strict`` is meant for
+    ``lowest`` 0: the message says "positive".
     """
     v = _float(value)
     if not (math.isfinite(v) and (v > lowest if strict else v >= lowest)):
-        bound = "" if lowest == -math.inf else " and positive" if strict else f" and >= {lowest:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
+        raise ValueError(f"{_must(name, lowest, strict)}, got {_shown(value)}")
+    return v
+
+
+def _reals(name: str, value, lowest: float = -math.inf, strict: bool = False):
+    """:func:`_real` for an input that may also be an array: a scalar goes to :func:`_real`.
+
+    An array_like of one or more dimensions (a list included) comes back
+    as a float array, checked in one pass for finiteness and one for the
+    bound (none when ``lowest`` is -inf); its message does not quote it.
+    """
+    if isinstance(value, float) or isinstance(value, int) or not np.ndim(value):  # a Python scalar skips np.ndim's cost
+        return _real(name, value, lowest, strict)
+    try:
+        v = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range, which fails the rule like NaN
+        v = np.array(math.nan)
+    if not (np.isfinite(v).all() and (lowest == -math.inf or (v > lowest if strict else v >= lowest).all())):
+        raise ValueError(_must(name, lowest, strict))
     return v
 
 
@@ -142,16 +165,7 @@ def _as_state(state) -> np.ndarray:
     v = np.asarray(state, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"state must have shape (..., 3), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("state components must be finite")
-    return v
-
-
-def _as_angle(angle, name: str) -> np.ndarray:
-    a = np.asarray(angle, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
+    return _reals("state components", v)
 
 
 def validate_state(state) -> np.ndarray:
@@ -217,7 +231,7 @@ def rotate_inplane(state, axis_azimuth, angle):
         On non-finite input or a state of the wrong shape.
     """
     xyz = _components(_as_state(state))
-    return _stack(_rotate(*xyz, _as_angle(axis_azimuth, "axis_azimuth"), _as_angle(angle, "angle")))
+    return _stack(_rotate(*xyz, _reals("axis_azimuth", axis_azimuth), _reals("angle", angle)))
 
 
 def _rotate(x, y, z, axis_azimuth, angle, z_only=False):
@@ -254,7 +268,7 @@ def precess(state, phase):
     -------
     ndarray of the broadcast shape, trailing axis 3.
     """
-    return _stack(_precess(*_components(_as_state(state)), _as_angle(phase, "phase")))
+    return _stack(_precess(*_components(_as_state(state)), _reals("phase", phase)))
 
 
 def _precess(x, y, z, phase):

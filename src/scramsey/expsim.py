@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _BLOCK_STATES, _as_intervals
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _record, _shown, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
@@ -145,9 +145,7 @@ class TrialStats:
             raise ValueError(f"samples must have shape (trials, {intervals.shape[0]}), got {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("need at least one trial")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        _record(self, intervals=intervals, samples=samples)
+        _record(self, intervals=intervals, samples=_reals("samples", samples))
 
     @property
     def trials(self) -> int:

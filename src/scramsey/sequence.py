@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import GROUND, _as_state, _components, _float, _freeze, _precess, _real, _rotate, _stack, validate_state, wrap_angle
+from .bloch import GROUND, _as_state, _components, _freeze, _precess, _real, _reals, _rotate, _stack, validate_state, wrap_angle
 from .errors import InvalidTimelineError
 
 #: Reference detunings used throughout the examples and tests, rad/s.
@@ -55,26 +55,17 @@ class Frame(Enum):
     S = "S"  # scramble/retrieve
 
 
-def _event_value(value, lowest: float):
-    """``value`` as a float (an array as a read-only float copy), and whether it is all finite and >= ``lowest``.
-
-    An integer beyond the float range is NaN here, so it fails the check.
-    """
-    if isinstance(value, np.ndarray) and value.ndim:
-        v = _freeze(np.array(value, dtype=float))
-        return v, bool(np.isfinite(v).all() and (v >= lowest).all())
-    v = _float(value)
-    return v, math.isfinite(v) and v >= lowest
-
-
-def _value_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
+def _event_value(name: str, value, lowest: float = -math.inf):
+    """``value`` checked by :func:`_reals` (an array as a read-only float copy of its own); a bad one is an InvalidTimelineError."""
+    try:
+        v = _reals(name, value, lowest)
+    except ValueError as err:
+        raise InvalidTimelineError(str(err)) from None
+    return _freeze(np.array(v)) if isinstance(v, np.ndarray) else v
 
 
 def _value_key(value):
-    """A hashable key that agrees with :func:`_value_equal`."""
+    """A hashable key by value, which events compare and hash by: an array by its shape and bits."""
     if isinstance(value, np.ndarray):
         # + 0.0 turns -0.0 into 0.0, which compares equal to it
         return value.shape, (value + 0.0).tobytes()
@@ -91,15 +82,12 @@ class Pulse:
     def __post_init__(self):
         if not isinstance(self.frame, Frame):
             raise InvalidTimelineError(f"frame must be a Frame member, got {self.frame!r}")
-        area, ok = _event_value(self.area, -math.inf)
-        if not ok:
-            raise InvalidTimelineError("pulse area must be finite")
-        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "area", _event_value("pulse area", self.area))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.frame is other.frame and _value_equal(self.area, other.area)
+        return self.frame is other.frame and _value_key(self.area) == _value_key(other.area)
 
     def __hash__(self):
         return hash((self.frame, _value_key(self.area)))
@@ -120,15 +108,12 @@ class Wait:
     duration: float
 
     def __post_init__(self):
-        d, ok = _event_value(self.duration, 0.0)
-        if not ok:
-            raise InvalidTimelineError(f"wait duration must be finite and >= 0, got {self.duration!r}")
-        object.__setattr__(self, "duration", d)
+        object.__setattr__(self, "duration", _event_value("wait duration", self.duration, 0.0))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _value_equal(self.duration, other.duration)
+        return _value_key(self.duration) == _value_key(other.duration)
 
     def __hash__(self):
         return hash((_value_key(self.duration),))
@@ -174,13 +159,7 @@ class FrameSet:
     def __post_init__(self):
         self.delta_w = _real("delta_w", self.delta_w)
         self.delta_s = _real("delta_s", self.delta_s)
-        phi = self.phi_s
-        if isinstance(phi, float) or not np.ndim(phi):  # a float skips np.ndim's cost
-            self.phi_s = wrap_angle(_real("phi_s", phi))
-        elif np.isfinite(phi := np.asarray(phi, dtype=float)).all():
-            self.phi_s = wrap_angle(phi)
-        else:
-            raise ValueError("phi_s must be finite")
+        self.phi_s = wrap_angle(_reals("phi_s", self.phi_s))
 
 
 def default_frames(phi_s: float = 0.0) -> FrameSet:

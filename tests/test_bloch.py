@@ -269,6 +269,17 @@ def test_math_cos_and_sin_equal_numpys_bit_for_bit(name):
         assert all(scalar(v).hex() == float(ufunc(v)).hex() for v in values[:1024]), (name, ufunc.__name__)
 
 
+def test_public_kernels_give_a_scalar_angle_the_bits_of_a_one_element_array():
+    # a scalar angle takes math's cosine and sine, an array numpy's; the test above compares those on every area,
+    # so every 32nd area is enough to check that the kernels do the same arithmetic with either
+    state = np.array([0.6, 0.0, 0.8])
+    for angle in _trig_values()["areas"][::32].tolist():
+        one = np.array([angle])
+        assert rotate_inplane(state, 0.3, angle).tobytes() == rotate_inplane(state, 0.3, one)[0].tobytes(), angle
+        assert rotate_inplane(state, angle, 1.1).tobytes() == rotate_inplane(state, one, 1.1)[0].tobytes(), angle
+        assert precess(state, angle).tobytes() == precess(state, one)[0].tobytes(), angle
+
+
 def test_scalar_walks_stay_python_floats():
     # a slide back to numpy scalars would put numpy's per-call cost back into every shot
     assert all(type(c) is float for c in _GROUND_XYZ)

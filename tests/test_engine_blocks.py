@@ -240,6 +240,12 @@ DIGITS = r"an integer of more than \d+ digits$"
         (lambda: NoiseModel(atom_count=10**5000), r"^atom_count must be an integer in \[1, \d+\], got " + DIGITS),
         (lambda: damp_contrast(0.5, 0.0, -(10**5000)), r"^tau must be positive \(inf allowed\), got " + DIGITS),
         (lambda: decode_choice(-(10**5000)), r"^p_e must lie in \[0, 1\], got " + DIGITS),
+        (lambda: Wait(10**5000), "^wait duration must be finite and >= 0, got " + DIGITS),
+        (lambda: Pulse.wri(10**5000), "^pulse area must be finite, got " + DIGITS),
+        # an array event fails the same rule, and its message does not quote the array
+        (lambda: Wait(np.array([1e-3, np.nan])), "^wait duration must be finite and >= 0$"),
+        (lambda: Wait(np.array([1e-3, -1e-9])), "^wait duration must be finite and >= 0$"),
+        (lambda: Pulse.sri(np.array([1.0, np.nan])), "^pulse area must be finite$"),
         # a count that is not finite fails the count rule, not int()'s OverflowError or its own ValueError
         (lambda: phi_grid(np.inf), r"^phi sample count must be an integer >= 1, got inf$"),
         (lambda: phi_grid(np.nan), r"^phi sample count must be an integer >= 1, got nan$"),
@@ -270,6 +276,30 @@ def test_array_events_hold_read_only_copies():
     assert wait.duration[0] == 1e-3
     assert not wait.duration.flags.writeable
     assert isinstance(Wait(np.float64(1e-3)).duration, float)
+    # a list is an array event too, as FrameSet and the kernels already take one
+    areas = [0.5, 1.5]
+    pulse = Pulse.sri(areas)
+    areas[0] = 5.0
+    assert pulse == Pulse.sri(np.array([0.5, 1.5]))
+    assert not pulse.area.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FrameSet(np.array([1.0, 2.0]), 1.0),
+        lambda: normal_flop(np.array([1.0, 2.0]), [0.0, 1e-3]),
+        lambda: ambiguity_report(GROUND, np.array([1.0, 2.0]), [0.0, 1e-3]),
+        lambda: sdbv(GROUND, [1.0, 2.0], phi_samples=2),
+        lambda: ProtocolConfig(default_frames(), np.array([0.0, 1e-3]), 0.0, 0.0),
+        lambda: smallest_secure_k(default_frames(), 0.0, np.array([1e-3])),
+    ],
+)
+def test_a_scalar_input_refuses_an_array(call):
+    # only areas, waits, shot phases and the kernels' angles broadcast; a detuning, a scramble area
+    # or a delay given as an array would be paired element by element with the grid's own axes
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize(
