@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _reals, _record, _rotate,
-    _stack, validate_state,
+    _HALF_PI_COS, GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _reals,
+    _record, _rotate, _stack, validate_state,
 )
-from .sequence import FrameSet, Pulse, _advance, _check_finite, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
+from .sequence import FrameSet, _advance, _check_finite, _sri_axis, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
 
 DEFAULT_INTERVAL_POINTS = 201
 DEFAULT_PHI_SAMPLES = 256
@@ -102,16 +102,18 @@ def _wait_trig(frames: FrameSet, intervals: np.ndarray):
 
 
 def _read_z(xyz, frames: FrameSet, intervals: np.ndarray, trig, out) -> np.ndarray:
-    """The ``z`` after a wait of each of ``intervals`` and a W pi/2 read, from ``xyz``, written into ``out`` and checked finite.
+    """The ``z`` after a wait of each of ``intervals`` and a W pi/2 read, from ``xyz``, written into ``out``.
 
-    The read needs only ``y`` from the wait and no ``x`` term
+    ``xyz`` holds columns of ``out``'s shape less its interval axis.  The
+    read needs only ``y`` from the wait and no ``x`` term
     (:func:`bloch._precess_rotate_x_z`): the wait precesses ``y`` alone,
     with the cosine and sine of its phase from ``trig``, and the read adds
-    ``y * sin``.  Any non-finite ``x``, ``y`` or phase still makes that
-    ``y`` non-finite (``sin`` and ``cos`` of a finite phase are never both
-    zero).  On the components of a Bloch vector, which keep the skipped
-    ``x`` finite, this is the general read's ``z`` except in the sign of
-    an exact zero, so a block holding one is read again the general way.
+    ``y`` and ``z * cos(pi/2)``.  On the components of a Bloch vector, which
+    keep the skipped ``x`` finite, this is the general read's ``z`` except
+    in the sign of an exact zero, where both terms are zero.  So only the
+    rows whose ``z * cos(pi/2)`` is zero are searched for a zero, and a
+    block in which one holds one is read again the general way.  Nothing
+    is checked finite here: :func:`_scan` checks the inputs once per grid.
 
     The shortcut runs with a small ufunc buffer: its (rows, 1, 1) columns
     meet a (T,) row of intervals, and where that row is shorter than the
@@ -125,20 +127,22 @@ def _read_z(xyz, frames: FrameSet, intervals: np.ndarray, trig, out) -> np.ndarr
     operations and their order are the same at any size, and nothing is
     summed, so the bits are too.  The scope is the kernel alone: the zero
     test, a float-to-bool reduction, runs ten times slower under a small
-    buffer, and the general re-read, taken by under one block in a
-    hundred, keeps numpy's default.  The size is restored in a
-    ``finally`` (``np.errstate`` restores it only on numpy 2), and the
-    scope holds no ``yield``, so the caller of :func:`_scan` never sees it.
+    buffer, and the general re-read keeps numpy's default.  The size is
+    restored in a ``finally`` (``np.errstate`` restores it only on numpy
+    2), and the scope holds no ``yield``, so the caller of :func:`_scan`
+    never sees it.
     """
+    x, y, z = xyz
+    z_cos = z * _HALF_PI_COS
     old = np.setbufsize(16 if intervals.size >= 64 else 1024)
     try:
-        z = _precess_rotate_x_z(*xyz, *trig, _READ_AREA, out)
+        _precess_rotate_x_z(x, y, z_cos, *trig, out)
     finally:
         np.setbufsize(old)
-    if not z.all():
-        x, y, z = _precess(*xyz, frames.delta_w * intervals)
-        out[...] = _rotate(x, y, z, 0.0, _READ_AREA, z_only=True)
-    _check_finite((out,))
+    if np.count_nonzero(z_cos) < z_cos.size:
+        rows = z_cos[..., 0] == 0
+        if not (out if rows.all() else out[rows]).all():
+            out[...] = _rotate(*_precess(x, y, z, frames.delta_w * intervals), 0.0, _READ_AREA, z_only=True)
     return out
 
 
@@ -146,24 +150,29 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     """Yield ``(index, z)`` block by block: ``z`` after ``head``, a wait of each interval and a W pi/2 read.
 
     ``head`` holds the events before the wait, which do not depend on the
-    interval.  They are walked once from ``state``, a Bloch vector its
-    caller checked (:func:`_recorded`, or GROUND), over the column of the
-    phi rows of ``frames`` (P, 1), or (P, C) when a head pulse has a row of
-    C areas; the grid is that column by the intervals, which first appear
-    at the wait, whose cosine and sine ``trig`` holds (:func:`_wait_trig`).
-    Each block (:func:`_blocks`) is a run of whole phi rows of at most
-    ``_BLOCK_STATES`` states, and :func:`_read_z` reads its ``z`` from the
-    head's state on those rows, with little or no buffering by numpy's
-    iterator: the same arithmetic in the same order as walking the whole
-    timeline, and the same bits.  The buffer
-    size is set and restored inside each read, never across a ``yield``,
-    so an abandoned scan leaves it as it was.  With ``out``, the whole
-    grid, ``z`` is written straight into the block's contiguous slice of
-    it; without, into one scratch array that every block reuses.
+    interval.  They are walked once from ``state``, three components (a
+    Bloch vector its caller checked, :func:`_recorded` or GROUND, or a
+    triple of columns), over the column of the phi rows of ``frames`` (P,
+    1), or (P, C) when a head pulse or the state has a row of C areas; the
+    grid is that column by the intervals, which first appear at the wait,
+    whose cosine and sine ``trig`` holds (:func:`_wait_trig`).  The head's
+    components and ``trig`` are checked finite once, before the first
+    block: every one is bounded by 1 when finite, so the read is finite
+    exactly when they are, and a non-finite one leaves a non-finite ``z``
+    on its whole row or column of the grid.  Each block (:func:`_blocks`)
+    is a run of whole phi rows of at most ``_BLOCK_STATES`` states, and
+    :func:`_read_z` reads its ``z`` from the head's state on those rows,
+    with little or no buffering by numpy's iterator: the same arithmetic
+    in the same order as walking the whole timeline, and the same bits.
+    The buffer size is set and restored inside each read, never across a
+    ``yield``, so an abandoned scan leaves it as it was.  With ``out``,
+    the whole grid, ``z`` is written straight into the block's contiguous
+    slice of it; without, into one scratch array that every block reuses.
     ``index`` places the block in the grid without its phi axis, where a
     reduction over phi lands.
     """
-    xyz = _advance(head, frames, _components(np.asarray(state, dtype=float)), 0.0)[0]
+    xyz = _advance(head, frames, tuple(state), 0.0)[0]
+    _check_finite((*xyz, *trig))
     column = np.broadcast(*xyz, frames.phi_s).shape
     xyz = [(c if np.shape(c) == column else np.broadcast_to(c, column))[..., None] for c in xyz]
     cb, sb = trig
@@ -202,20 +211,25 @@ def _recorded(state) -> np.ndarray:
     return rec
 
 
-def _readout_ranges(recorded, frames: FrameSet, areas, intervals: np.ndarray) -> np.ndarray:
+def _readout_ranges(recorded, frames: FrameSet, areas, intervals: np.ndarray, trig=None) -> np.ndarray:
     """P_e spread over the phi rows of ``frames`` after a t = 0 scramble of ``recorded``, a wait and a pi/2 read.
 
-    ``areas`` is one area or a 1-D array of C; the result has shape (1, T)
-    or (C, T).  The scramble is the scan's head: it rotates the recorded
-    state once per (phi, area), with the areas as a row against the phi
-    column.  The spread comes from a running ``fmin`` and ``fmax`` of ``z``
-    over the row blocks, and only those two extremes are mapped to P_e:
-    ``(1 - z) / 2`` and the clip are monotone, so ``P_e(min z) - P_e(max
-    z)`` is ``np.ptp`` of P_e over phi, bit for bit.
+    ``areas`` is one area, a 1-D array of C, or the ``(cos, sin)`` pair of
+    such a row, taken by the caller (:func:`bloch._cos_sin`); the result
+    has shape (1, T) or (C, T).  The scramble is the scan's starting
+    column: it rotates the recorded state once per (phi, area), with the
+    areas as a row against the phi column, about the S axis at t = 0, as
+    walking ``Pulse.sri(areas)`` would.  ``trig`` is the wait's cosine and
+    sine (:func:`_wait_trig`), taken here if not given.  The spread comes
+    from a running ``fmin`` and ``fmax`` of ``z`` over the row blocks, and
+    only those two extremes are mapped to P_e: ``(1 - z) / 2`` and the
+    clip are monotone, so ``P_e(min z) - P_e(max z)`` is ``np.ptp`` of P_e
+    over phi, bit for bit.
     """
-    lo = np.full((np.size(areas), intervals.size), np.inf)
+    scrambled = _rotate(*_components(recorded), _sri_axis(0.0, frames), areas)
+    lo = np.full((np.shape(scrambled[2])[-1], intervals.size), np.inf)
     hi = np.full_like(lo, -np.inf)
-    for index, z in _scan(frames, (Pulse.sri(areas),), intervals, _wait_trig(frames, intervals), recorded):
+    for index, z in _scan(frames, (), intervals, _wait_trig(frames, intervals) if trig is None else trig, scrambled):
         np.fmin(lo[index], z.min(axis=0), out=lo[index])
         np.fmax(hi[index], z.max(axis=0), out=hi[index])
     return _excitation_probability(lo, lo) - _excitation_probability(hi, hi)
@@ -421,27 +435,47 @@ def ambiguity_report(
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+#: Golden-section steps taken from one call of the objective, on the 2**depth - 1 areas they may ask for.
+_GOLDEN_DEPTH = 3
+
 
 def _golden_max(f, lo: float, hi: float, tol: float):
     """Golden-section maximization on [lo, hi]; ties keep the left end.
 
     Stops at ``tol`` or once no float lies strictly inside the bracket,
     so a tolerance below the float spacing there cannot loop forever.
+    ``f`` takes a list of areas and returns a list of their values, each
+    what it returns for that area alone.  The search asks it for the next
+    ``_GOLDEN_DEPTH`` steps at once: the first step's side is known, and
+    each later one waits for the value before it, so the steps can ask
+    for 2**depth - 1 new areas, which one call evaluates (Kiefer's search,
+    evaluated speculatively).  The steps are then taken one at a time,
+    each with the scalar search's condition, comparison and arithmetic,
+    so the result has its bits; areas a stopped search never reaches are
+    evaluated for nothing.
     """
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = f([c, d])
+    tree, k = [], 0
     while hi - lo > tol and math.nextafter(lo, hi) < hi:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
+        if k >= len(tree):
+            # the brackets after the next steps as a heap: node n keeps the left part ([lo, d]) if it is the first
+            # step and fc >= fd, or if n is odd; its successors are 2n + 1 (left) and 2n + 2, and its new area is the
+            # c or the d it makes
+            tree, k = [], 0
+            for n in range(2**_GOLDEN_DEPTH - 1):
+                blo, bhi, bc, bd, _ = tree[(n - 1) // 2] if n else (lo, hi, c, d, None)
+                if (n % 2 == 1) if n else (fc >= fd):
+                    tree.append((blo, bd, bd - _INV_PHI * (bd - blo), bc, True))
+                else:
+                    tree.append((bc, bhi, bd, bc + _INV_PHI * (bhi - bc), False))
+            values = f([bc if left else bd for _, _, bc, bd, left in tree])
+        lo, hi, c, d, left = tree[k]
+        fc, fd = (values[k], fc) if left else (fd, values[k])
+        k = 2 * k + (1 if fc >= fd else 2)
     x = 0.5 * (lo + hi)
-    return x, f(x)
+    return x, f([x])[0]
 
 
 def optimize_scramble_area(
@@ -468,14 +502,17 @@ def optimize_scramble_area(
 
     t = _as_intervals(intervals)
     fr = _phi_rows(frames, phi_grid(phi_samples))
+    trig = _wait_trig(fr, t)
 
-    def objective(theta: float) -> float:
-        return float(_readout_ranges(rec, fr, theta, t).min())
+    def objective(thetas: list) -> list:
+        # each area's cosine and sine from math, as a scalar area's (bloch._cos_sin): each value has its own call's bits
+        pair = np.array([math.cos(th) for th in thetas]), np.array([math.sin(th) for th in thetas])
+        return _readout_ranges(rec, fr, pair, t, trig).min(axis=1).tolist()
 
     thetas = np.linspace(0.0, TWO_PI, coarse_points)
     # runs of areas whose scrambled (phi, area) states, and the temporaries of the rotation making them, fit in a block
     step = max(1, _BLOCK_STATES // (8 * fr.phi_s.size))
-    values = np.concatenate([_readout_ranges(rec, fr, thetas[i : i + step], t).min(axis=1) for i in range(0, thetas.size, step)])
+    values = np.concatenate([_readout_ranges(rec, fr, thetas[i : i + step], t, trig).min(axis=1) for i in range(0, thetas.size, step)])
     best = values.max()
     idx = int(np.argmax(values >= best - 1e-12))  # first tie wins: smaller theta
 

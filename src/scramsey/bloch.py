@@ -25,9 +25,10 @@ its inputs once and carries the triple through the cores, stacking only
 when a caller asks for states.  A caller that only reads P_e asks
 ``_rotate`` for the last pulse's ``z`` alone (``z_only``), so that
 pulse's ``x`` and ``y`` are never computed.  The grid scans need less
-still for the W read (azimuth 0) that ends every fringe, right after its
-wait: ``_precess_rotate_x_z`` takes the wait's ``y`` alone and the read's
-``z`` from ``y`` and ``z``, written into a block of the scan's output.
+still for the W pi/2 read (azimuth 0) that ends every fringe, right after
+its wait: ``_precess_rotate_x_z`` takes the wait's ``y`` alone and the
+read's ``z`` as ``y + z * cos(pi/2)`` (the read's sine is exactly 1.0),
+written into a block of the scan's output.
 
 Scalar inputs stay Python floats through the cores, which take the
 cosine and sine of a finite float from :mod:`math` (numpy's bits on every
@@ -278,36 +279,48 @@ def _precess(x, y, z, phase):
 
 
 def _cos_sin(angle):
-    """``(cos, sin)`` of ``angle``: math's for a finite float (numpy's bits), else numpy's, whose NaN math would raise."""
+    """``(cos, sin)`` of ``angle``: math's for a finite float (numpy's bits), else numpy's, whose NaN math would raise.
+
+    A ``(cos, sin)`` pair the caller took itself passes through, so a
+    private caller can hand :func:`_rotate` a row of angles whose trig it
+    took from :mod:`math` one at a time, with each angle's scalar bits.
+    """
     if isinstance(angle, float) and math.isfinite(angle):
         return math.cos(angle), math.sin(angle)
+    if isinstance(angle, tuple):
+        return angle
     return np.cos(angle), np.sin(angle)
 
 
-def _precess_rotate_x_z(x, y, z, cb, sb, angle, out):
-    """The ``z`` of a rotation by ``angle`` about +x (azimuth 0) right after a precession with cosine ``cb`` and sine ``sb``.
+#: Cosine of the W read's area pi/2, as :func:`_cos_sin` takes it; its sine is exactly 1.0.
+_HALF_PI_COS = math.cos(np.pi / 2)
+
+
+def _precess_rotate_x_z(x, y, z_cos, cb, sb, out):
+    """The ``z`` of a W pi/2 read (azimuth 0) right after a precession with cosine ``cb`` and sine ``sb``.
 
     :func:`_precess`'s ``y``, ``x * sb + y * cb``, then :func:`_rotate`'s
-    ``z`` with ``ax = 1`` and ``ay = 0`` folded in, ``z * cos + y * sin``:
-    neither the precession's ``x`` nor an ``x`` term of the rotation is
-    computed.  The steps write into ``out``, of the broadcast shape, in
-    the order ``x * sb``, ``+= y * cb``, ``*= sin``, ``+= z * cos``, so
-    ``y * cb`` is the only temporary of that shape; IEEE addition
-    commutes, so the bits are those of the two expressions.  For finite
-    ``x`` the result equals the full rotation's ``z`` except in the sign
-    of an exact zero: ``y - 0.0 * x`` turns a ``y`` of ``-0.0`` into
-    ``+0.0`` when ``x`` is negative, and that zero can reach the result.
-    The grid scans call it with a small ufunc buffer, none at all for a
-    row of 64 intervals or more (``analysis._read_z``): three of the steps
-    broadcast columns against a row shorter than numpy's default buffer,
-    and numpy would copy those operands into iterator buffers of that
-    size.  Nothing here is summed, so buffering changes no bits, only time
-    and memory.
+    ``z`` with ``ax = 1``, ``ay = 0`` and the read's area folded in:
+    ``sin(pi/2)`` is exactly 1.0, so the rotation's ``y * sin`` is ``y``
+    itself, and ``z_cos`` is the read's other term, ``z * _HALF_PI_COS``,
+    which the caller takes on its column.  Neither the precession's ``x``
+    nor an ``x`` term of the rotation is computed.  The steps write into
+    ``out``, of the broadcast shape, in the order ``x * sb``, ``+= y *
+    cb``, ``+= z_cos``, so ``y * cb`` is the only temporary of that shape;
+    IEEE addition commutes, so the bits are those of the two expressions.
+    For finite ``x`` the result equals the full rotation's ``z`` except in
+    the sign of an exact zero: ``y - 0.0 * x`` turns a ``y`` of ``-0.0``
+    into ``+0.0`` when ``x`` is negative, and that zero reaches the result
+    only where ``z_cos`` is zero too.  The grid scans call it with a small
+    ufunc buffer, none at all for a row of 64 intervals or more
+    (``analysis._read_z``): three of the steps broadcast columns against a
+    row shorter than numpy's default buffer, and numpy would copy those
+    operands into iterator buffers of that size.  Nothing here is summed,
+    so buffering changes no bits, only time and memory.
     """
     r = np.multiply(x, sb, out=out)
     r += y * cb
-    r *= np.sin(angle)
-    r += z * np.cos(angle)
+    r += z_cos
     return r
 
 
@@ -339,6 +352,10 @@ def _checked_probability(z):
 
 
 def _excitation_probability(z, out=None):
-    """P_e = (1 - z) / 2 clipped to [0, 1]; with ``out`` every step writes there, so no temporary is made."""
+    """P_e = (1 - z) / 2 clipped to [0, 1]; with ``out`` every step writes there, so no temporary is made.
+
+    The halving is ``* 0.5``, which costs a third of ``/ 2.0``: scaling by a
+    power of two rounds the same real value either way, so the bits match.
+    """
     p = np.subtract(1.0, z, out=out)
-    return np.clip(np.divide(p, 2.0, out=out), 0.0, 1.0, out=out)
+    return np.clip(np.multiply(p, 0.5, out=out), 0.0, 1.0, out=out)

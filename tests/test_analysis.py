@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import scramsey
+from scramsey import analysis
 from scramsey.analysis import (
     AmbiguityReport,
     FlopCurve,
@@ -24,6 +27,7 @@ from scramsey.analysis import (
     sdbv_projection_xz,
 )
 from scramsey.bloch import EXCITED
+from scramsey.harness import load_scenario, run_scenario
 from scramsey.sequence import DELTA_W_REF
 
 # equal-superposition record produced by the pi/2 write pulse
@@ -336,3 +340,126 @@ def test_optimizer_terminates_below_float_resolution(tolerance):
     theta_star, ambiguity = json.loads(result.stdout)
     assert theta_star == pytest.approx(np.pi / 2, abs=1e-6)
     assert ambiguity == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------------- the golden search
+
+# The search takes its next steps from one objective call on every area
+# they may ask for.  It must reach the bits of the one-area-per-call search
+# below, the form it had before, on any deterministic objective.
+
+
+def scalar_golden_max(f, lo, hi, tol):
+    """Golden-section maximization with one call of ``f`` per area: the search's reference."""
+    c = hi - analysis._INV_PHI * (hi - lo)
+    d = lo + analysis._INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - analysis._INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + analysis._INV_PHI * (hi - lo)
+            fd = f(d)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def ulps_above(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+OBJECTIVES = {
+    "peak": lambda x: -((x - 1.3) ** 2),
+    "constant": lambda x: 0.25,  # every comparison an exact tie
+    "plateau": lambda x: min(x, 1.0),  # ties right of 1
+    "rising": lambda x: x,  # the maximum at the right end
+    "falling": lambda x: -x,
+    "steps": lambda x: round(math.sin(3.0 * x), 2),  # runs of exact ties
+    "kink": lambda x: -abs(x - 0.7),
+}
+BRACKETS = [
+    (0.0, 2 * np.pi, 1e-6),
+    (0.3, 0.9, 1e-12),
+    (1.0, 2.0, 1e-16),  # below the float spacing near 2
+    (0.5, 1.5, 5e-324),
+    (1.0, ulps_above(1.0, 5), 1e-300),  # a bracket a few ulps wide
+    (0.7, ulps_above(0.7, 2), 1e-300),
+    (np.pi / 2, ulps_above(np.pi / 2, 40), 1e-320),
+    (2.0, 3.0, 10.0),  # no step at all
+]
+
+
+@pytest.mark.parametrize("lo, hi, tol", BRACKETS)
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_golden_search_reaches_the_bits_of_the_scalar_search(name, lo, hi, tol):
+    g = OBJECTIVES[name]
+    scalar_areas, batched_calls = [], []
+
+    def scalar(x):
+        scalar_areas.append(float(x))
+        return g(x)
+
+    def batched(xs):
+        batched_calls.append([float(x) for x in xs])
+        return [g(x) for x in xs]
+
+    want = scalar_golden_max(scalar, lo, hi, tol)
+    got = analysis._golden_max(batched, lo, hi, tol)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    # every area the scalar search asked for was asked for, in far fewer calls of at most 2**depth - 1 areas
+    asked = {x for call in batched_calls for x in call}
+    assert set(scalar_areas) <= asked
+    assert all(len(call) <= 2**analysis._GOLDEN_DEPTH - 1 for call in batched_calls)
+    steps = len(scalar_areas) - 3  # the scalar search's first pair and its last area are no steps
+    assert len(batched_calls) == 2 + math.ceil(steps / analysis._GOLDEN_DEPTH)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def test_the_shipped_optimize_scenario_scans_at_most_16_times(tmp_path):
+    # 6 coarse scans of up to 32 areas, the first pair, 8 calls of 3 golden steps each and the last area: 16;
+    # one call per area took 33
+    with mock.patch.object(analysis, "_readout_ranges", wraps=analysis._readout_ranges) as scans:
+        run_scenario(load_scenario(SCENARIOS / "optimize.json"), tmp_path)
+    assert scans.call_count <= 16
+
+
+# The batched objective evaluates the golden candidates as one row of areas
+# against the phi column.  Each area's value must be the one a scan of that
+# area alone gives, bit for bit: its cosine and sine come from math, as a
+# scalar area's do, and the rest of the head is elementwise.
+
+
+def optimizer_objective(record, intervals, phi_samples):
+    """The batched objective ``optimize_scramble_area`` hands its golden search."""
+    with mock.patch.object(analysis, "_golden_max", wraps=analysis._golden_max) as search:
+        optimize_scramble_area(record, intervals, phi_samples, tolerance=1e-2, coarse_points=9)
+    return search.call_args.args[0]
+
+
+@pytest.mark.parametrize("record", [EXCITED, PLUS, np.array([0.48, -0.6, 0.64])], ids=["excited", "plus", "tilted"])
+def test_batched_objective_equals_the_scalar_one_bit_for_bit(record):
+    rng = np.random.default_rng(27)
+    T = default_intervals(DELTA_W_REF, 2.0, 17)
+    fr = analysis._phi_rows(None, phi_grid(16))
+    objective = optimizer_objective(record, T, 16)
+    # a grid, random areas, the ends and repeats: a repeat in one call is an exact tie, and so is every zero spread
+    areas = np.concatenate([np.linspace(0.0, 2 * np.pi, 181), rng.uniform(0.0, 2 * np.pi, 120), [0.0, np.pi / 2, np.pi, 2 * np.pi]])
+    areas = np.concatenate([areas, areas[::37]]).tolist()
+    scalar = [float(analysis._readout_ranges(record, fr, area, T).min()) for area in areas]
+    for size in (1, 2, 7):
+        with mock.patch.object(analysis, "_readout_ranges", wraps=analysis._readout_ranges) as scans:
+            batched = [v for i in range(0, len(areas), size) for v in objective(areas[i : i + size])]
+        assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+        # each call's trig is math's, one area at a time, as a scalar area's is
+        for call, i in zip(scans.call_args_list, range(0, len(areas), size)):
+            cos, sin = call.args[2]
+            chunk = areas[i : i + size]
+            assert cos.tolist() == [math.cos(a) for a in chunk] and sin.tolist() == [math.sin(a) for a in chunk]
+    assert len(set(scalar)) < len(scalar)

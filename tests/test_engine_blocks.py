@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from scramsey import analysis, sequence
+from scramsey import analysis, bloch, sequence
 from scramsey.analysis import (
     SDBV,
     AmbiguityReport,
@@ -34,7 +34,7 @@ from scramsey.analysis import (
     sdbv,
     sdbv_projection_xz,
 )
-from scramsey.bloch import GROUND, Z_TOL, excitation_probability, precess, rotate_inplane, wrap_angle
+from scramsey.bloch import GROUND, Z_TOL, _precess, _rotate, excitation_probability, precess, rotate_inplane, wrap_angle
 from scramsey.errors import InvalidTimelineError
 from scramsey.expsim import NoiseModel, TrialStats, damp_contrast, fit_damped_sinusoid, run_trials
 from scramsey.protocol import ProtocolConfig, decode_choice, retrieve_delay, smallest_secure_k
@@ -780,6 +780,88 @@ def test_w_read_after_a_wait_keeps_the_sign_of_an_exact_zero():
     assert np.array_equal(bits(_walk_z(events, frames, block)), bits(want))
 
 
+# The scans' read tests only the rows whose z * cos(pi/2) is zero for an
+# exact zero, and reads the block again the general way only if one holds
+# one.  Hand-made columns put each case of that rule beside ordinary rows.
+
+#: (x, y, z) rows: z = -0.0 with y = -0.0 and x < 0 reads -0.0 the short way and +0.0 the general way at a
+#: zero wait; z = +0.0, a positive x and a z whose z * cos(pi/2) underflows to +0.0 read the same either way
+ZERO_ROWS = [(-0.6, -0.0, -0.0), (-0.6, -0.0, 0.0), (0.6, -0.0, -0.0), (-1.0, -0.0, 5e-324), (-0.8, -0.0, -5e-324)]
+ORDINARY_ROWS = [(0.36, 0.48, 0.8), (-0.6, 0.0, 0.8), (0.0, -1.0, 0.0)]
+
+
+def read_columns(rows, intervals):
+    """``_read_z`` of ``rows`` as (rows, 1, 1) columns, the general read's z of the same, and the general reads it took."""
+    frames = default_frames()
+    xyz = [np.array(column).reshape(-1, 1, 1) for column in zip(*rows)]
+    out = np.empty((len(rows), 1, intervals.size))
+    with mock.patch.object(analysis, "_rotate", wraps=analysis._rotate) as general:
+        analysis._read_z(xyz, frames, intervals, analysis._wait_trig(frames, intervals), out)
+    x, y, z = _precess(*xyz, frames.delta_w * intervals)
+    return out, _rotate(x, y, z, 0.0, np.pi / 2, z_only=True), general.call_count
+
+
+@pytest.mark.parametrize("count", [5, 64])  # a buffered and an unbuffered row
+@pytest.mark.parametrize(
+    "rows", [ZERO_ROWS, ZERO_ROWS + ORDINARY_ROWS, ORDINARY_ROWS[::-1] + ZERO_ROWS[:1], ZERO_ROWS[3:] + ORDINARY_ROWS]
+)
+def test_read_z_keeps_the_sign_of_every_exact_zero(rows, count):
+    T = np.linspace(0.0, 1e-2, count)  # the first wait is 0: cos 1, sin 0
+    got, want, general = read_columns(rows, T)
+    assert np.array_equal(bits(got), bits(want))
+    assert general == 1  # a zero-wait read of a zero row holds an exact zero
+    if (-0.6, -0.0, -0.0) in rows:
+        assert bits(want[rows.index((-0.6, -0.0, -0.0)), 0, 0]) == bits(0.0)
+
+
+def test_read_z_reads_the_general_way_only_for_a_zero_on_a_zero_row():
+    T = np.linspace(1e-4, 1e-2, 9)  # no zero wait: no row's y term is zero
+    got, want, general = read_columns(ZERO_ROWS + ORDINARY_ROWS, T)
+    assert np.array_equal(bits(got), bits(want)) and got.all() and general == 0
+    # an exact zero on a row whose z * cos(pi/2) is not zero reads the same either way: y + z_cos = +0.0
+    z = 0.5
+    row = (0.6, -(z * bloch._HALF_PI_COS), z)
+    got, want, general = read_columns([row] + ORDINARY_ROWS, np.linspace(0.0, 1e-2, 9))
+    assert bits(got[0, 0, 0]) == bits(0.0)
+    assert np.array_equal(bits(got), bits(want)) and general == 0
+
+
+# Finiteness is checked once per scan, on the head's components and the
+# wait's cosine and sine: each is bounded by 1 when finite, so the read is
+# finite exactly when they are, and no block needs a check of its own.
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "y", "z", "cos", "sin"])
+def test_a_non_finite_head_or_wait_raises_before_any_read(where, bad):
+    frames = analysis._phi_rows(default_frames(), phi_grid(4))
+    T = np.linspace(0.0, 1e-2, 9)
+    cb, sb = analysis._wait_trig(frames, T)
+    state = [np.full((4, 1), c) for c in (0.6, 0.0, 0.8)]
+    if where in ("cos", "sin"):
+        (cb if where == "cos" else sb)[5] = bad
+    else:
+        state["xyz".index(where)][2, 0] = bad
+    with mock.patch.object(analysis, "_read_z", wraps=analysis._read_z) as reads, pytest.raises(InvalidTimelineError):
+        for _ in analysis._scan(frames, (), T, (cb, sb), state):
+            pass
+    assert reads.call_count == 0
+
+
+@pytest.mark.parametrize("head", [(Wait(1e308),), (Wait(1e308), Pulse.sri(0.7 * np.pi))], ids=["wait", "wait-then-scramble"])
+def test_a_head_that_overflows_raises_before_any_read(head):
+    frames = analysis._phi_rows(default_frames(), phi_grid(4))
+    T = np.linspace(0.0, 1e-2, 9)
+    with (
+        np.errstate(invalid="ignore", over="ignore"),
+        mock.patch.object(analysis, "_read_z", wraps=analysis._read_z) as reads,
+        pytest.raises(InvalidTimelineError),
+    ):
+        for _ in analysis._scan(frames, head, T, analysis._wait_trig(frames, T), (0.6, 0.0, 0.8)):
+            pass
+    assert reads.call_count == 0
+
+
 @pytest.mark.parametrize("start", [(1.0, 0.0, 0.0), tuple(np.array([[0.6, 0.0, 0.8]] * 3).T)])
 def test_w_read_after_an_overflowing_wait_raises(start):
     events = (Pulse.wri(np.pi / 2), Wait(1e308), Pulse.wri(np.pi / 2))
@@ -879,7 +961,7 @@ def scan_abandoned_after_one_block():
 
 def scan_raising_mid_grid():
     # one phi row of BUDGET + 1 intervals is cut in two blocks; the wait
-    # phase of the last interval overflows, so only the second block fails
+    # phase of the last interval overflows, so the scan raises before its first
     T = np.append(np.linspace(0.0, 1e-2, BUDGET), 1e308)
     with np.errstate(invalid="ignore", over="ignore"):
         try:
