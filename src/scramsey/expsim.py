@@ -15,8 +15,8 @@ jitter ``0.0 + sigma * rng.standard_normal()``: numpy's own formulas
 for ``rng.uniform(0.0, TWO_PI)`` and ``rng.normal(0.0, sigma)``, so the
 draws, their bits and each stream's consumption are theirs, without
 the cost of their argument handling.  The projection sample is
-``rng.binomial(atom_count, p)``, divided by ``atom_count`` once per
-walk for all trials.
+``rng.binomial(atom_count, p)``; each stream writes its counts into the
+result, which is divided by ``atom_count`` once, after the last walk.
 
 :func:`run_trials` reads the interval grid in runs of consecutive
 intervals whose timelines have the same event kinds.  A walk evaluates
@@ -25,7 +25,14 @@ every trial at once, on a (trials,) axis of shot phases and jitters
 draw lies in [0, 2*pi) already): the events before the last, the
 jitter's precession, then the last event.  A run whose shots draw a
 binomial after a shot phase or a jitter is walked interval by interval,
-since each stream's next draw waits for the result.  Any other run is
+since each stream's next draw waits for the result.  Such a one-shot
+walk is the same loop at k = 1: each stream draws its shot phase, then
+its jitter, as Python floats, and each kind becomes one (trials, 1)
+array straight from those values, the only arrays the walk allocates
+for its draws; a jitter is drawn even for an empty timeline, which has
+no event to precess.  The walk's P_e column goes to the binomials as a
+list of floats, one per stream (or the walk's one value for every
+stream), and each count goes straight into the result.  Any other run is
 read as one float row per interval (event values, then duration), never
 as timelines, at most ``_BLOCK_STATES // trials`` rows (at least one) a
 walk: each stream draws the rows' values in order (one call for one
@@ -40,14 +47,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import _BLOCK_STATES, _as_intervals
 from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
-from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
+from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _ShotFrames, _walk_z, default_frames
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -108,7 +115,7 @@ def damp_contrast(p_e, hold_time, tau: float):
 
 def _damp_contrast(p_e, hold_time, tau: float):
     """Unchecked core of :func:`damp_contrast`: ``tau`` a positive float, ``hold_time`` >= 0."""
-    if np.isinf(tau):
+    if tau == math.inf:  # no numpy call for the float the checks made
         return p_e
     factor = np.exp(-np.asarray(hold_time, dtype=float) / tau)
     damped = 0.5 + (np.asarray(p_e, dtype=float) - 0.5) * factor
@@ -237,46 +244,50 @@ def run_trials(
     rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(noise.seed).spawn(trials)]
     sigma, atoms = noise.phase_jitter_sigma, noise.atom_count
     samples = np.empty((trials, intervals.shape[0]))
-    # the shot phases go on a private copy, unchecked: every draw lies in [0, 2*pi) already
-    j, jitter, shot_frames = 0, sigma > 0.0, replace(frames)
+    # the shot phases go on a private, unchecked copy: every draw lies in [0, 2*pi) already
+    j, tau, shot_frames = 0, noise.contrast_decay_tau, _ShotFrames(frames.delta_w, frames.delta_s, frames.phi_s)
+    # a shot's draws in stream order, each as (scale, method): the shot phase, then the jitter
+    jitter = [(sigma, np.random.Generator.standard_normal)] if sigma > 0.0 else []
     for kinds, timelines in itertools.groupby(map(builder, map(float, intervals)), _kinds):
         draw_phi = bool(randomize_phi) and Frame.S in kinds
+        draws = [(TWO_PI, np.random.Generator.random), *jitter] if draw_phi else jitter
         walk_frames = shot_frames if draw_phi else frames
-        if atoms is not None and (draw_phi or jitter):
+        if atoms is not None and draws:
             # a binomial after a shot phase or a jitter needs the walk's result before the stream's next draw
             walks = ((t.events, t.duration, 1) for t in timelines)
         else:
             walks = _stacked(kinds, timelines, max(1, _BLOCK_STATES // trials))
         for events, duration, k in walks:
-            phis, jitters = np.empty((trials, k)), np.empty((trials, k))
-            if k > 1 and draw_phi != jitter:
+            if k > 1 and len(draws) == 1:
                 # one kind of draw for the whole walk: one call per stream
-                for i, rng in enumerate(rngs):
-                    if draw_phi:
-                        phis[i] = 0.0 + TWO_PI * rng.random(k)
-                    else:
-                        jitters[i] = 0.0 + sigma * rng.standard_normal(k)
-            elif draw_phi or jitter:
-                # shot by shot, each stream's shot phase before its jitter: the streams are independent
-                for m in range(k):
-                    if draw_phi:
-                        phis[:, m] = [0.0 + TWO_PI * rng.random() for rng in rngs]
-                    if jitter:
-                        jitters[:, m] = [0.0 + sigma * rng.standard_normal() for rng in rngs]
-            shot_frames.phi_s = phis
+                [(scale, draw)] = draws
+                drawn = [np.array([0.0 + scale * draw(rng, k) for rng in rngs])]
+            elif draws:
+                # shot by shot, each stream's shot phase before its jitter: the streams are independent, so
+                # each kind's (trials, k) array is built from its per-shot columns, a column of one stream each
+                shots = [[[0.0 + scale * draw(rng) for rng in rngs] for scale, draw in draws] for _ in range(k)]
+                drawn = [np.array(columns).T for columns in zip(*shots)]
+            if draw_phi:
+                shot_frames.phi_s = drawn[0]
             xyz, time = _advance(events[:-1], walk_frames, _GROUND_XYZ, 0.0)
             if jitter and events:
                 # the jitter is an extra precession just before the last event
-                xyz = _precess(*xyz, jitters)
+                xyz = _precess(*xyz, drawn[-1])
             z = _walk_z(events[-1:], walk_frames, xyz, time)
-            p = _damp_contrast(_checked_probability(z), duration, noise.contrast_decay_tau)
-            if atoms is not None:
-                # one scalar draw per stream for one shot, else one call per stream for the walk
-                rows = np.broadcast_to(p, (trials, k))
-                counts = [rng.binomial(atoms, q) for q, rng in zip(rows[:, 0].tolist() if k == 1 else rows, rngs)]
-                p = np.array(counts).reshape(trials, k) / float(atoms)
-            samples[:, j : j + k] = p
+            p = _damp_contrast(_checked_probability(z), duration, tau)
+            if atoms is None:
+                samples[:, j : j + k] = p
+            elif k == 1:
+                # one scalar draw per stream: from its own probability, or every stream from the walk's one
+                samples[:, j] = [rng.binomial(atoms, q) for q, rng in zip(itertools.cycle(np.ravel(p).tolist()), rngs)]
+            else:
+                # no draw came before: every stream draws the walk's row in one call
+                row = np.broadcast_to(p, k)
+                samples[:, j : j + k] = [rng.binomial(atoms, row) for rng in rngs]
             j += k
+    if atoms is not None:
+        # every sample is a count: one division for the whole grid
+        samples /= float(atoms)
     return _record(TrialStats, intervals=intervals, samples=samples)
 
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import DEFAULT_PHI_SAMPLES, phi_grid
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _real, _shown, _wrap_centred
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _real, _reals, _shown, _wrap_centred, wrap_angle
 from .errors import (
     IndeterminateReadoutError,
     InfeasibleTimingError,
     ProtocolMisconfigurationError,
 )
-from .sequence import FrameSet, Pulse, Timeline, Wait, _advance, _walk_z, default_frames
+from .sequence import FrameSet, Pulse, Timeline, Wait, _advance, _ShotFrames, _walk_z, default_frames
 
 #: Relative tolerance for all phase-condition checks.
 TIMING_RTOL = 1e-9
@@ -231,7 +231,12 @@ def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> floa
     not the mutable config, so a changed config is checked again; a
     failed check is not remembered, so a bad config raises on every
     read.  Each read walks the last five events from the prepared state,
-    so it gives the bits of a walk of the whole timeline.
+    so it gives the bits of a walk of the whole timeline.  Its frames are
+    a private, unchecked FrameSet of its own: the config's two detunings,
+    checked when the config's frames were made or set, and ``phi_s`` put
+    through the rule a FrameSet applies to it (finite, then wrapped into
+    [0, 2*pi)), so a bad phase raises that rule's ValueError.  Nothing of
+    a read's frames is kept in the cache.
     """
     frames = config.frames
     key = (frames.delta_w, frames.delta_s, config.t1, config.t2, config.t3, config.scramble_area, config.read_area)
@@ -245,7 +250,8 @@ def run_secure_choice(choice: str, phi_s: float, config: ProtocolConfig) -> floa
         if len(_VALID_CONFIGS) >= 64:
             _VALID_CONFIGS.clear()
         _VALID_CONFIGS[key] = prepared
-    frames = FrameSet(frames.delta_w, frames.delta_s, phi_s)
+    # the detunings were checked when the config's frames were made or set: only the read's phase takes the rule
+    frames = _ShotFrames(frames.delta_w, frames.delta_s, wrap_angle(_reals("phi_s", phi_s)))
     if choice not in prepared:
         encode_choice(choice)  # raises its ValueError
     xyz, time, tail = prepared[choice]

@@ -20,9 +20,10 @@ Pulses are instantaneous: time advances through ``Wait`` events only.
 Pulse areas, wait durations and ``phi_s`` may be arrays that broadcast
 together: ``phi_s`` of shape (P, 1) against waits of shape (T,) gives a
 (P, T) grid from one ``simulate`` call.  Inputs are checked once: events
-and frames when built, the start state in ``simulate``.  One unchecked
-event loop (``_advance``) then carries the state as a component triple
-``(x, y, z)`` through the kernel cores of :mod:`scramsey.bloch`.
+and frames when built (a frames field also when set later), the start
+state in ``simulate``.  One unchecked event loop (``_advance``) then
+carries the state as a component triple ``(x, y, z)`` through the kernel
+cores of :mod:`scramsey.bloch`.
 ``_walk`` checks that the final components are finite; ``simulate`` and
 ``apply_event`` stack its result into (..., 3) states.  ``_walk_z`` is
 the P_e read of the trial and protocol layers: it rotates only ``z``
@@ -149,17 +150,32 @@ class FrameSet:
     """Detunings of the two frames and their relative phase for one shot.
 
     ``phi_s`` may be an array to sweep many shot phases in one simulate
-    call; it is reduced to [0, 2*pi) on construction.
+    call; it is reduced to [0, 2*pi).  Each field is checked whenever it
+    is set, on construction, by ``replace`` and by assignment alike: the
+    detunings by :func:`bloch._real`, the phase by :func:`bloch._reals`
+    and then the wrap.
     """
 
     delta_w: float
     delta_s: float
     phi_s: object = 0.0
 
-    def __post_init__(self):
-        self.delta_w = _real("delta_w", self.delta_w)
-        self.delta_s = _real("delta_s", self.delta_s)
-        self.phi_s = wrap_angle(_reals("phi_s", self.phi_s))
+    def __setattr__(self, name, value):
+        if name == "phi_s":
+            value = wrap_angle(_reals(name, value))
+        elif name in ("delta_w", "delta_s"):
+            value = _real(name, value)
+        object.__setattr__(self, name, value)
+
+
+class _ShotFrames(FrameSet):
+    """A FrameSet of values the engine checked already, its fields set without their rules.
+
+    The frames of one secure-choice read and ``run_trials``' private copy,
+    whose drawn shot phases lie in [0, 2*pi) already; it never leaves them.
+    """
+
+    __setattr__ = object.__setattr__
 
 
 def default_frames(phi_s: float = 0.0) -> FrameSet:

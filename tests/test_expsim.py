@@ -349,9 +349,12 @@ REFERENCE_BUILDERS = {
     "area_per_interval": lambda T: scrambled_ramsey(2.1 + 300.0 * T, T1_REF, T),
     # a wait of 0.0 or -0.0 by interval: the two do not share one value
     "signed_zero_wait": lambda T: Timeline((Pulse.wri(np.pi / 2), Wait(-0.0 if T > PERIOD else 0.0), *ramsey(T).events)),
+    # the same timeline for every interval: without a draw, a walk's probability is one float for all its shots
+    "fixed": lambda T: Timeline((Pulse.wri(1.0), Wait(1e-3), Pulse.sri(2.1))),
 }
 REFERENCE_NOISE = {
     "none": {},
+    "atoms": {"atom_count": 40},
     "sigma_tau": {"phase_jitter_sigma": 0.2, "contrast_decay_tau": 0.05},
     "atoms_tau": {"atom_count": 37, "contrast_decay_tau": 0.02},
     "sigma_atoms": {"phase_jitter_sigma": 0.2, "atom_count": 300},
@@ -466,6 +469,21 @@ def test_property_run_trials_equals_the_per_shot_reference(templates, noise, tri
     with mock.patch.object(expsim, "_BLOCK_STATES", budget or expsim._BLOCK_STATES):
         stats = run_trials(shots.__getitem__, frames, model, trials, grid, randomize_phi)
     assert np.array_equal(stats.samples, _per_shot_reference(shots.__getitem__, frames, model, trials, grid, randomize_phi))
+
+
+def test_an_empty_timeline_still_draws_its_jitter():
+    # a property example pinned: the empty timelines draw a jitter they never use, so the binomials of the W pulse's
+    # shots after them come from further along the stream; a build that skipped that draw gave other counts
+    templates = [[], [], [("W", "constant", 0.4)]]
+    grid = np.linspace(0.0, 2 * PERIOD, 6)
+    shots = {
+        float(T): Timeline(tuple(_event(*e, float(T), False) for e in templates[pick]))
+        for T, pick in zip(grid, [0, 2, 1, 2, 0, 2])
+    }
+    frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
+    model = NoiseModel(seed=7, **REFERENCE_NOISE["all"])
+    stats = run_trials(shots.__getitem__, frames, model, 1, grid, randomize_phi=False)
+    assert np.array_equal(stats.samples, _per_shot_reference(shots.__getitem__, frames, model, 1, grid, False))
 
 
 def test_wrap_angle_maps_every_drawn_shot_phase_to_itself():
@@ -690,6 +708,33 @@ def _fit_residual(x, y):
     with mock.patch.object(_trf, "least_squares", capture), pytest.raises(_Captured):
         fit_damped_sinusoid(x, y)
     return captured[0]
+
+
+def _strictly_feasible_in_full(x, lb):
+    """scipy's ``make_strictly_feasible(x, lb, np.inf, rstep=0)``: both masked writes, always made."""
+    x_new = x.copy()
+    lower, upper = x <= lb, x >= np.inf
+    x_new[lower] = np.nextafter(lb[lower], np.inf)
+    x_new[upper] = np.nextafter(np.inf, lb[upper])
+    return x_new
+
+
+@pytest.mark.parametrize("where", ["inside", "on", "on_signed_zero", "ulp_above", "below", "at_inf", "nan"])
+def test_strictly_feasible_skips_only_writes_that_change_nothing(where):
+    # the fit's lower bounds: -inf, 0.0, a positive one, 0.0, -inf; one component is moved relative to its bound
+    lb = np.array([-np.inf, 0.0, 1e-9, 0.0, -np.inf])
+    x = np.array([0.5, 0.3, 0.01, 600.0, -0.1])
+    x[2], x[3] = {
+        "inside": (0.01, 600.0),
+        "on": (1e-9, 600.0),
+        "on_signed_zero": (0.01, -0.0),
+        "ulp_above": (np.nextafter(1e-9, np.inf), np.nextafter(0.0, np.inf)),
+        "below": (-1.0, -5e-324),
+        "at_inf": (np.inf, 600.0),
+        "nan": (np.nan, 600.0),
+    }[where]
+    got, want = _trf._strictly_feasible(x, lb, 0), _strictly_feasible_in_full(x, lb)
+    assert got is not x and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _looped_jacobian(fun, x0, f0, lb):

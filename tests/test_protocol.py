@@ -309,7 +309,13 @@ def test_a_config_is_checked_once_per_distinct_set_of_values():
 )
 def test_a_non_finite_phase_condition_is_rejected(name, value):
     config = default_config()
-    setattr(config.frames if name == "delta_s" else config, name, value)
+    if name == "delta_s":
+        # a frames field refuses the value when set; forced in past that rule, the config check still catches it
+        with pytest.raises(ValueError, match=r"^delta_s must be finite, got inf$"):
+            config.frames.delta_s = value
+        object.__setattr__(config.frames, name, value)
+    else:
+        setattr(config, name, value)
     with pytest.raises(ProtocolMisconfigurationError):
         validate_secure_config(config)
     with pytest.raises(ProtocolMisconfigurationError):
@@ -347,6 +353,31 @@ def test_an_unknown_choice_raises_encode_choices_error_cold_and_warm():
         with pytest.raises(ValueError) as got:
             run_secure_choice("maybe", 0.3, config)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf, 10**400, np.array([0.1, np.nan])], ids=["nan", "inf", "-inf", "huge", "array"])
+def test_a_read_refuses_a_bad_shot_phase_with_the_frames_message(phi):
+    # a read puts its phase through the rule a FrameSet applies, cold and warm, before it walks
+    config = default_config(t1=4.7e-3)
+    with pytest.raises(ValueError) as want:
+        FrameSet(config.frames.delta_w, config.frames.delta_s, phi)
+    assert str(want.value).startswith("phi_s must be finite")
+    protocol._VALID_CONFIGS.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError) as got:
+            run_secure_choice(Choice.YES, phi, config)
+        assert type(got.value) is ValueError and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("choice", Choice.ALL)
+def test_an_array_of_shot_phases_gives_one_read_per_phase(choice):
+    # phases of any shape and sign, some past 2*pi, a list among them: each is wrapped as a FrameSet wraps it
+    config = _secure_configs()[2]
+    for phi in (np.array([[0.0, 1.0, 7.0], [-2.0, 3.5, 100.0]]), [0.25, -0.0, 2 * np.pi]):
+        frames = FrameSet(config.frames.delta_w, config.frames.delta_s, phi)
+        want = _checked_probability(_walk_z(secure_choice_timeline(choice, config), frames, _GROUND_XYZ))
+        got = run_secure_choice(choice, phi, config)
+        assert got.shape == np.shape(phi) and got.tobytes() == want.tobytes()
 
 
 def test_read_errors_come_config_then_shot_phase_then_choice():

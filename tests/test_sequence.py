@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,34 @@ def test_frameset_wraps_phi_and_validates():
         FrameSet(np.inf, 1.0)
     with pytest.raises(ValueError):
         FrameSet(1.0, 1.0, np.nan)
+
+
+@pytest.mark.parametrize("name, value", [("phi_s", np.nan), ("delta_w", "x"), ("delta_s", np.inf), ("phi_s", [0.5, np.inf])])
+def test_a_frameset_field_refuses_a_bad_value_when_set(name, value):
+    # the constructor's error and message, raised by the assignment itself and by replace, not later by a walk
+    fields = {"delta_w": 2 * np.pi * 110.0, "delta_s": 2 * np.pi * 100.0, "phi_s": 0.3}
+    with pytest.raises(ValueError) as made:
+        FrameSet(**{**fields, name: value})
+    fr = FrameSet(**fields)
+    for write in (lambda: setattr(fr, name, value), lambda: replace(fr, **{name: value})):
+        with pytest.raises(ValueError) as got:
+            write()
+        assert type(got.value) is type(made.value) and str(got.value) == str(made.value)
+    assert fr == FrameSet(**fields)
+
+
+def test_a_frameset_field_set_later_takes_the_constructors_rule():
+    fr = default_frames()
+    fr.phi_s = 100.0
+    assert fr.phi_s.hex() == FrameSet(DELTA_W_REF, DELTA_S_REF, 100.0).phi_s.hex() == (100.0 % (2 * np.pi)).hex()
+    fr.phi_s = np.array([-1e-20, 7.0])
+    assert np.array_equal(fr.phi_s, FrameSet(DELTA_W_REF, DELTA_S_REF, np.array([-1e-20, 7.0])).phi_s)
+    fr.delta_w = 10**3
+    assert type(fr.delta_w) is float and fr.delta_w == 1000.0
+    # the walk that once raised "a timeline phase overflowed" for a NaN set later never starts
+    with pytest.raises(ValueError, match=r"^phi_s must be finite, got nan$"):
+        fr.phi_s = np.nan
+    assert simulate(scrambled_ramsey(1.0, 1e-3, 1e-3), fr).shape == (2, 3)
 
 
 # ------------------------------------------------------------ two-frame rule
