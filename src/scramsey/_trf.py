@@ -413,7 +413,7 @@ def _strictly_feasible(x, lb, rstep):
     x_new = x.copy()
     if rstep == 0:
         lower, upper = x <= lb, x >= np.inf
-        # a step seldom lands on a bound, and then the masked writes would change nothing
+        # the masked writes change nothing unless a component sits on a bound, which a step seldom reaches
         if np.count_nonzero(lower) or np.count_nonzero(upper):
             x_new[lower] = np.nextafter(lb[lower], np.inf)
             x_new[upper] = np.nextafter(np.inf, lb[upper])
