@@ -92,9 +92,8 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
     m, n = J.shape
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    finite_lb = np.isfinite(lb)  # the bounds never change within a fit
 
-    v, dv = _scaling_vector(x, g, lb, finite_lb)
+    v, dv = _scaling_vector(x, g, lb)
     Delta = norm(x0 / v**0.5)
     if Delta == 0:
         Delta = 1.0
@@ -108,7 +107,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
     termination_status = None
 
     while True:
-        v, dv = _scaling_vector(x, g, lb, finite_lb)
+        v, dv = _scaling_vector(x, g, lb)
         g_norm = abs(g * v).max()  # numpy.linalg.norm's arithmetic for ord=inf
         if g_norm < gtol:
             termination_status = 1
@@ -413,20 +412,18 @@ def _strictly_feasible(x, lb, rstep):
     x_new = x.copy()
     if rstep == 0:
         lower, upper = x <= lb, x >= np.inf
-        # the masked writes change nothing unless a component sits on a bound, which a step seldom reaches
-        if np.count_nonzero(lower) or np.count_nonzero(upper):
-            x_new[lower] = np.nextafter(lb[lower], np.inf)
-            x_new[upper] = np.nextafter(np.inf, lb[upper])
+        x_new[lower] = np.nextafter(lb[lower], np.inf)
+        x_new[upper] = np.nextafter(np.inf, lb[upper])
     else:
         lower = np.isfinite(lb) & (x - lb <= np.minimum(np.inf - x, rstep * np.maximum(1, np.abs(lb))))
         x_new[lower] = lb[lower] + rstep * np.maximum(1, np.abs(lb[lower]))
     return x_new
 
 
-def _scaling_vector(x, g, lb, finite_lb):
+def _scaling_vector(x, g, lb):
     """The Coleman-Li scaling vector v and its derivative dv: the distance to the lower bound the gradient points
-    away from, else 1.  ``finite_lb`` is ``np.isfinite(lb)``, taken once per fit."""
-    mask = (g > 0) & finite_lb
+    away from, else 1."""
+    mask = (g > 0) & np.isfinite(lb)
     return np.where(mask, x - lb, 1.0), mask.astype(float)
 
 

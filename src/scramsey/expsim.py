@@ -267,6 +267,9 @@ def run_trials(
                 # each kind's (trials, k) array is built from its per-shot columns, a column of one stream each
                 shots = [[[0.0 + scale * draw(rng) for rng in rngs] for scale, draw in draws] for _ in range(k)]
                 drawn = [np.array(columns).T for columns in zip(*shots)]
+                if k > 1:
+                    # the transpose is F-ordered; the walk's elementwise passes run fastest on C-ordered rows
+                    drawn = [kind.copy() for kind in drawn]
             if draw_phi:
                 shot_frames.phi_s = drawn[0]
             xyz, time = _advance(events[:-1], walk_frames, _GROUND_XYZ, 0.0)

@@ -710,33 +710,6 @@ def _fit_residual(x, y):
     return captured[0]
 
 
-def _strictly_feasible_in_full(x, lb):
-    """scipy's ``make_strictly_feasible(x, lb, np.inf, rstep=0)``: both masked writes, always made."""
-    x_new = x.copy()
-    lower, upper = x <= lb, x >= np.inf
-    x_new[lower] = np.nextafter(lb[lower], np.inf)
-    x_new[upper] = np.nextafter(np.inf, lb[upper])
-    return x_new
-
-
-@pytest.mark.parametrize("where", ["inside", "on", "on_signed_zero", "ulp_above", "below", "at_inf", "nan"])
-def test_strictly_feasible_skips_only_writes_that_change_nothing(where):
-    # the fit's lower bounds: -inf, 0.0, a positive one, 0.0, -inf; one component is moved relative to its bound
-    lb = np.array([-np.inf, 0.0, 1e-9, 0.0, -np.inf])
-    x = np.array([0.5, 0.3, 0.01, 600.0, -0.1])
-    x[2], x[3] = {
-        "inside": (0.01, 600.0),
-        "on": (1e-9, 600.0),
-        "on_signed_zero": (0.01, -0.0),
-        "ulp_above": (np.nextafter(1e-9, np.inf), np.nextafter(0.0, np.inf)),
-        "below": (-1.0, -5e-324),
-        "at_inf": (np.inf, 600.0),
-        "nan": (np.nan, 600.0),
-    }[where]
-    got, want = _trf._strictly_feasible(x, lb, 0), _strictly_feasible_in_full(x, lb)
-    assert got is not x and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def _looped_jacobian(fun, x0, f0, lb):
     """scipy's forward differences, one residual call per parameter: the reference for the one-call Jacobian."""
     sign_x0 = (x0 >= 0).astype(float) * 2 - 1
