@@ -26,9 +26,9 @@ draw lies in [0, 2*pi) already): the events before the last, the
 jitter's precession, then the last event.  A run whose shots draw a
 binomial after a shot phase or a jitter is walked interval by interval,
 since each stream's next draw waits for the result.  Such a one-shot
-walk is the same loop at k = 1: each stream draws its shot phase, then
-its jitter, as Python floats, and each kind becomes one (trials, 1)
-array straight from those values, the only arrays the walk allocates
+walk is the same loop at k = 1.  A walk that draws shot by shot fills
+one (trials, k) array per kind of draw it makes, a column per shot,
+each stream's shot phase before its jitter, and allocates no other array
 for its draws; a jitter is drawn even for an empty timeline, which has
 no event to precess.  The walk's P_e column goes to the binomials as a
 list of floats, one per stream (or the walk's one value for every
@@ -263,13 +263,11 @@ def run_trials(
                 [(scale, draw)] = draws
                 drawn = [np.array([0.0 + scale * draw(rng, k) for rng in rngs])]
             elif draws:
-                # shot by shot, each stream's shot phase before its jitter: the streams are independent, so
-                # each kind's (trials, k) array is built from its per-shot columns, a column of one stream each
-                shots = [[[0.0 + scale * draw(rng) for rng in rngs] for scale, draw in draws] for _ in range(k)]
-                drawn = [np.array(columns).T for columns in zip(*shots)]
-                if k > 1:
-                    # the transpose is F-ordered; the walk's elementwise passes run fastest on C-ordered rows
-                    drawn = [kind.copy() for kind in drawn]
+                # shot by shot, each stream's shot phase before its jitter: the streams are independent
+                drawn = [np.empty((trials, k)) for _ in draws]
+                for m in range(k):
+                    for kind, (scale, draw) in zip(drawn, draws):
+                        kind[:, m] = [0.0 + scale * draw(rng) for rng in rngs]
             if draw_phi:
                 shot_frames.phi_s = drawn[0]
             xyz, time = _advance(events[:-1], walk_frames, _GROUND_XYZ, 0.0)
