@@ -15,10 +15,21 @@ It returns scipy's ``x``, ``fun`` and ``status`` bit for bit: the
 arithmetic, operand order and array layouts follow scipy's code, and
 the tests compare the two on a corpus of fits.  Where scipy calls a
 Python wrapper of numpy's (``norm``, ``np.all``, ``np.diag``, ``np.tile``,
-``ones_like``, ...), this port calls what that wrapper calls.  Left out are the
-multiplications by the unit scale, which are exact, and the branches an
-infinite upper bound never takes.  Two layouts matter: the
-Jacobian is F-ordered, as scipy's finite differences build it, and the
+``ones_like``, ``np.linalg.svd``, ...), this port calls what that wrapper
+calls.  The SVD is ``numpy.linalg._umath_linalg.svd_s``, the gufunc behind
+``np.linalg.svd(a, full_matrices=False)``, under the error state that
+function sets; the module is private numpy API, held by CI's numpy pin.
+The Jacobian's n step sizes and the bound tests of a trial step run on
+Python floats, whose arithmetic is numpy's elementwise arithmetic; a trial
+residual is tested for finiteness through its cost, and each value only
+when the cost is not finite; and scipy's masked writes that move a value
+off a bound run only when a value sits on one.  The scalars stay numpy's,
+so that a division by zero gives numpy's inf or NaN, not Python's
+ZeroDivisionError.  A Jacobian is still built after the step that ends a
+fit, since scipy's gradient test at that point can turn status 3 into 1.
+Left out are the multiplications by the unit scale, which are exact, and
+the branches an infinite upper bound never takes.  Two layouts matter:
+the Jacobian is F-ordered, as scipy's finite differences build it, and the
 SVD factors are made F-ordered, as ``scipy.linalg.svd`` returns them,
 so every matrix-vector product takes the same BLAS path.
 
@@ -32,14 +43,16 @@ divided as scipy does it, so the bits are scipy's.
 
 from __future__ import annotations
 
-from math import copysign
+from math import copysign, inf, isfinite
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import svd_s
 
 EPS = np.finfo(float).eps
 
 #: Relative forward-difference step of the Jacobian.
-_DIFF_STEP = EPS**0.5
+_DIFF_STEP = float(EPS**0.5)
 
 
 def norm(x):
@@ -68,38 +81,53 @@ def least_squares(fun, x0, lower, ftol: float, xtol: float, gtol: float, max_nfe
     f0 = fun(x0)
     if not np.isfinite(f0).all():
         raise ValueError("Residuals are not finite in the initial point.")
-    return _trf_bounds(fun, x0, f0, _jacobian(fun, x0, f0, lb), lb, ftol, xtol, gtol, max_nfev)
+    x, f, status, _, _ = _trf_bounds(fun, x0, f0, _jacobian(fun, x0, f0, lb), lb, ftol, xtol, gtol, max_nfev)
+    return x, f, status
 
 
 def _jacobian(fun, x0, f0, lb):
     """Forward differences of ``fun`` at ``x0``, F-ordered; a step that would cross a lower bound goes backward."""
-    sign_x0 = (x0 >= 0).astype(float) * 2 - 1
-    h = _DIFF_STEP * sign_x0 * np.maximum(1.0, np.abs(x0))
-    # with no finite upper bound the step always fits on one side of x0
-    h[x0 + h < lb] *= -1
+    # the n steps in Python floats: scipy's elementwise arithmetic, one value at a time
+    stepped, dx = [], []
+    for value, bound in zip(x0.tolist(), lb.tolist()):
+        h = _DIFF_STEP * (1.0 if value >= 0 else -1.0) * max(1.0, abs(value))
+        # with no finite upper bound the step always fits on one side of x0
+        if value + h < bound:
+            h = -h
+        stepped.append(value + h)
+        dx.append((value + h) - value)
     # row i is x0 with its i-th value stepped; one call evaluates every row
     x1 = x0[None].repeat(x0.size, 0)
-    x1.reshape(-1)[:: x0.size + 1] = x0 + h
-    J_transposed = (fun(x1) - f0) / ((x0 + h) - x0)[:, None]
+    x1.reshape(-1)[:: x0.size + 1] = stepped
+    J_transposed = (fun(x1) - f0) / np.array(dx)[:, None]
     return J_transposed.T
 
 
 def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
+    """The solver's loop from a strictly feasible start; returns (x, fun(x), status, nfev, njev).
+
+    nfev counts the evaluations of ``fun`` outside the Jacobian (the start
+    point and each trial step) and njev the Jacobians, J0 included: scipy's
+    ``nfev`` and ``njev`` of the same fit.
+    """
     x = x0.copy()
     f = f0
-    nfev = 1
+    nfev = njev = 1
     J = J0
     m, n = J.shape
-    cost = 0.5 * np.dot(f, f)
+    cost = 0.5 * f.dot(f)
     g = J.T.dot(f)
+    x_norm = norm(x)
 
-    v, dv = _scaling_vector(x, g, lb)
+    finite_lb = np.isfinite(lb)
+    v, dv = _scaling_vector(x, g, lb, finite_lb)
     Delta = norm(x0 / v**0.5)
     if Delta == 0:
         Delta = 1.0
 
     f_augmented = np.zeros(m + n)
     J_augmented = np.zeros((m + n, n))
+    J_h = J_augmented[:m]
     diag_augmented = J_augmented[m:].reshape(-1)[:: n + 1]  # the lower n rows are diagonal
     if max_nfev is None:
         max_nfev = x0.size * 100
@@ -107,7 +135,6 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
     termination_status = None
 
     while True:
-        v, dv = _scaling_vector(x, g, lb)
         g_norm = abs(g * v).max()  # numpy.linalg.norm's arithmetic for ord=inf
         if g_norm < gtol:
             termination_status = 1
@@ -120,9 +147,8 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
         g_h = d * g
 
         f_augmented[:m] = f
-        J_augmented[:m] = J * d
-        J_h = J_augmented[:m]
-        diag_augmented[:] = diag_h**0.5
+        np.multiply(J, d, out=J_h)
+        np.sqrt(diag_h, out=diag_augmented)
         U, s, V = _svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)
@@ -141,17 +167,18 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
             nfev += 1
 
             step_h_norm = norm(step_h)
-            if not np.isfinite(f_new).all():
+            cost_new = 0.5 * f_new.dot(f_new)
+            # a finite cost needs every residual finite, so only a cost that is not looks at each
+            if not (isfinite(cost_new) or np.isfinite(f_new).all()):
                 Delta = 0.25 * step_h_norm
                 continue
 
-            cost_new = 0.5 * np.dot(f_new, f_new)
             actual_reduction = cost - cost_new
             Delta_new, ratio = _update_tr_radius(
                 Delta, actual_reduction, predicted_reduction, step_h_norm, step_h_norm > 0.95 * Delta
             )
             step_norm = norm(step)
-            termination_status = _check_termination(actual_reduction, cost, step_norm, norm(x), ratio, ftol, xtol)
+            termination_status = _check_termination(actual_reduction, cost, step_norm, x_norm, ratio, ftol, xtol)
             if termination_status is not None:
                 break
 
@@ -162,25 +189,42 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
             x = x_new
             f = f_new
             cost = cost_new
+            x_norm = norm(x)
             J = _jacobian(fun, x, f, lb)
+            njev += 1
             g = J.T.dot(f)
+            v, dv = _scaling_vector(x, g, lb, finite_lb)
 
     if termination_status is None:
         termination_status = 0
-    return x, f, termination_status
+    return x, f, termination_status, nfev, njev
 
 
+def _svd_did_not_converge(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+@np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _svd(a):
-    """Thin SVD ``(U, s, Vt)`` of ``a``, with the checks and the F-ordered factors of ``scipy.linalg.svd``."""
+    """Thin SVD ``(U, s, Vt)`` of ``a``, with the checks and the F-ordered factors of ``scipy.linalg.svd``.
+
+    It calls the gufunc behind ``np.linalg.svd(a, full_matrices=False)``
+    under the floating-point error state that function sets, without its
+    argument handling.
+    """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+    U, s, Vt = svd_s(a, signature="d->ddd")
     return np.asfortranarray(U), s, np.asfortranarray(Vt)
 
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
     """The best of the trust-region step, its reflection off the first bound hit, and the Cauchy step."""
-    if (x + p >= lb).all():
+    # scipy's (x + p >= lb).all() in Python floats, one value at a time
+    for value, change, bound in zip(x.tolist(), p.tolist(), lb.tolist()):
+        if not value + change >= bound:
+            break
+    else:
         p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
         return p, p_h, -p_value
 
@@ -249,18 +293,22 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
         return ag, ag_h, -ag_value
 
 
-def _phi_and_derivative(alpha, suf, s, Delta):
-    """The norm of the alpha-regularized least-squares step minus Delta, and its derivative in alpha."""
-    denom = s**2 + alpha
+def _phi_and_derivative(alpha, suf, suf2, s2, Delta):
+    """The norm of the alpha-regularized least-squares step minus Delta, and its derivative in alpha.
+
+    ``suf2`` and ``s2`` are the squares ``suf**2`` and ``s**2``.
+    """
+    denom = s2 + alpha
     p_norm = norm(suf / denom)
     phi = p_norm - Delta
-    phi_prime = -(suf**2 / denom**3).sum() / p_norm
+    phi_prime = -np.add.reduce(suf2 / denom**3) / p_norm
     return phi, phi_prime
 
 
 def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
     """Step of the trust-region subproblem from one SVD of the Jacobian (Moré 1978); returns (p, alpha)."""
     suf = s * uf
+    s2, suf2 = s**2, suf**2
 
     # the Gauss-Newton step, if J has full rank and the step fits
     if m >= n:
@@ -277,7 +325,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
     alpha_upper = norm(suf) / Delta
 
     if full_rank:
-        phi, phi_prime = _phi_and_derivative(0.0, suf, s, Delta)
+        phi, phi_prime = _phi_and_derivative(0.0, suf, suf2, s2, Delta)
         alpha_lower = -phi / phi_prime
     else:
         alpha_lower = 0.0
@@ -291,7 +339,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
 
-        phi, phi_prime = _phi_and_derivative(alpha, suf, s, Delta)
+        phi, phi_prime = _phi_and_derivative(alpha, suf, suf2, s2, Delta)
 
         if phi < 0:
             alpha_upper = alpha
@@ -300,10 +348,10 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
 
-        if np.abs(phi) < rtol * Delta:
+        if abs(phi) < rtol * Delta:
             break
 
-    p = -V.dot(suf / (s**2 + alpha))
+    p = -V.dot(suf / (s2 + alpha))
 
     # put p on the trust-region boundary; it moves only slightly
     p *= Delta / norm(p)
@@ -313,13 +361,13 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
 
 def _intersect_trust_region(x, s, Delta):
     """The roots t of ``|x + s*t| = Delta``, smaller first."""
-    a = np.dot(s, s)
+    a = s.dot(s)
     if a == 0:
         raise ValueError("`s` is zero.")
 
-    b = np.dot(x, s)
+    b = x.dot(s)
 
-    c = np.dot(x, x) - Delta**2
+    c = x.dot(x) - Delta**2
     if c > 0:
         raise ValueError("`x` is not within the trust region.")
 
@@ -356,18 +404,18 @@ def _update_tr_radius(Delta, actual_reduction, predicted_reduction, step_norm, b
 def _build_quadratic_1d(J, g, s, diag, s0=None):
     """Coefficients (a, b[, c]) of ``0.5*|J(s0 + s*t)|**2 + 0.5*(s0 + s*t)diag(s0 + s*t) + g(s0 + s*t)`` in t."""
     v = J.dot(s)
-    a = np.dot(v, v)
-    a += np.dot(s * diag, s)
+    a = v.dot(v)
+    a += (s * diag).dot(s)
     a *= 0.5
 
-    b = np.dot(g, s)
+    b = g.dot(s)
 
     if s0 is not None:
         u = J.dot(s0)
-        b += np.dot(u, v)
-        c = 0.5 * np.dot(u, u) + np.dot(g, s0)
-        b += np.dot(s0 * diag, s)
-        c += 0.5 * np.dot(s0 * diag, s0)
+        b += u.dot(v)
+        c = 0.5 * u.dot(u) + g.dot(s0)
+        b += (s0 * diag).dot(s)
+        c += 0.5 * (s0 * diag).dot(s0)
         return a, b, c
     else:
         return a, b
@@ -389,9 +437,9 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
 def _evaluate_quadratic(J, g, s, diag):
     """``0.5 * s.(J.T J + diag) s + g.s`` for one step s."""
     Js = J.dot(s)
-    q = np.dot(Js, Js)
-    q += np.dot(s * diag, s)
-    l = np.dot(s, g)
+    q = Js.dot(Js)
+    q += (s * diag).dot(s)
+    l = s.dot(g)
     return 0.5 * q + l
 
 
@@ -408,22 +456,32 @@ def _step_size_to_bound(x, s, lb):
 
 
 def _strictly_feasible(x, lb, rstep):
-    """``x`` moved inside its bounds: ``rstep`` relative to the bound, or one float away when it is 0."""
-    x_new = x.copy()
+    """``x`` moved inside its bounds: ``rstep`` relative to the bound, or one float away when it is 0.
+
+    With ``rstep`` 0 it returns ``x`` itself, not a copy, when no value sits on a bound.
+    """
     if rstep == 0:
+        # in Python floats, as scipy's masked writes below change nothing when no value sits on a bound
+        for value, bound in zip(x.tolist(), lb.tolist()):
+            if not bound < value < inf:
+                break
+        else:
+            return x
+        x_new = x.copy()
         lower, upper = x <= lb, x >= np.inf
         x_new[lower] = np.nextafter(lb[lower], np.inf)
         x_new[upper] = np.nextafter(np.inf, lb[upper])
     else:
+        x_new = x.copy()
         lower = np.isfinite(lb) & (x - lb <= np.minimum(np.inf - x, rstep * np.maximum(1, np.abs(lb))))
         x_new[lower] = lb[lower] + rstep * np.maximum(1, np.abs(lb[lower]))
     return x_new
 
 
-def _scaling_vector(x, g, lb):
+def _scaling_vector(x, g, lb, finite_lb):
     """The Coleman-Li scaling vector v and its derivative dv: the distance to the lower bound the gradient points
-    away from, else 1."""
-    mask = (g > 0) & np.isfinite(lb)
+    away from, else 1.  ``finite_lb`` is ``np.isfinite(lb)``."""
+    mask = (g > 0) & finite_lb
     return np.where(mask, x - lb, 1.0), mask.astype(float)
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -379,9 +380,12 @@ def initial_guess(x, y) -> tuple[float, float, float, float, float]:
     phase = _wrap_centred(float(np.angle(spectrum[k])) - omega * float(x[0])) if k > 0 else 0.0
 
     blocks = min(8, max(2, x.shape[0] // 8))
-    edges = np.array_split(np.arange(x.shape[0]), blocks)
-    envelope = np.array([np.abs(detrended[idx]).max() for idx in edges])
-    centers = np.array([x[idx].mean() for idx in edges])
+    # np.array_split's blocks as slices: the first `extra` hold one sample more
+    size, extra = divmod(x.shape[0], blocks)
+    edges = [i * size + min(i, extra) for i in range(blocks + 1)]
+    cuts = [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+    envelope = np.array([np.abs(detrended[cut]).max() for cut in cuts])
+    centers = np.array([x[cut].mean() for cut in cuts])
     keep = envelope > 1e-15 * max(1.0, np.abs(y).max())
     decay_time = 10.0 * span
     if keep.sum() >= 2:
@@ -401,13 +405,18 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
     and Li (1999), ported from scipy's ``least_squares(method="trf")``
     and giving its results bit for bit, with amplitude, decay time and
     angular frequency bounded below.  ``max_iterations`` caps the
-    residual evaluations, not counting the finite-difference Jacobian.
+    residual evaluations, not counting the finite-difference Jacobian:
+    None for scipy's default of 500, else an integer of at least 1 within
+    the float range (not a bool), checked by the count rule before any
+    residual is evaluated.
     Non-convergence is reported through ``converged``, never raised.
     Constant data short-circuits to a zero-amplitude degenerate result.
     """
     # imported on first use, so that only a fit loads (and, without a bytecode cache, compiles) the solver
     from ._trf import least_squares
 
+    if max_iterations is not None:
+        max_iterations = _count("max_iterations", max_iterations, 1, sys.float_info.max)
     x, y = _validate_xy(x, y)
     scale = max(1.0, float(np.abs(y).max()))
     if np.ptp(y) <= 1e-12 * scale:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import SCENARIOS, VARIANTS, _variant
+from test_golden import SCENARIOS, VARIANTS, _skip_reason, _variant
 
 from scramsey import _trf, expsim
 from scramsey.analysis import FlopCurve, ambiguity_report, normal_flop, scrambled_flop, sdbv
@@ -667,6 +667,18 @@ def test_fit_iteration_budget_reports_nonconvergence():
     assert not fit.converged
 
 
+@pytest.mark.parametrize("max_iterations", [2.5, np.nan, np.inf, 10**400, True, 0, -1])
+def test_fit_refuses_a_max_iterations_that_is_not_a_count(max_iterations, monkeypatch):
+    # a budget the solver's nfev == max_nfev test can never meet (2.5, NaN) would let it loop for ever
+    def model(*args):
+        raise AssertionError("a residual was evaluated")
+
+    x, y, _ = _synthetic(n=60)
+    monkeypatch.setattr(expsim, "damped_sinusoid", model)
+    with pytest.raises(ValueError, match="^max_iterations must be an integer"):
+        fit_damped_sinusoid(x, y, max_iterations=max_iterations)
+
+
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         fit_damped_sinusoid([0.0, 1.0], [0.0, 1.0])
@@ -745,6 +757,83 @@ def test_the_one_call_jacobian_matches_the_per_parameter_loop(x0, lb):
     assert calls == [(5, 5)]
     assert J.flags.f_contiguous and J.shape == want.shape == (40, 5)
     assert J.tobytes(order="F") == want.tobytes(order="F")
+
+
+def _stacked_rows(x0, lb):
+    """The (n, n) stack of stepped parameter rows the solver's Jacobian hands the residual at ``x0``."""
+    stacks = []
+
+    def record(rows):
+        stacks.append(rows.copy())
+        return np.zeros((rows.shape[0], 1))
+
+    _trf._jacobian(record, np.array(x0, dtype=float), np.zeros(1), np.array(lb, dtype=float))
+    return stacks[0]
+
+
+def test_a_stacked_residual_gives_each_row_the_bits_of_one_row():
+    # x reaches back before t = 0, so a short decay time overflows exp(-x/decay_time) there
+    x = np.linspace(-0.02, 0.06, 57)
+    fun, lb = _fit_residual(x, 0.5 + 0.4 * np.exp(-x / 0.02) * np.cos(2 * np.pi * 100.0 * x))
+    start, negative = np.array([0.5, 0.4, 0.03, 600.0, 0.3]), np.array([-0.5, -0.4, 0.03, 600.0, -2.0])
+    forward = _stacked_rows(start, lb)
+    # negative values step backward, unless they sit on a lower bound of their own: then their steps flip forward
+    backward = _stacked_rows(negative, (-np.inf, -np.inf, 0.0, 0.0, -np.inf))
+    at_bound = _stacked_rows(negative, (-0.5, -np.inf, 0.0, 0.0, -2.0))
+    assert (forward > start).sum() == (forward != start).sum() == 5
+    assert (backward < negative).sum() == 3 and (at_bound < negative).sum() == 1 and (at_bound > negative).sum() == 4
+    rows = np.vstack(
+        [
+            forward,
+            backward,
+            at_bound,
+            [0.5, 0.4, np.inf, 600.0, 0.3],  # no envelope: exp(-x/inf) is exactly 1
+            [0.5, 0.0, np.inf, 0.0, 0.0],
+            [0.5, 0.4, 1e-5, 600.0, 0.3],  # the envelope overflows to inf before t = 0
+            [0.5, 1e308, 0.01, 600.0, 0.3],  # the amplitude times the envelope overflows
+            [0.5, 0.0, 1e-5, 600.0, 0.3],  # 0 * inf: NaN
+        ]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = fun(rows)
+        alone = np.array([fun(row) for row in rows])
+        curves = damped_sinusoid(x, *rows.T[..., None])
+        single = np.array([damped_sinusoid(x, *row) for row in rows])
+    assert stacked.shape == alone.shape == (rows.shape[0], x.size)
+    assert np.isinf(curves[-3:-1]).any() and np.isnan(curves[-1]).any() and np.isfinite(curves[:-3]).all()
+    assert stacked.view(np.int64).tolist() == alone.view(np.int64).tolist()
+    assert curves.view(np.int64).tolist() == single.view(np.int64).tolist()
+
+
+def test_the_solver_counts_the_shipped_fits_evaluations_and_jacobians_as_scipy_does(monkeypatch):
+    from scipy.optimize import least_squares
+
+    scenario = load_scenario(SCENARIOS / "fit.json")
+    inputs, _ = _resolve(scenario, SCENARIOS)
+    problems, counts = [], []
+    solve, bounds = _trf.least_squares, _trf._trf_bounds
+
+    def recorded_solve(fun, x0, lower, **kwargs):
+        problems.append((fun, x0, lower, kwargs))
+        return solve(fun, x0, lower, **kwargs)
+
+    def recorded_bounds(*args):
+        out = bounds(*args)
+        counts.append(out[2:])
+        return out
+
+    monkeypatch.setattr(_trf, "least_squares", recorded_solve)
+    monkeypatch.setattr(_trf, "_trf_bounds", recorded_bounds)
+    fit = fit_damped_sinusoid(inputs.x, inputs.y, scenario["fit"].get("guess"), scenario["fit"].get("max_iterations"))
+    fun, x0, lower, kwargs = problems[0]
+    max_nfev = kwargs.pop("max_nfev")
+    result = least_squares(fun, x0, bounds=(lower, np.inf), method="trf", max_nfev=max_nfev, **kwargs)
+    assert fit.converged and len(counts) == 1 and (result.status, result.nfev, result.njev) == counts[0]
+    if _skip_reason() is None:
+        # with the pins' numpy and SIMD targets: status 2 (the cost test) after 7 residual evaluations outside
+        # the Jacobian (the start point and 6 trial steps) and 7 Jacobians, J0 and one after each step taken;
+        # other targets round exp and cos differently, and their fits take other paths
+        assert counts == [(2, 7, 7)]
 
 
 def _scipy_least_squares(fun, x0, lower, ftol, xtol, gtol, max_nfev=None):
