@@ -201,6 +201,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
 
 
 def _svd_did_not_converge(err, flag):
+    """``np.linalg.svd``'s error-state callback: LAPACK flagged an invalid value, so the SVD did not converge."""
     raise LinAlgError("SVD did not converge")
 
 
