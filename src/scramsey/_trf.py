@@ -18,7 +18,9 @@ Python wrapper of numpy's (``norm``, ``np.all``, ``np.diag``, ``np.tile``,
 ``ones_like``, ``np.linalg.svd``, ...), this port calls what that wrapper
 calls.  The SVD is ``numpy.linalg._umath_linalg.svd_s``, the gufunc behind
 ``np.linalg.svd(a, full_matrices=False)``, under the error state that
-function sets; the module is private numpy API, held by CI's numpy pin.
+function sets.  The module is private numpy API: numpy 2.0, the package's
+floor, is the first with this gufunc (1.x splits it by shape into
+``svd_n_s`` and ``svd_m_s``), and CI's numpy pin holds it.
 The Jacobian's n step sizes and the bound tests of a trial step run on
 Python floats, whose arithmetic is numpy's elementwise arithmetic; a trial
 residual is tested for finiteness through its cost, and each value only
@@ -117,7 +119,6 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
     m, n = J.shape
     cost = 0.5 * f.dot(f)
     g = J.T.dot(f)
-    x_norm = norm(x)
 
     finite_lb = np.isfinite(lb)
     v, dv = _scaling_vector(x, g, lb, finite_lb)
@@ -178,7 +179,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
                 Delta, actual_reduction, predicted_reduction, step_h_norm, step_h_norm > 0.95 * Delta
             )
             step_norm = norm(step)
-            termination_status = _check_termination(actual_reduction, cost, step_norm, x_norm, ratio, ftol, xtol)
+            termination_status = _check_termination(actual_reduction, cost, step_norm, norm(x), ratio, ftol, xtol)
             if termination_status is not None:
                 break
 
@@ -189,7 +190,6 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
             x = x_new
             f = f_new
             cost = cost_new
-            x_norm = norm(x)
             J = _jacobian(fun, x, f, lb)
             njev += 1
             g = J.T.dot(f)
