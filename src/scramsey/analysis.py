@@ -37,8 +37,8 @@ DEFAULT_AREA_TOLERANCE = 1e-6
 
 P_TOL = 1e-12
 
-#: Most final states one engine evaluation of a grid holds; bounds peak memory.
-_BLOCK_STATES = 2**14
+#: Most final states one block of a grid scan (:func:`_scan`) holds.
+_BLOCK_STATES = 2**16
 
 #: Area of the W read that ends every fringe, right after its wait.
 _READ_AREA = np.pi / 2
@@ -118,12 +118,13 @@ def _read_z(xyz, frames: FrameSet, intervals: np.ndarray, trig, out) -> np.ndarr
     The shortcut runs with a small ufunc buffer: its (rows, 1, 1) columns
     meet a (T,) row of intervals, and where that row is shorter than the
     buffer numpy copies each broadcast operand into iterator buffers, on a
-    (16, 1, 1024) block (numpy 2.4) as much memory as the block and half
-    the kernel's time at the default 8192 elements.  A row of 64 intervals
-    or more is read unbuffered, at numpy's smallest legal size, 16.  A
-    shorter row, such as the optimizer's coarse scan's 17-33, ran up to
-    1.8 times slower so, and is read through 1024-element buffers, as fast
-    as the default with an eighth of its buffers.  The operands,
+    (65, 1, 994) block (numpy 2.4) a quarter of the block's memory and 2.7
+    times the kernel's time at the default 8192 elements.  A row of 64
+    intervals or more is read unbuffered, at numpy's smallest legal size,
+    16.  A shorter row, such as the optimizer's coarse scan's 17-33 on
+    (P, C) columns, ran up to 2.2 times slower so (a (40, 91, 18) block),
+    and is read through 1024-element buffers, as fast as the default with
+    an eighth of its buffers.  The operands,
     operations and their order are the same at any size, and nothing is
     summed, so the bits are too.  The scope is the kernel alone: the zero
     test, a float-to-bool reduction, runs ten times slower under a small
@@ -160,11 +161,11 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     block: every one is bounded by 1 when finite, so the read is finite
     exactly when they are, and a non-finite one leaves a non-finite ``z``
     on its whole row or column of the grid.  Each block (:func:`_blocks`)
-    is a run of whole phi rows of at most ``_BLOCK_STATES`` states, and
-    :func:`_read_z` reads its ``z`` from the head's state on those rows,
-    with little or no buffering by numpy's iterator: the same arithmetic
-    in the same order as walking the whole timeline, and the same bits.
-    The buffer size is set and restored inside each read, never across a
+    is a run of whole phi rows of at most ``_BLOCK_STATES`` states (2**16,
+    the size that reads fastest), and :func:`_read_z` reads its ``z`` from
+    the head's state on those rows, with little or no buffering by numpy's
+    iterator: the same arithmetic in the same order as walking the whole
+    timeline, and the same bits.  The buffer size is set and restored inside each read, never across a
     ``yield``, so an abandoned scan leaves it as it was.  With ``out``,
     the whole grid, ``z`` is written straight into the block's contiguous
     slice of it; without, into one scratch array that every block reuses.

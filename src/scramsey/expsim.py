@@ -35,7 +35,8 @@ list of floats, one per stream (or the walk's one value for every
 stream), and each count goes straight into the result.  Any other run is
 read as one float row per interval (event values, then duration), never
 as timelines, at most ``_BLOCK_STATES // trials`` rows (at least one) a
-walk: each stream draws the rows' values in order (one call for one
+walk, this module's own cap of 2**14 states, not the grid scans' block,
+which bounds the rows a run holds and the walk's temporaries: each stream draws the rows' values in order (one call for one
 kind), the walk covers a (trials, k) grid, each event a (k,) column
 unless all rows share its bits, and each stream draws its k binomials
 in one call.  The streams are independent, so every sample is exactly
@@ -53,9 +54,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _BLOCK_STATES, _as_intervals
+from .analysis import _as_intervals
 from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _ShotFrames, _walk_z, default_frames
+
+#: Most (trial, interval) states one :func:`run_trials` walk of float rows covers.
+_BLOCK_STATES = 2**14
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -339,9 +343,9 @@ def _validate_xy(x, y):
         raise ValueError(f"need at least 6 samples to fit 5 parameters, got {x.shape[0]}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("x must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(np.diff(x) <= 0.0):  # a step that overflows is inf, still an increase
+            raise ValueError("x must be strictly increasing")
         x_span, y_spread, y_mean = x[-1] - x[0], np.ptp(y), y.mean()
     if not math.isfinite(x_span):
         raise ValueError("x spans more than the float range: its last minus its first value overflows")
@@ -350,7 +354,6 @@ def _validate_xy(x, y):
     return x, y
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def initial_guess(x, y) -> tuple[float, float, float, float, float]:
     """Spectral starting point for :func:`fit_damped_sinusoid`.
 
@@ -360,7 +363,12 @@ def initial_guess(x, y) -> tuple[float, float, float, float, float]:
     amplitude, decay_time, angular_frequency, phase); raises
     ValueError when data near the float range give no finite one.
     """
-    x, y = _validate_xy(x, y)
+    return _initial_guess(*_validate_xy(x, y))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _initial_guess(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
+    """:func:`initial_guess` of data :func:`_validate_xy` has checked."""
     offset = float(y.mean())
     detrended = y - offset
     amplitude = float(np.ptp(y)) / 2.0
@@ -425,7 +433,7 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         return FitResult(mean, 0.0, np.inf, 0.0, 0.0, rms, True, True)
 
     if guess is None:
-        guess = initial_guess(x, y)
+        guess = _initial_guess(x, y)
     elif len(guess) != 5:
         raise ValueError("guess must hold (offset, amplitude, decay_time, angular_frequency, phase)")
     offset, amplitude, decay_time, omega, phase = (float(g) for g in guess)

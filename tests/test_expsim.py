@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS, VARIANTS, _skip_reason, _variant
 
-from scramsey import _trf, expsim
+from scramsey import _trf, analysis, expsim
 from scramsey.analysis import FlopCurve, ambiguity_report, normal_flop, scrambled_flop, sdbv
 from scramsey.bloch import TWO_PI, excitation_probability, precess, wrap_angle
 from scramsey.errors import InvalidTimelineError
@@ -394,6 +394,20 @@ def test_the_run_cap_splits_the_grid_and_keeps_every_value(builder, noise, budge
     assert max(sizes) <= max(budget, 3)
 
 
+@pytest.mark.parametrize("scan_block", [2**12, 2**18])
+def test_trial_walks_do_not_follow_the_scan_block(scan_block):
+    # the grid scans' block and the trial walks' cap are two constants: the run_trials memory tests rest on the cap
+    walk_z, sizes = expsim._walk_z, []
+
+    def walked(*args):
+        sizes.append(np.size(z := walk_z(*args)))
+        return z
+
+    with mock.patch.object(analysis, "_BLOCK_STATES", scan_block), mock.patch.object(expsim, "_walk_z", walked):
+        run_trials(ramsey, None, NoiseModel(seed=1), 1, np.linspace(0.0, 0.02, 2**16))
+    assert sizes == [2**14] * 4
+
+
 @pytest.mark.parametrize(
     "noise, randomize_phi, walks",
     [({}, True, 1), ({"phase_jitter_sigma": 0.1}, True, 1), ({"atom_count": 50}, False, 1), ({"atom_count": 50}, True, 17)],
@@ -601,6 +615,17 @@ def test_initial_guess_lands_near_truth():
     assert 0.01 < decay_time < 0.5
 
 
+def test_a_fit_checks_its_data_once():
+    # the fit took its starting point through the public initial_guess, which checked the data a second time
+    x, y, _ = _synthetic()
+    with mock.patch.object(expsim, "_validate_xy", wraps=expsim._validate_xy) as validate:
+        fit_damped_sinusoid(x, y)
+    assert validate.call_count == 1
+    with mock.patch.object(expsim, "_validate_xy", wraps=expsim._validate_xy) as validate:
+        initial_guess(x, y)
+    assert validate.call_count == 1
+
+
 def test_fit_recovers_noiseless_parameters():
     x, y, params = _synthetic()
     fit = fit_damped_sinusoid(x, y)
@@ -692,6 +717,8 @@ def test_fit_rejects_bad_input():
         (np.arange(6.0), np.array([1e308, -1e308] * 3), "y spans more than the float range"),
         (np.arange(6.0), np.full(6, 1.5e308), "y spans more than the float range"),
         (np.array([-1e308, 1.0, 2.0, 3.0, 4.0, 1e308]), np.arange(6.0), "x spans more than the float range"),
+        # a step of x that overflows: the fit's own check of it warned
+        (np.array([-1.5, 1.5, 1.6, 1.7, 1.71, 1.72]) * 1e308, np.arange(6.0), "x spans more than the float range"),
         (np.arange(99.0), np.array([0.8e308, -0.4e308, -0.4e308] * 33), "x and y give no finite starting point"),
     ]
     with warnings.catch_warnings():
