@@ -37,7 +37,10 @@ DEFAULT_AREA_TOLERANCE = 1e-6
 
 P_TOL = 1e-12
 
-#: Most final states one block of a grid scan (:func:`_scan`) holds.
+#: Most final states one block of a grid scan (:func:`_scan`) holds.  The
+#: size that reads fastest: in-process replays of ``grid-sweep`` rounds read
+#: 2**15 +11 %, 2**16 +14 %, 2**17 +12 % and 2**18 +3 % against 2**14 (2 MiB
+#: L2, numpy 2.4).  A scan's extra memory grows with it, to about 1.3 MB.
 _BLOCK_STATES = 2**16
 
 #: Area of the W read that ends every fringe, right after its wait.
@@ -165,12 +168,12 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     the size that reads fastest), and :func:`_read_z` reads its ``z`` from
     the head's state on those rows, with little or no buffering by numpy's
     iterator: the same arithmetic in the same order as walking the whole
-    timeline, and the same bits.  The buffer size is set and restored inside each read, never across a
-    ``yield``, so an abandoned scan leaves it as it was.  With ``out``,
-    the whole grid, ``z`` is written straight into the block's contiguous
-    slice of it; without, into one scratch array that every block reuses.
-    ``index`` places the block in the grid without its phi axis, where a
-    reduction over phi lands.
+    timeline, and the same bits.  The buffer size is set and restored
+    inside each read, never across a ``yield``, so an abandoned scan
+    leaves it as it was.  With ``out``, the whole grid, ``z`` is written
+    straight into the block's contiguous slice of it; without, into one
+    scratch array that every block reuses.  ``index`` places the block in
+    the grid without its phi axis, where a reduction over phi lands.
     """
     xyz = _advance(head, frames, tuple(state), 0.0)[0]
     _check_finite((*xyz, *trig))

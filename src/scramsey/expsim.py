@@ -36,10 +36,10 @@ stream), and each count goes straight into the result.  Any other run is
 read as one float row per interval (event values, then duration), never
 as timelines, at most ``_BLOCK_STATES // trials`` rows (at least one) a
 walk, this module's own cap of 2**14 states, not the grid scans' block,
-which bounds the rows a run holds and the walk's temporaries: each stream draws the rows' values in order (one call for one
-kind), the walk covers a (trials, k) grid, each event a (k,) column
-unless all rows share its bits, and each stream draws its k binomials
-in one call.  The streams are independent, so every sample is exactly
+which bounds the rows a run holds and the walk's temporaries: each
+stream draws the rows' values in order (one call for one kind), the
+walk covers a (trials, k) grid, each event a (k,) column unless all rows
+share its bits, and each stream draws its k binomials in one call.  The streams are independent, so every sample is exactly
 what a shot-by-shot loop gives.  The walks' events and the result skip
 their constructors' checks (:func:`bloch._record`), done on the way in.
 """

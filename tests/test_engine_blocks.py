@@ -925,9 +925,9 @@ def test_scan_memory_is_bounded_by_the_block_not_the_grid(name):
 
 @pytest.mark.parametrize("rows, count", [(16, 1024), (496, 33)])
 def test_block_read_allocates_little_beside_its_temporary(rows, count):
-    # (rows, 1, 1) columns against a row of intervals, one block: with
+    # (rows, 1, 1) columns against a row of intervals, 2**14 states: with
     # numpy's default buffer the broadcast operands were copied into
-    # buffers of a block's size (2.0 blocks); a long row is read
+    # buffers of the read's size (2.0 reads); a long row is read
     # unbuffered, leaving only the kernel's one temporary (1.0), a short
     # one through small buffers (1.1)
     g = grid(5, count)
