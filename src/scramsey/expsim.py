@@ -24,24 +24,28 @@ every trial at once, on a (trials,) axis of shot phases and jitters
 (the phases set on one private copy of the frames, unchecked, as every
 draw lies in [0, 2*pi) already): the events before the last, the
 jitter's precession, then the last event.  A run whose shots draw a
-binomial after a shot phase or a jitter is walked interval by interval,
-since each stream's next draw waits for the result.  Such a one-shot
-walk is the same loop at k = 1.  A walk that draws shot by shot fills
-one (trials, k) array per kind of draw it makes, a column per shot,
-each stream's shot phase before its jitter, and allocates no other array
-for its draws; a jitter is drawn even for an empty timeline, which has
-no event to precess.  The walk's P_e column goes to the binomials as a
-list of floats, one per stream (or the walk's one value for every
-stream), and each count goes straight into the result.  Any other run is
-read as one float row per interval (event values, then duration), never
-as timelines, at most ``_BLOCK_STATES // trials`` rows (at least one) a
-walk, this module's own cap of 2**14 states, not the grid scans' block,
-which bounds the rows a run holds and the walk's temporaries: each
-stream draws the rows' values in order (one call for one kind), the
-walk covers a (trials, k) grid, each event a (k,) column unless all rows
-share its bits, and each stream draws its k binomials in one call.  The streams are independent, so every sample is exactly
-what a shot-by-shot loop gives.  The walks' events and the result skip
-their constructors' checks (:func:`bloch._record`), done on the way in.
+binomial after a shot phase or a jitter is read interval by interval,
+since each stream's next draw waits for the result, and stream by
+stream (:func:`_shot_counts`): a plan made once per interval (the events
+before the first S pulse whose axis takes the drawn phase walked as
+Python floats, the cosines and sines of the rest, the damping factor),
+then each stream's draws, its walk of the rest on Python floats by the
+kernels' formulas written out term for term, and its binomial.  Its
+cosines and sines are :mod:`math`'s, which give numpy's bits (see
+:mod:`scramsey.bloch`); the damping factor stays numpy's ``exp``.  A
+jitter is drawn even for an empty timeline, which has no event to
+precess.  Any other run is read as one float row per interval (event
+values, then duration), never as timelines, at most ``_BLOCK_STATES //
+trials`` rows (at least one) a walk, this module's own cap of 2**14
+states, not the grid scans' block, which bounds the rows a run holds and
+the walk's temporaries: each stream draws the rows' values in order (one
+call for one kind of draw, else one (trials, k) array per kind, a column
+per shot, each stream's shot phase before its jitter), the walk covers a
+(trials, k) grid, each event a (k,) column unless all rows share its
+bits, and each stream draws its k binomials in one call.  The streams
+are independent, so every sample is exactly what a shot-by-shot loop
+gives.  The walks' events and the result skip their constructors'
+checks (:func:`bloch._record`), done on the way in.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _as_intervals
-from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
-from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _ShotFrames, _walk_z, default_frames
+from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _cos_sin, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
+from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _check_finite, _pulse_axis, _ShotFrames, _walk_z, default_frames
 
 #: Most (trial, interval) states one :func:`run_trials` walk of float rows covers.
 _BLOCK_STATES = 2**14
@@ -118,12 +122,16 @@ def damp_contrast(p_e, hold_time, tau: float):
     return _damp_contrast(p_e, hold_time, tau)
 
 
+def _decay_factor(hold_time, tau: float):
+    """exp(-hold_time / tau) as numpy takes it: its SIMD exp need not give math.exp's bits."""
+    return np.exp(-np.asarray(hold_time, dtype=float) / tau)
+
+
 def _damp_contrast(p_e, hold_time, tau: float):
     """Unchecked core of :func:`damp_contrast`: ``tau`` a positive float, ``hold_time`` >= 0."""
     if tau == math.inf:  # no numpy call for the float the checks made
         return p_e
-    factor = np.exp(-np.asarray(hold_time, dtype=float) / tau)
-    damped = 0.5 + (np.asarray(p_e, dtype=float) - 0.5) * factor
+    damped = 0.5 + (np.asarray(p_e, dtype=float) - 0.5) * _decay_factor(hold_time, tau)
     if np.ndim(damped) == 0:
         return float(damped)
     return damped
@@ -215,6 +223,88 @@ def _stacked(kinds, timelines, cap: int):
         yield tuple(events), duration, len(duration)
 
 
+def _drawn_axis(drift: float, phi: float):
+    """``(cos, sin)`` of an S pulse's axis ``drift + phi``, wrapped by :func:`bloch.wrap_angle`'s float rule; NaN stays NaN."""
+    if (a := (drift + phi) % TWO_PI) >= TWO_PI:
+        a = 0.0
+    return math.cos(a), math.sin(a)
+
+
+def _shot_counts(events, duration, frames: FrameSet, cut: int, draw_phi: bool, sigma: float, tau: float, atoms: int, rngs):
+    """Each stream's count for one interval whose shots draw a binomial after a shot phase or a jitter.
+
+    The interval's plan is made once for every stream: the events before
+    ``cut`` (the first S pulse when shot phases are drawn, else the last
+    event) walked by :func:`_advance`; for each event from ``cut`` on, the
+    ``(cos, sin)`` of its area or of its wait's phase, a pulse's ``1 -
+    cos`` and its axis's ``(cos, sin)``, or, for an S pulse that takes the
+    drawn phase, its drift ``(delta_w - delta_s) * t``; and the damping
+    factor.  Each stream then draws its shot phase and its jitter, walks
+    the rest on Python floats with :func:`bloch._rotate`'s and
+    :func:`bloch._precess`' formulas written out term for term (the same
+    operands in the same order, so each value has the bits an array walk
+    gives that stream's column), checks the state as :func:`_walk_z` does,
+    and draws its binomial.  A drawn axis is wrapped by
+    :func:`bloch.wrap_angle`'s float rule; a NaN one stays NaN, which
+    ``math.cos`` and ``math.sin`` return for it.
+    """
+    (x0, y0, z0), time = _advance(events[:cut], frames, _GROUND_XYZ, 0.0)
+    # a wait as (cos, sin) of its phase; a pulse as (drift, ax, ay, cos, sin, 1 - cos), drift None for a fixed axis
+    steps = []
+    for event in events[cut:]:
+        if event.__class__ is Wait:
+            steps.append(_cos_sin(frames.delta_w * event.duration))
+            time = time + event.duration
+            continue
+        ct, st = _cos_sin(event.area)
+        if draw_phi and event.frame is Frame.S:
+            steps.append(((frames.delta_w - frames.delta_s) * time, None, None, ct, st, 1.0 - ct))
+        else:
+            steps.append((None, *_cos_sin(_pulse_axis(event, time, frames)), ct, st, 1.0 - ct))
+    *middle, last = steps or [None]
+    factor = None if tau == math.inf else float(_decay_factor(duration, tau))
+    counts = []
+    for rng in rngs:
+        # this stream's draws, in the module's order: the shot phase, then the jitter
+        phi = 0.0 + TWO_PI * rng.random() if draw_phi else None
+        jitter = 0.0 + sigma * rng.standard_normal() if sigma > 0.0 else None
+        x, y, z = x0, y0, z0
+        for step in middle:
+            if len(step) == 2:
+                cb, sb = step
+                x, y = x * cb - y * sb, x * sb + y * cb
+                continue
+            drift, ax, ay, ct, st, rise = step
+            if drift is not None:
+                ax, ay = _drawn_axis(drift, phi)
+            along = ax * x + ay * y
+            x, y, z = (
+                x * ct + ay * z * st + ax * along * rise,
+                y * ct - ax * z * st + ay * along * rise,
+                z * ct + (ax * y - ay * x) * st,
+            )
+        if last is not None:
+            if jitter is not None:
+                # the jitter is an extra precession just before the last event; _cos_sin guards an overflowed one
+                cb, sb = _cos_sin(jitter)
+                x, y = x * cb - y * sb, x * sb + y * cb
+            if len(last) == 2:
+                # a last wait leaves z as it is but may overflow x and y
+                cb, sb = last
+                _check_finite((x * cb - y * sb, x * sb + y * cb, z))
+            else:
+                # a last pulse: its z alone, which a non-finite x, y or axis reaches
+                drift, ax, ay, ct, st, _ = last
+                if drift is not None:
+                    ax, ay = _drawn_axis(drift, phi)
+                z = z * ct + (ax * y - ay * x) * st
+                if not math.isfinite(z):
+                    _check_finite((z,))
+        p = _checked_probability(z)
+        counts.append(rng.binomial(atoms, p if factor is None else 0.5 + (p - 0.5) * factor))
+    return counts
+
+
 def run_trials(
     builder: Callable[[float], Timeline],
     frames: FrameSet | None,
@@ -256,13 +346,15 @@ def run_trials(
     for kinds, timelines in itertools.groupby(map(builder, map(float, intervals)), _kinds):
         draw_phi = bool(randomize_phi) and Frame.S in kinds
         draws = [(TWO_PI, np.random.Generator.random), *jitter] if draw_phi else jitter
-        walk_frames = shot_frames if draw_phi else frames
         if atoms is not None and draws:
             # a binomial after a shot phase or a jitter needs the walk's result before the stream's next draw
-            walks = ((t.events, t.duration, 1) for t in timelines)
-        else:
-            walks = _stacked(kinds, timelines, max(1, _BLOCK_STATES // trials))
-        for events, duration, k in walks:
+            cut = kinds.index(Frame.S) if draw_phi else max(len(kinds) - 1, 0)
+            for t in timelines:
+                samples[:, j] = _shot_counts(t.events, t.duration, frames, cut, draw_phi, sigma, tau, atoms, rngs)
+                j += 1
+            continue
+        walk_frames = shot_frames if draw_phi else frames
+        for events, duration, k in _stacked(kinds, timelines, max(1, _BLOCK_STATES // trials)):
             if k > 1 and len(draws) == 1:
                 # one kind of draw for the whole walk: one call per stream
                 [(scale, draw)] = draws
@@ -283,9 +375,6 @@ def run_trials(
             p = _damp_contrast(_checked_probability(z), duration, tau)
             if atoms is None:
                 samples[:, j : j + k] = p
-            elif k == 1:
-                # one scalar draw per stream: from its own probability, or every stream from the walk's one
-                samples[:, j] = [rng.binomial(atoms, q) for q, rng in zip(itertools.cycle(np.ravel(p).tolist()), rngs)]
             else:
                 # no draw came before: every stream draws the walk's row in one call
                 row = np.broadcast_to(p, k)

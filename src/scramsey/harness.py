@@ -491,11 +491,19 @@ _CHUNK_ROWS = 65536
 
 
 def _write_text(path: Path, pieces) -> None:
-    """Write the strings of ``pieces`` to ``path`` atomically: a temp file, then a rename."""
+    """Write the strings of ``pieces`` to ``path`` atomically: a temp file, then a rename.
+
+    A write that fails (a full disk, or an error raised by ``pieces``)
+    removes the temp file before the error goes on.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(pieces)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _column_text(column: np.ndarray, nulls: bool) -> list:

@@ -262,34 +262,26 @@ def simulate(timeline: Timeline, frames: FrameSet, state=GROUND):
     return _stack(_walk(timeline, frames, _components(validate_state(state))))
 
 
+#: The pi/2 write and read pulse of the builders below, one frozen event they all share.
+_HALF_PI_W = Pulse.wri(np.pi / 2)
+
+
 def ramsey(interval: float) -> Timeline:
-    """pi/2 write, free evolution for ``interval`` seconds, pi/2 read."""
-    return Timeline((Pulse.wri(np.pi / 2), Wait(interval), Pulse.wri(np.pi / 2)))
+    """pi/2 write, free evolution for ``interval`` seconds, pi/2 read.
+
+    The builders may share event objects between timelines and within
+    one: events are frozen, and here ``t.events[0] is t.events[-1]``.
+    """
+    return Timeline((_HALF_PI_W, Wait(interval), _HALF_PI_W))
 
 
 def scrambled_ramsey(scramble_area: float, t1: float, interval: float) -> Timeline:
-    """Write, hold t1, scramble, free evolution, read."""
-    return Timeline(
-        (
-            Pulse.wri(np.pi / 2),
-            Wait(t1),
-            Pulse.sri(scramble_area),
-            Wait(interval),
-            Pulse.wri(np.pi / 2),
-        )
-    )
+    """Write, hold t1, scramble, free evolution, read; the write and the read are one shared event, as in :func:`ramsey`."""
+    return Timeline((_HALF_PI_W, Wait(t1), Pulse.sri(scramble_area), Wait(interval), _HALF_PI_W))
 
 
 def retrieved_ramsey(scramble_area: float, t1: float, t2: float, interval: float) -> Timeline:
-    """Write, hold t1, scramble, store t2, retrieve, free evolution, read."""
+    """Write, hold t1, scramble, store t2, retrieve, free evolution, read; the write and the read are shared, as in :func:`ramsey`."""
     return Timeline(
-        (
-            Pulse.wri(np.pi / 2),
-            Wait(t1),
-            Pulse.sri(scramble_area),
-            Wait(t2),
-            Pulse.sri(scramble_area),
-            Wait(interval),
-            Pulse.wri(np.pi / 2),
-        )
+        (_HALF_PI_W, Wait(t1), Pulse.sri(scramble_area), Wait(t2), Pulse.sri(scramble_area), Wait(interval), _HALF_PI_W)
     )

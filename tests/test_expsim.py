@@ -301,18 +301,28 @@ def test_run_trials_rejects_array_valued_events():
         run_trials(builder, None, NoiseModel(), 2, T17)
 
 
-def test_run_trials_jitter_overflow_is_an_invalid_timeline():
+@pytest.mark.parametrize("atom_count", [None, 10])
+def test_run_trials_jitter_overflow_is_an_invalid_timeline(atom_count):
+    # with atoms each stream walks its own shot: an overflowed jitter must not reach math.cos, which raises for inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidTimelineError, match="overflowed"):
-            run_trials(ramsey, None, NoiseModel(phase_jitter_sigma=1e308), 2, T17)
+            run_trials(ramsey, None, NoiseModel(phase_jitter_sigma=1e308, atom_count=atom_count), 2, T17)
 
 
+@pytest.mark.parametrize("atom_count", [None, 10])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
-def test_run_trials_head_overflow_is_an_invalid_timeline(sigma):
+def test_run_trials_head_overflow_is_an_invalid_timeline(sigma, atom_count):
     # the events before the last overflow; the non-finite x and y reach z through the read, jitter or not
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidTimelineError, match="overflowed"):
-            run_trials(lambda T: ramsey(T + 1e306), None, NoiseModel(phase_jitter_sigma=sigma), 2, T17)
+            run_trials(lambda T: ramsey(T + 1e306), None, NoiseModel(phase_jitter_sigma=sigma, atom_count=atom_count), 2, T17)
+
+
+def test_run_trials_overflow_before_a_drawn_s_pulse_is_an_invalid_timeline():
+    # the hold before the scramble overflows; its non-finite x and y reach z through the S pulse of each shot's phase
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidTimelineError, match="overflowed"):
+            run_trials(lambda T: scrambled_ramsey(2.1, 1e306, T), None, NoiseModel(atom_count=10), 2, T17)
 
 
 def _per_shot_reference(builder, frames, noise, trials, intervals, randomize_phi):
@@ -351,6 +361,10 @@ REFERENCE_BUILDERS = {
     "signed_zero_wait": lambda T: Timeline((Pulse.wri(np.pi / 2), Wait(-0.0 if T > PERIOD else 0.0), *ramsey(T).events)),
     # the same timeline for every interval: without a draw, a walk's probability is one float for all its shots
     "fixed": lambda T: Timeline((Pulse.wri(1.0), Wait(1e-3), Pulse.sri(2.1))),
+    # a W pulse between two S pulses, and an S pulse last: a fixed axis amid the drawn ones, and a drawn last axis
+    "w_between_s": lambda T: Timeline(
+        (Pulse.wri(np.pi / 2), Wait(T1_REF), Pulse.sri(2.1), Wait(T), Pulse.wri(0.7), Wait(1e-3), Pulse.sri(1.3))
+    ),
 }
 REFERENCE_NOISE = {
     "none": {},
@@ -381,17 +395,28 @@ def test_the_run_cap_splits_the_grid_and_keeps_every_value(builder, noise, budge
     # 3 trials against a block of 8 states give runs of 2 intervals; a block of 2 holds less than one interval
     frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
     model = NoiseModel(seed=99, **REFERENCE_NOISE[noise])
-    build, walk_z, sizes = REFERENCE_BUILDERS[builder], expsim._walk_z, []
+    build, walk_z, shot_counts, sizes, walked_intervals, shots = REFERENCE_BUILDERS[builder], expsim._walk_z, expsim._shot_counts, [], [], []
 
     def walked(*args):
         sizes.append(np.size(z := walk_z(*args)))
+        walked_intervals.append(np.shape(z)[-1] if np.ndim(z) else 1)  # a walk's z is (k,) or (trials, k)
         return z
 
-    with mock.patch.object(expsim, "_BLOCK_STATES", budget), mock.patch.object(expsim, "_walk_z", walked):
+    def counted(*args):
+        shots.append(len(counts := shot_counts(*args)))
+        return counts
+
+    with (
+        mock.patch.object(expsim, "_BLOCK_STATES", budget),
+        mock.patch.object(expsim, "_walk_z", walked),
+        mock.patch.object(expsim, "_shot_counts", counted),
+    ):
         stats = run_trials(build, frames, model, 3, T17)
     assert np.array_equal(stats.samples, _per_shot_reference(build, frames, model, 3, T17, True))
-    assert len(sizes) >= 17 // max(1, budget // 3)
-    assert max(sizes) <= max(budget, 3)
+    # each interval is read once: by a walk of at most the cap's states, or stream by stream (the atoms_tau S pulses)
+    assert sum(walked_intervals) + len(shots) == 17
+    assert max(sizes, default=0) <= max(budget, 3)
+    assert shots == [3] * len(shots)
 
 
 @pytest.mark.parametrize("scan_block", [2**12, 2**18])

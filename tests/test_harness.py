@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import functools
 import hashlib
 import io
@@ -562,6 +563,21 @@ def test_table_write_holds_no_stacked_copy(tmp_path, monkeypatch, fmt):
 def test_no_temp_files_left_behind(tmp_path):
     run_scenario(MINIMAL, tmp_path)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_write_that_fails_part_way_leaves_no_temp_file(tmp_path, capsys):
+    # the disk fills after the first chunk of the flop table: exit 2 through the CLI, and the .tmp file is removed
+    chunks = harness._text_chunks
+
+    def filling(*args):
+        yield next(chunks(*args))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "out"
+    with mock.patch.object(harness, "_text_chunks", filling):
+        assert main(["flop", "--config", str(SCENARIOS / "normal.json"), "-o", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.is_dir() and not list(out.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------- running
