@@ -224,13 +224,15 @@ def _stacked(kinds, timelines, cap: int):
 
 
 def _drawn_axis(drift: float, phi: float):
-    """``(cos, sin)`` of an S pulse's axis ``drift + phi``, wrapped by :func:`bloch.wrap_angle`'s float rule; NaN stays NaN."""
+    """``(cos, sin)`` of the S pulse axis ``drift + phi``, wrapped by :func:`bloch.wrap_angle`'s float rule."""
     if (a := (drift + phi) % TWO_PI) >= TWO_PI:
         a = 0.0
     return math.cos(a), math.sin(a)
 
 
-def _shot_counts(events, duration, frames: FrameSet, cut: int, draw_phi: bool, sigma: float, tau: float, atoms: int, rngs):
+def _shot_counts(
+    events, duration, frames: FrameSet, cut: int, draw_phi: bool, sigma: float, tau: float, atoms: int, rngs
+) -> list:
     """Each stream's count for one interval whose shots draw a binomial after a shot phase or a jitter.
 
     The interval's plan is made once for every stream: the events before

@@ -276,12 +276,15 @@ def ramsey(interval: float) -> Timeline:
 
 
 def scrambled_ramsey(scramble_area: float, t1: float, interval: float) -> Timeline:
-    """Write, hold t1, scramble, free evolution, read; the write and the read are one shared event, as in :func:`ramsey`."""
+    """Write, hold t1, scramble, free evolution, read; the write and the read share one event, as in :func:`ramsey`."""
     return Timeline((_HALF_PI_W, Wait(t1), Pulse.sri(scramble_area), Wait(interval), _HALF_PI_W))
 
 
 def retrieved_ramsey(scramble_area: float, t1: float, t2: float, interval: float) -> Timeline:
-    """Write, hold t1, scramble, store t2, retrieve, free evolution, read; the write and the read are shared, as in :func:`ramsey`."""
+    """Write, hold t1, scramble, store t2, retrieve, free evolution, read.
+
+    The write and the read share one event, as in :func:`ramsey`.
+    """
     return Timeline(
         (_HALF_PI_W, Wait(t1), Pulse.sri(scramble_area), Wait(t2), Pulse.sri(scramble_area), Wait(interval), _HALF_PI_W)
     )

@@ -313,9 +313,10 @@ def test_run_trials_jitter_overflow_is_an_invalid_timeline(atom_count):
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_run_trials_head_overflow_is_an_invalid_timeline(sigma, atom_count):
     # the events before the last overflow; the non-finite x and y reach z through the read, jitter or not
+    model = NoiseModel(phase_jitter_sigma=sigma, atom_count=atom_count)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidTimelineError, match="overflowed"):
-            run_trials(lambda T: ramsey(T + 1e306), None, NoiseModel(phase_jitter_sigma=sigma, atom_count=atom_count), 2, T17)
+            run_trials(lambda T: ramsey(T + 1e306), None, model, 2, T17)
 
 
 def test_run_trials_overflow_before_a_drawn_s_pulse_is_an_invalid_timeline():
@@ -395,7 +396,8 @@ def test_the_run_cap_splits_the_grid_and_keeps_every_value(builder, noise, budge
     # 3 trials against a block of 8 states give runs of 2 intervals; a block of 2 holds less than one interval
     frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
     model = NoiseModel(seed=99, **REFERENCE_NOISE[noise])
-    build, walk_z, shot_counts, sizes, walked_intervals, shots = REFERENCE_BUILDERS[builder], expsim._walk_z, expsim._shot_counts, [], [], []
+    build, walk_z, shot_counts = REFERENCE_BUILDERS[builder], expsim._walk_z, expsim._shot_counts
+    sizes, walked_intervals, shots = [], [], []
 
     def walked(*args):
         sizes.append(np.size(z := walk_z(*args)))
