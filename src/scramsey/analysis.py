@@ -17,14 +17,13 @@ inputs once and skip the record constructors' checks (:func:`bloch._record`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bloch import (
-    _HALF_PI_COS, GROUND, TWO_PI, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _reals,
+    _HALF_PI_COS, GROUND, TWO_PI, _blocks, _components, _count, _excitation_probability, _precess, _precess_rotate_x_z, _real, _reals,
     _record, _rotate, _stack, validate_state,
 )
 from .sequence import FrameSet, _advance, _check_finite, _sri_axis, default_frames, ramsey, retrieved_ramsey, scrambled_ramsey
@@ -80,22 +79,6 @@ def _outside_unit(p: np.ndarray) -> bool:
 def _phi_rows(frames: FrameSet | None, phis: np.ndarray) -> FrameSet:
     """``frames`` (None: reference frames) with the phi grid as a column, one row per phase."""
     return replace(frames if frames is not None else default_frames(), phi_s=phis[:, None])
-
-
-def _blocks(shape, budget: int):
-    """Slice tuples that cut a grid of ``shape`` into C-order blocks of at most ``budget`` states (one at least).
-
-    A block is a run of whole rows of the first axis.  A row that alone
-    holds more than ``budget`` is cut along its own first axis, and so on
-    inward, so every block is one contiguous stretch of the grid.
-    """
-    k = len(shape) - 1
-    while k and math.prod(shape[k:]) <= budget:
-        k -= 1
-    step = max(1, budget // math.prod(shape[k + 1 :]))
-    for outer in itertools.product(*map(range, shape[:k])):
-        for i in range(0, shape[k], step):
-            yield (*(slice(j, j + 1) for j in outer), slice(i, min(i + step, shape[k])), *(slice(0, n) for n in shape[k + 1 :]))
 
 
 def _wait_trig(frames: FrameSet, intervals: np.ndarray):
@@ -163,7 +146,7 @@ def _scan(frames: FrameSet, head, intervals: np.ndarray, trig, state=GROUND, out
     components and ``trig`` are checked finite once, before the first
     block: every one is bounded by 1 when finite, so the read is finite
     exactly when they are, and a non-finite one leaves a non-finite ``z``
-    on its whole row or column of the grid.  Each block (:func:`_blocks`)
+    on its whole row or column of the grid.  Each block (:func:`bloch._blocks`)
     is a run of whole phi rows of at most ``_BLOCK_STATES`` states (2**16,
     the size that reads fastest), and :func:`_read_z` reads its ``z`` from
     the head's state on those rows, with little or no buffering by numpy's

@@ -37,6 +37,7 @@ value the tests sample), so a scalar walk never pays numpy's per-call cost.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -114,6 +115,24 @@ def _count(name: str, value, lowest: int, highest: float = math.inf) -> int:
         bound = f">= {lowest}" if highest == math.inf else f"in [{lowest}, {highest}]"
         raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
     return int(value)
+
+
+def _blocks(shape, budget: int):
+    """Slice tuples that cut a grid of ``shape`` into C-order blocks of at most ``budget`` states (one at least).
+
+    A block is a run of whole rows of the first axis.  A row that alone
+    holds more than ``budget`` is cut along its own first axis, and so on
+    inward, so every block is one contiguous stretch of the grid.  The
+    grid scans read their grids in these blocks, and the table writers
+    write their tables in them.
+    """
+    k = len(shape) - 1
+    while k and math.prod(shape[k:]) <= budget:
+        k -= 1
+    step = max(1, budget // math.prod(shape[k + 1 :]))
+    for outer in itertools.product(*map(range, shape[:k])):
+        for i in range(0, shape[k], step):
+            yield (*(slice(j, j + 1) for j in outer), slice(i, min(i + step, shape[k])), *(slice(0, n) for n in shape[k + 1 :]))
 
 
 def _float(value) -> float:

@@ -10,8 +10,9 @@ over the report's results, and the harness's key tables say which modes
 take ``--seed`` and its ``TABLE_FORMATS`` which ``--format`` values
 exist.  Exit codes: 0 success (including runs with warnings), 2 scenario
 problems (including an output directory that cannot be created or
-written), 3 simulation or protocol errors, 4 fit did not converge.  An
-error is one stderr line of at most ``_MAX_ERROR_LINE`` characters.
+written), 3 simulation or protocol errors (including running out of
+memory), 4 fit did not converge.  An error is one stderr line of at most
+``_MAX_ERROR_LINE`` characters.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _summary_line(report: dict) -> str:
 _MAX_ERROR_LINE = 400
 
 
-def _error_line(kind: str, err: Exception) -> str:
+def _error_line(kind: str, err: Exception | str) -> str:
     line = f"{kind} error: {err}"
     return line if len(line) <= _MAX_ERROR_LINE else line[: _MAX_ERROR_LINE - 3] + "..."
 
@@ -107,8 +108,9 @@ def main(argv=None) -> int:
     except ScenarioError as err:
         print(_error_line("scenario", err), file=sys.stderr)
         return 2
-    except SimulationError as err:
-        print(_error_line("simulation", err), file=sys.stderr)
+    except (SimulationError, MemoryError) as err:
+        # running out of memory in the engine or in a write fails the run, like a simulation error
+        print(_error_line("simulation", err if str(err) else "out of memory"), file=sys.stderr)
         return 3
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)

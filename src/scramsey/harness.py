@@ -35,13 +35,16 @@ verbatim and also records the fully resolved configuration (rad/s, rad,
 seconds) actually simulated.  A run finishes every engine evaluation
 before it creates the output directory, so a simulation error writes
 nothing, and it refuses, before allocating anything, a scenario whose
-largest grid exceeds ``MAX_GRID_STATES`` final states.  Writes are
-atomic (temp file then rename) and tables are formatted and written
-``_CHUNK_ROWS`` rows at a time, floats are serialized with their
-shortest round-trip representation (each distinct value of a chunk's
-column is formatted once, to the same bytes), and nothing time- or
-host-dependent is ever written, so rerunning a scenario reproduces every
-artifact byte for byte.
+largest grid exceeds ``MAX_GRID_STATES`` final states.  A table is held
+as columns that broadcast to its grid (a fringe table's intervals,
+phases and P_e grid), so no column is built to the table's length.
+Writes are atomic (temp file then rename) and tables are formatted and
+written in blocks of whole grid rows of at most ``_CHUNK_ROWS`` rows,
+cut by the grid scans' rule (:func:`bloch._blocks`).  Floats are
+serialized with their shortest round-trip representation (each distinct
+value of a block's column is formatted once, to the same bytes), and
+nothing time- or host-dependent is ever written, so rerunning a
+scenario reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, expsim, protocol
-from .bloch import EXCITED, GROUND, TWO_PI, _freeze, validate_state
+from .bloch import EXCITED, GROUND, TWO_PI, _blocks, _freeze, validate_state
 from .errors import ScenarioError, SimulationError
 from .sequence import FrameSet, ramsey, retrieved_ramsey, scrambled_ramsey
 
@@ -486,7 +489,7 @@ def _resolve(scenario: dict, base_dir) -> tuple:
 # --------------------------------------------------------------- writing
 
 
-#: Rows the table writers format and write at a time, so the memory a write takes does not grow with the table.
+#: Most rows the table writers format and write at a time, so the memory a write takes does not grow with the table.
 _CHUNK_ROWS = 65536
 
 
@@ -525,26 +528,29 @@ def _column_text(column: np.ndarray, nulls: bool) -> list:
 
 
 class _Columns(tuple):
-    """A table held as its equal-length 1-D columns of one dtype, which the writers take as rows without
-    ever building the 2-D array."""
+    """A table held as numeric columns that broadcast to one grid, a row per grid point in C order, which the
+    writers take as rows without ever building the 2-D array or a column of the table's length.  The columns
+    :func:`_write_table` makes share one dtype."""
+
+    @property
+    def shape(self) -> tuple:
+        return np.broadcast_shapes(*(column.shape for column in self))
 
 
 def _text_chunks(rows, nulls: bool, cell_sep: str, row_sep: str):
-    """The text of ``rows`` (a 2-D array, :class:`_Columns` or a sequence of rows), ``_CHUNK_ROWS`` rows
-    per yielded string.
+    """The text of ``rows`` (a 2-D array, :class:`_Columns` or a sequence of rows), one yielded string per
+    block of whole grid rows of at most ``_CHUNK_ROWS`` rows (:func:`bloch._blocks`).
 
-    Each chunk is formatted a column at a time by :func:`_column_text`,
-    then its cells are joined by ``cell_sep`` and its rows by ``row_sep``.
-    A column's type is decided over the whole table.
+    Each block is formatted a column at a time by :func:`_column_text`,
+    each column broadcast to the grid and cut to the block there, then its
+    cells are joined by ``cell_sep`` and its rows by ``row_sep``.  A
+    column's type is decided over the whole table.
     """
-    if isinstance(rows, _Columns):
-        columns = list(rows)
-    elif isinstance(rows, np.ndarray):
-        columns = list(rows.T)
-    else:
-        columns = [np.asarray(column) for column in zip(*rows)]
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
-        chunk = [_column_text(column[start : start + _CHUNK_ROWS], nulls) for column in columns]
+    if not isinstance(rows, _Columns):
+        rows = _Columns(rows.T if isinstance(rows, np.ndarray) else map(np.asarray, zip(*rows)))
+    shape = rows.shape if rows else (0,)
+    for block in _blocks(shape, _CHUNK_ROWS):
+        chunk = [_column_text(np.broadcast_to(column, shape)[block].ravel(), nulls) for column in rows]
         yield row_sep.join(map(cell_sep.join, zip(*chunk)))
 
 
@@ -556,7 +562,7 @@ def write_csv(path, header, rows) -> None:
 
 def _json_safe(value):
     if isinstance(value, _Columns):
-        return [_json_safe(row) for row in zip(*value)]
+        return [_json_safe(row) for row in zip(*(np.broadcast_to(column, value.shape).ravel() for column in value))]
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -577,14 +583,14 @@ def write_json(path, payload) -> None:
     """Canonical JSON: sorted keys, two-space indent, non-finite -> null.
 
     A table ``{"columns": names, "rows": 2-D array or _Columns}`` is
-    formatted a column at a time and written in row chunks, to the same
-    bytes.
+    formatted a column at a time and written in blocks of whole grid rows,
+    to the same bytes.
     """
     table = payload["rows"] if isinstance(payload, dict) and payload.keys() == {"columns", "rows"} else None
     if isinstance(table, np.ndarray) and table.ndim == 2:
         table = _Columns(table.T)
-    # the columns share one dtype, so the first tells the type and the length
-    if isinstance(table, _Columns) and table and table[0].dtype.kind in "iuf" and table[0].size:
+    # the columns share one dtype, so the first tells the type
+    if isinstance(table, _Columns) and table and table[0].dtype.kind in "iuf" and 0 not in table.shape:
         _write_text(Path(path), _json_table(payload["columns"], table))
     else:
         _write_text(Path(path), [json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False), "\n"])
@@ -603,7 +609,8 @@ def _json_table(columns, table):
 
 
 def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
-    """Write equal-length numeric columns as ``stem.csv`` or ``stem.json``; returns the file name."""
+    """Write numeric columns that broadcast to one grid as ``stem.csv`` or ``stem.json``, a row per grid point
+    in C order; returns the file name."""
     columns = [np.asarray(column) for column in columns]
     # the one dtype np.column_stack would give the table, taken a column at a time
     dtype = np.result_type(*columns)
@@ -616,16 +623,14 @@ def _write_table(out: Path, stem: str, header, columns, fmt: str) -> str:
 
 
 def _flop_table(r, phis, p_e) -> tuple:
-    """The long-format fringe table of ``r.intervals``, one contiguous block per shot phase.
+    """The long-format fringe table of ``r.intervals``, one contiguous run of rows per shot phase.
 
-    ``p_e`` has shape (len(phis), len(intervals)); the normalized column
-    is the interval in units of the fringe period 2*pi/delta_w.
+    ``p_e`` has shape (len(phis), len(intervals)), or (len(intervals),)
+    for one phase; the columns broadcast to that grid, so no column is
+    repeated to the table's length.  The normalized column is the interval
+    in units of the fringe period 2*pi/delta_w.
     """
-    def columns():
-        n, normalized = np.size(phis), r.intervals * r.frames.delta_w / TWO_PI
-        return [np.tile(r.intervals, n), np.tile(normalized, n), np.repeat(phis, r.intervals.size), p_e.ravel()]
-
-    return "flop", FLOP_COLUMNS, columns
+    return "flop", FLOP_COLUMNS, [r.intervals, r.intervals * r.frames.delta_w / TWO_PI, np.expand_dims(phis, -1), p_e]
 
 
 # ---------------------------------------------------------------- runners
@@ -651,7 +656,7 @@ def _maybe_trials(scenario, builder, r, report: dict) -> list:
         "contrast_decay_tau_s": None if np.isinf(noise.contrast_decay_tau) else noise.contrast_decay_tau,
         "phase_jitter_sigma": noise.phase_jitter_sigma,
     }
-    return [("trials", header, lambda: [stats.intervals, *stats.samples, stats.mean, stats.std])]
+    return [("trials", header, [stats.intervals, *stats.samples, stats.mean, stats.std])]
 
 
 def _run_normal(scenario, r, report: dict) -> list:
@@ -718,8 +723,8 @@ def _run_sdbv(scenario, r, report: dict) -> list:
         "projection_z_max": float(projection[:, 1].max()),
     }
     return [
-        ("sdbv", ["phi_S", "x", "y", "z"], lambda: [result.phis, *result.points.T]),
-        ("projection", ["phi_S", "x", "z"], lambda: [result.phis, *projection.T]),
+        ("sdbv", ["phi_S", "x", "y", "z"], [result.phis, *result.points.T]),
+        ("projection", ["phi_S", "x", "z"], [result.phis, *projection.T]),
     ]
 
 
@@ -731,7 +736,7 @@ def _run_ambiguity(scenario, r, report: dict) -> list:
         "range_max": float(result.ranges.max()),
         "argmin_interval_s": float(result.intervals[int(np.argmin(result.ranges))]),
     }
-    columns = lambda: [result.intervals, result.intervals * r.frames.delta_w / TWO_PI, result.ranges]
+    columns = [result.intervals, result.intervals * r.frames.delta_w / TWO_PI, result.ranges]
     return [("ambiguity", ["T_seconds", "T_normalized", "P_e_range"], columns)]
 
 
@@ -772,7 +777,7 @@ def _run_secure_choice(scenario, r, report: dict) -> list:
         "total_s": total,
         "read_turns_k": int(round(r.frames.delta_w * total / TWO_PI)),
     }
-    return [("readout", ["phi_S", "P_e"], lambda: [grid, p])]
+    return [("readout", ["phi_S", "P_e"], [grid, p])]
 
 
 def _run_fit(scenario, r, report: dict) -> list:
@@ -796,11 +801,11 @@ def _run_fit(scenario, r, report: dict) -> list:
         "converged": fit.converged,
         "degenerate_amplitude": fit.degenerate_amplitude,
     }
-    return [("fit", ["x", "y", "model", "residual"], lambda: [r.x, r.y, model, model - r.y])]
+    return [("fit", ["x", "y", "model", "residual"], [r.x, r.y, model, model - r.y])]
 
 
 #: The runner of each mode: (scenario, resolved inputs, report) -> the tables to write, each a
-#: (stem, header, columns) triple whose ``columns()`` builds the numeric columns when written.
+#: (stem, header, columns) triple of numeric columns that broadcast to the table's grid.
 _RUNNERS = {
     "normal": _run_normal,
     "scrambled": _run_scrambled,
@@ -832,7 +837,7 @@ def run_scenario(scenario: dict, out_dir, base_dir=None, fmt: str = "csv") -> di
     tables = _RUNNERS[mode](scenario, inputs, report)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        outputs = [_write_table(out, stem, header, columns(), fmt) for stem, header, columns in tables]
+        outputs = [_write_table(out, stem, header, columns, fmt) for stem, header, columns in tables]
         report["outputs"] = sorted(outputs + ["report.json"])
         write_json(out / "report.json", report)
     except OSError as err:

@@ -200,17 +200,14 @@ def validate_secure_config(config: ProtocolConfig) -> None:
 
 
 def secure_choice_timeline(choice: str, config: ProtocolConfig) -> Timeline:
-    """Write/scramble/retrieve/read timeline for one choice."""
+    """Write/scramble/retrieve/read timeline for one choice.
+
+    The scramble and the retrieve pulse are one event, as in
+    :func:`sequence.retrieved_ramsey`: ``t.events[2] is t.events[4]``.
+    """
+    s = Pulse.sri(config.scramble_area)
     return Timeline(
-        (
-            Pulse.wri(encode_choice(choice)),
-            Wait(config.t1),
-            Pulse.sri(config.scramble_area),
-            Wait(config.t2),
-            Pulse.sri(config.scramble_area),
-            Wait(config.t3),
-            Pulse.wri(config.read_area),
-        )
+        (Pulse.wri(encode_choice(choice)), Wait(config.t1), s, Wait(config.t2), s, Wait(config.t3), Pulse.wri(config.read_area))
     )
 
 

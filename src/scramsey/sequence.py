@@ -283,8 +283,8 @@ def scrambled_ramsey(scramble_area: float, t1: float, interval: float) -> Timeli
 def retrieved_ramsey(scramble_area: float, t1: float, t2: float, interval: float) -> Timeline:
     """Write, hold t1, scramble, store t2, retrieve, free evolution, read.
 
-    The write and the read share one event, as in :func:`ramsey`.
+    The write and the read share one event, as in :func:`ramsey`, and so
+    do the scramble and the retrieve pulse: ``t.events[2] is t.events[4]``.
     """
-    return Timeline(
-        (_HALF_PI_W, Wait(t1), Pulse.sri(scramble_area), Wait(t2), Pulse.sri(scramble_area), Wait(interval), _HALF_PI_W)
-    )
+    s = Pulse.sri(scramble_area)
+    return Timeline((_HALF_PI_W, Wait(t1), s, Wait(t2), s, Wait(interval), _HALF_PI_W))

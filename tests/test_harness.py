@@ -15,6 +15,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import jsonschema
@@ -27,6 +28,7 @@ from test_golden import PINS, _skip_reason
 import scramsey
 from scramsey import cli, harness
 from scramsey.analysis import default_intervals, normal_flop
+from scramsey.bloch import TWO_PI
 from scramsey.cli import _SUMMARY, COMMANDS, _summary_line, main
 from scramsey.errors import ScenarioError
 from scramsey.harness import (
@@ -37,7 +39,7 @@ from scramsey.harness import (
     write_csv,
     write_json,
 )
-from scramsey.sequence import DELTA_W_REF
+from scramsey.sequence import DELTA_W_REF, FrameSet
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -542,7 +544,7 @@ def test_table_columns_write_the_bytes_of_the_stacked_table(tmp_path, fmt, colum
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_write_holds_no_stacked_copy(tmp_path, monkeypatch, fmt):
-    # the 1 M-row flop table of 1024 intervals x 1024 shot phases, built as _flop_table builds it
+    # the 1 M-row flop table of 1024 intervals x 1024 shot phases, its columns tiled by hand to the table's length
     T = np.linspace(0.0, 0.02, 1024)
     phis = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
     p_e = np.random.default_rng(5).random((phis.size, T.size))
@@ -558,6 +560,38 @@ def test_table_write_holds_no_stacked_copy(tmp_path, monkeypatch, fmt):
         tracemalloc.stop()
     # a stacked 2-D copy alone would be the full 32 MB
     assert peak < sum(column.nbytes for column in columns) / 8, peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_flop_table_columns_are_written_without_a_copy_of_the_table(tmp_path, monkeypatch, fmt):
+    # _flop_table's columns of a 1024 x 1024 family broadcast to its grid: no column is built to the table's length
+    r = SimpleNamespace(intervals=np.linspace(0.0, 0.02, 1024), frames=FrameSet(TWO_PI * 50.0, TWO_PI * 100.0))
+    phis = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+    p_e = np.random.default_rng(5).random((phis.size, r.intervals.size))
+    # set up as test_table_write_holds_no_stacked_copy: small chunks of empty cells
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 4096)
+    monkeypatch.setattr(harness, "_column_text", lambda column, nulls: [""] * column.size)
+    tracemalloc.start()
+    try:
+        harness._write_table(tmp_path, *harness._flop_table(r, phis, p_e), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one column tiled to the table's length alone would hold p_e.nbytes
+    assert peak < p_e.nbytes / 4, peak
+
+
+def test_flop_table_rows_follow_the_grid_in_c_order(tmp_path):
+    # one run of rows per shot phase, each holding the intervals in order; one phase makes one run
+    r = SimpleNamespace(intervals=np.array([0.0, 1e-3, 2e-3]), frames=FrameSet(TWO_PI * 100.0, TWO_PI * 100.0))
+    T, normalized = r.intervals.tolist(), (r.intervals * r.frames.delta_w / TWO_PI).tolist()
+    p_e = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    for name, phis, p in (("family", np.array([0.0, 0.5]), p_e), ("normal", 0.25, p_e[0])):
+        (tmp_path / name).mkdir()
+        harness._write_table(tmp_path / name, *harness._flop_table(r, phis, p), "csv")
+        grid = zip(np.atleast_1d(phis).tolist(), np.atleast_2d(p).tolist())
+        rows = [[t, n, phi, q] for phi, row in grid for t, n, q in zip(T, normalized, row)]
+        assert (tmp_path / name / "flop.csv").read_text() == _per_value_csv(harness.FLOP_COLUMNS, rows)
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -578,6 +612,28 @@ def test_a_write_that_fails_part_way_leaves_no_temp_file(tmp_path, capsys):
         assert main(["flop", "--config", str(SCENARIOS / "normal.json"), "-o", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert out.is_dir() and not list(out.glob("*.tmp"))
+
+
+def test_a_write_that_runs_out_of_memory_keeps_the_tables_before_it(tmp_path, capsys):
+    # the second table's write runs out of memory after its first chunk: exit 3 with one line, the flop table
+    # written before it stays complete, and neither a temp file nor report.json is left
+    config, clean, out = str(SCENARIOS / "normal_noisy.json"), tmp_path / "clean", tmp_path / "out"
+    assert main(["flop", "--config", config, "-o", str(clean)]) == 0
+    capsys.readouterr()
+    chunks, calls = harness._text_chunks, []
+
+    def exhausting(*args):
+        calls.append(args)
+        yield next(chunks(*args))
+        if len(calls) == 2:
+            raise MemoryError
+
+    with mock.patch.object(harness, "_text_chunks", exhausting):
+        assert main(["flop", "--config", config, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "simulation error: out of memory\n"
+    assert sorted(path.name for path in out.iterdir()) == ["flop.csv"]
+    assert (out / "flop.csv").read_bytes() == (clean / "flop.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- running
@@ -1207,6 +1263,26 @@ def test_cli_protocol_error_is_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(scenario), encoding="utf-8")
     assert main(["secure-choice", "--config", str(path), "-o", str(tmp_path / "out")]) == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 128. MiB for an array")])
+def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, error):
+    # an engine call that runs out of memory fails the run: one line, no traceback, nothing written
+    with mock.patch("scramsey.analysis.scrambled_flop", side_effect=error):
+        assert main(["flop", "--config", str(SCENARIOS / "scrambled.json"), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"simulation error: {str(error) or 'out of memory'}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fit_csv_with_a_non_numeric_cell_is_exit_2(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text("T_seconds,mean\n0,0.5\n1,abc\n", encoding="utf-8")
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(_scenario(mode="fit", fit={"input_csv": "data.csv"})), encoding="utf-8")
+    assert main(["fit", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"scenario error: fit: non-numeric values in columns 'T_seconds'/'mean' of {tmp_path / 'data.csv'}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_infeasible_read_turn_stays_exit_3(tmp_path, capsys):

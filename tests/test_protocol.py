@@ -101,6 +101,14 @@ def test_secure_read_delay_reference_values():
     assert secure_read_delay(frames, 7.5e-3, t2) == pytest.approx(7.5e-3, rel=1e-12)
 
 
+def test_secure_read_delay_clamps_a_rounding_residue_to_zero():
+    # one turn plus 1e-12 of one: the raw read delay is about -1e-14 s, inside the phase tolerance, so it reads 0.0
+    frames, t1 = default_frames(), 0.01 * (1 + 1e-12)
+    assert (TWO_PI * smallest_secure_k(frames, t1, 0.0) - frames.delta_w * t1) / frames.delta_w < 0.0
+    t3 = secure_read_delay(frames, t1, 0.0)
+    assert t3 == 0.0 and np.copysign(1.0, t3) == 1.0
+
+
 def test_secure_read_delay_infeasible_k():
     frames = default_frames()
     with pytest.raises(InfeasibleTimingError):
@@ -246,6 +254,12 @@ def test_secure_choice_timeline_shape():
     tl = secure_choice_timeline(Choice.YES, default_config())
     assert len(tl) == 7
     assert tl.duration == pytest.approx(10e-3, rel=1e-12)
+
+
+def test_secure_choice_timeline_shares_its_scramble_and_retrieve_pulse():
+    config = default_config()
+    t = secure_choice_timeline(Choice.NO, config)
+    assert t.events[2] is t.events[4] == Pulse.sri(config.scramble_area)
 
 
 def test_readout_deterministic_over_shot_phase():

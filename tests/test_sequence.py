@@ -111,6 +111,12 @@ def test_timeline_duration_and_pulse_times():
     assert tl.duration == pytest.approx(6e-3)
 
 
+def test_retrieved_ramsey_shares_its_scramble_and_retrieve_pulse():
+    t = retrieved_ramsey(1.2, 1e-3, 2e-3, 3e-3)
+    assert t.events[2] is t.events[4] == Pulse.sri(1.2)
+    assert t.events[0] is t.events[-1]
+
+
 def test_empty_timeline_is_identity():
     fr = default_frames()
     v = np.array([0.1, 0.2, 0.3])
