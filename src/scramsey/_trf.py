@@ -29,8 +29,15 @@ off a bound run only when a value sits on one.  The scalars stay numpy's,
 so that a division by zero gives numpy's inf or NaN, not Python's
 ZeroDivisionError.  A Jacobian is still built after the step that ends a
 fit, since scipy's gradient test at that point can turn status 3 into 1.
-Left out are the multiplications by the unit scale, which are exact, and
-the branches an infinite upper bound never takes.  Two layouts matter:
+Left out are the multiplications by the unit scale, which are exact,
+the branches an infinite upper bound never takes, and three checks no
+input of the fit can trip: a ``max_nfev`` below 1 (the fit's count rule
+rejects it first), a zero initial trust radius (a start within the bounds
+has a positive amplitude and decay time, so ``x0 / v**0.5`` is not zero)
+and the rank test's branch for fewer residuals than variables (the fit
+needs 6 samples for 5 parameters).  Every check an input can reach is
+kept: the start's bounds and finiteness, the SVD's ``LinAlgError`` and
+the guards of :func:`_intersect_trust_region`.  Two layouts matter:
 the Jacobian is F-ordered, as scipy's finite differences build it, and the
 SVD factors are made F-ordered, as ``scipy.linalg.svd`` returns them,
 so every matrix-vector product takes the same BLAS path.
@@ -69,12 +76,10 @@ def least_squares(fun, x0, lower, ftol: float, xtol: float, gtol: float, max_nfe
     (k, n) stack of such vectors to the (k, m) stack of their results,
     bit for bit as k separate calls would give them.
     ``max_nfev`` counts evaluations of ``fun`` outside the Jacobian (None:
-    100 per variable).  status is 0 when that budget ran out, 1 for the
-    gradient test, 2 for the cost test, 3 for the step test and 4 for
-    both of the last two.
+    100 per variable, else at least 1).  status is 0 when that budget ran
+    out, 1 for the gradient test, 2 for the cost test, 3 for the step test
+    and 4 for both of the last two.
     """
-    if max_nfev is not None and max_nfev <= 0:
-        raise ValueError("`max_nfev` must be None or positive integer.")
     x0 = np.atleast_1d(x0).astype(float)
     lb = np.asarray(lower, dtype=float)
     if not (x0 >= lb).all():
@@ -123,8 +128,6 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
     finite_lb = np.isfinite(lb)
     v, dv = _scaling_vector(x, g, lb, finite_lb)
     Delta = norm(x0 / v**0.5)
-    if Delta == 0:
-        Delta = 1.0
 
     f_augmented = np.zeros(m + n)
     J_augmented = np.zeros((m + n, n))
@@ -159,7 +162,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ftol, xtol, gtol, max_nfev):
 
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
+            p_h, alpha = _solve_lsq_trust_region(m, uf, s, V, Delta, alpha)
             p = d * p_h  # trust-region solution in the original space
             step, step_h, predicted_reduction = _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta)
 
@@ -306,17 +309,16 @@ def _phi_and_derivative(alpha, suf, suf2, s2, Delta):
     return phi, phi_prime
 
 
-def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
-    """Step of the trust-region subproblem from one SVD of the Jacobian (Moré 1978); returns (p, alpha)."""
+def _solve_lsq_trust_region(m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
+    """Step of the trust-region subproblem from one SVD of the Jacobian (Moré 1978); returns (p, alpha).
+
+    ``m`` counts the residuals, at least the number of variables.
+    """
     suf = s * uf
     s2, suf2 = s**2, suf**2
 
     # the Gauss-Newton step, if J has full rank and the step fits
-    if m >= n:
-        threshold = EPS * m * s[0]
-        full_rank = s[-1] > threshold
-    else:
-        full_rank = False
+    full_rank = s[-1] > EPS * m * s[0]
 
     if full_rank:
         p = -V.dot(uf / s)

@@ -489,7 +489,8 @@ def _resolve(scenario: dict, base_dir) -> tuple:
 # --------------------------------------------------------------- writing
 
 
-#: Most rows the table writers format and write at a time, so the memory a write takes does not grow with the table.
+#: Most rows the table writers format and write at a time, so the memory a write takes does not grow with the
+#: table's length.  It grows with its width: a chunk holds the text of every cell of its rows.
 _CHUNK_ROWS = 65536
 
 
@@ -694,13 +695,16 @@ def _run_retrieved(scenario, r, report: dict) -> list:
     # spacing rounds points together; checked after the family, whose phase overflow is a simulation error
     shifted = _converted("intervals", analysis._as_intervals, r.t1 + r.t2 + r.intervals)
     target = analysis.normal_flop(r.frames.delta_w, shifted).p_e
+    # |p - target| is largest at a column's least or greatest p, and fl(t - p) = -fl(p - t): the bits of
+    # np.abs(p_e - target).max() without a temporary the size of the grid
+    hi, lo = family.p_e.max(axis=0), family.p_e.min(axis=0)
     report["results"] = {
         "scramble_area_pi": r.scramble_area / np.pi,
         "t1_s": r.t1,
         "t2_s": r.t2,
         "phi_samples": r.phi_samples,
-        "range_max": float(family.ranges().max()),
-        "max_deviation_from_normal": float(np.abs(family.p_e - target[None, :]).max()),
+        "range_max": float((hi - lo).max()),
+        "max_deviation_from_normal": float(np.maximum(hi - target, target - lo).max()),
     }
     builder = lambda interval: retrieved_ramsey(r.scramble_area, r.t1, r.t2, interval)
     return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, builder, r, report)

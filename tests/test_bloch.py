@@ -96,6 +96,9 @@ def test_rotate_rejects_non_finite():
         rotate_inplane([np.nan, 0.0, 0.0], 0.0, 1.0)
     with pytest.raises(ValueError):
         rotate_inplane(GROUND, np.inf, 1.0)
+    # an integer beyond the float range fails the rule like NaN
+    with pytest.raises(ValueError, match="^axis_azimuth must be finite$"):
+        rotate_inplane(GROUND, [10**400], 1.0)
     with pytest.raises(ValueError):
         precess(GROUND, np.nan)
 

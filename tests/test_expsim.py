@@ -537,6 +537,12 @@ def test_wrap_angle_maps_every_drawn_shot_phase_to_itself():
     assert all(wrap_angle(phi).hex() == phi.hex() for phi in phis[-2:].tolist())
 
 
+def test_a_drawn_axis_just_below_zero_wraps_to_zero_as_wrap_angle_does():
+    # -1e-300 mod 2 pi rounds to 2 pi itself, which the rule maps to 0
+    assert wrap_angle(-1e-300) == 0.0
+    assert expsim._drawn_axis(-1e-300, 0.0) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("trials, noise", [(1, {}), (4, {"contrast_decay_tau": 0.05})], ids=["one_trial", "four_decay"])
 def test_a_long_grid_holds_one_row_per_interval_not_its_timelines(trials, noise):
     # 65 536 intervals in runs of 16 384 // trials: a run's timelines alone would be ~18 MB at one trial
@@ -751,6 +757,16 @@ def test_fit_rejects_bad_input():
             for fit in (initial_guess, fit_damped_sinusoid):
                 with pytest.raises(ValueError, match=message):
                     fit(x, y)
+
+
+def test_fit_rejects_a_start_outside_the_bounds_or_with_residuals_that_overflow():
+    x = np.linspace(-1.0, 0.0, 8)
+    y = np.array([0.0, 1.0] * 4)
+    with pytest.raises(ValueError, match="^Initial guess is outside of provided bounds$"):
+        fit_damped_sinusoid(x, y, guess=(np.nan, 1, 1, 1, 0))
+    # exp(-x / decay_time) overflows at x < 0 for the decay time the start is clipped to
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^Residuals are not finite in the initial point\.$"):
+        fit_damped_sinusoid(x, y, guess=[0, 1, 1e-12, 1, 0])
 
 
 # ------------------------------------------------ the solver against scipy

@@ -581,6 +581,35 @@ def test_flop_table_columns_are_written_without_a_copy_of_the_table(tmp_path, mo
     assert peak < p_e.nbytes / 4, peak
 
 
+def test_retrieved_report_makes_no_temporary_the_size_of_the_family(monkeypatch):
+    # a pi/2 scramble spreads the family over the shot phase and a detuned store leaves it spread, so both
+    # extremes of each column count and the deviation from the normal fringe is not zero
+    scenario = _scenario(
+        mode="retrieved",
+        intervals={"count": 1024},
+        phi_samples=1024,
+        pulses={"scramble_area_pi": 0.5},
+        timing={"t1_s": 0.005, "t2_s": 0.0031},
+    )
+    r, _ = harness._resolve(scenario, None)
+    family = harness.analysis.retrieved_flop(r.scramble_area, r.t1, r.t2, r.intervals, r.phi_samples, r.frames)
+    monkeypatch.setattr(harness.analysis, "retrieved_flop", lambda *args: family)
+    report = {"warnings": []}
+    tracemalloc.start()
+    try:
+        harness._run_retrieved(scenario, r, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # |p_e - target| alone would hold p_e.nbytes
+    assert peak < family.p_e.nbytes / 4, peak
+    target = normal_flop(r.frames.delta_w, r.t1 + r.t2 + r.intervals).p_e
+    deviation = report["results"]["max_deviation_from_normal"]
+    assert deviation > 0 and deviation.hex() == float(np.abs(family.p_e - target).max()).hex()
+    assert report["results"]["range_max"] > 0
+    assert report["results"]["range_max"].hex() == float(family.ranges().max()).hex()
+
+
 def test_flop_table_rows_follow_the_grid_in_c_order(tmp_path):
     # one run of rows per shot phase, each holding the intervals in order; one phase makes one run
     r = SimpleNamespace(intervals=np.array([0.0, 1e-3, 2e-3]), frames=FrameSet(TWO_PI * 100.0, TWO_PI * 100.0))
@@ -966,6 +995,8 @@ HOSTILE = [
     ("fit", {"mode": "fit", "fit": {"data": {"x": [0, 1, 2, 3, 4, 5], "y": [1e308, -1e308] * 3}}}, "fit"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": [-1e308, 1, 2, 3, 4, 1e308], "y": [0, 1, 0, 1, 0, 1]}}}, "fit"),
     ("fit", {"mode": "fit", "fit": {"data": {"x": list(range(99)), "y": [0.8e308, -0.4e308, -0.4e308] * 33}}}, "fit"),
+    # a start whose residuals overflow: exp(-x / decay_time) for x < 0 and a short decay time
+    ("fit", {"mode": "fit", "fit": {"data": {"x": np.linspace(-1, 0, 8).tolist(), "y": [0, 1] * 4}, "guess": [0, 1, 1e-12, 1, 0]}}, "fit"),
     # a JSON integer beyond int64 that overflows once converted, like the float 1e308 above
     ("flop", {"intervals": {"periods": 10**308}}, "intervals"),
     # a valid grid whose points repeat once shifted by t1 + t2 for the normal fringe the report compares with
@@ -1464,6 +1495,16 @@ def test_an_unreadable_fit_csv_is_exit_2_in_a_fresh_interpreter(tmp_path, conten
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(f"scenario error: fit.input_csv: cannot read {tmp_path / 'data.csv'} (")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fit_csv_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(_scenario(mode="fit", fit={"input_csv": "."})), encoding="utf-8")
+    assert main(["fit", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: fit.input_csv: cannot read {tmp_path} (") and "Is a directory" in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
