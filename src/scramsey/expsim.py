@@ -19,37 +19,44 @@ the cost of their argument handling.  The projection sample is
 result, which is divided by ``atom_count`` once, after the last walk.
 
 :func:`run_trials` reads the interval grid in runs of consecutive
-intervals whose timelines have the same event kinds.  A walk evaluates
-every trial at once, on a (trials,) axis of shot phases and jitters
-(the phases set on one private copy of the frames, unchecked, as every
-draw lies in [0, 2*pi) already): the events before the last, the
-jitter's precession, then the last event.  A run whose shots draw a
-binomial after a shot phase or a jitter is read interval by interval,
-since each stream's next draw waits for the result, and stream by
-stream (:func:`_shot_counts`): a plan made once per interval (the events
-before the first S pulse whose axis takes the drawn phase walked as
-Python floats, the cosines and sines of the rest, the damping factor),
-then each stream's draws, its walk of the rest on Python floats by the
-kernels' formulas written out term for term, and its binomial.  Its
-cosines and sines are :mod:`math`'s, which give numpy's bits (see
-:mod:`scramsey.bloch`); the damping factor stays numpy's ``exp``.  A
-jitter is drawn even for an empty timeline, which has no event to
-precess.  Any other run is read as one float row per interval (event
-values, then duration), never as timelines, at most ``_BLOCK_STATES //
-trials`` rows (at least one) a walk, this module's own cap of 2**14
-states, not the grid scans' block, which bounds the rows a run holds and
-the walk's temporaries: each stream draws the rows' values in order (one
-call for one kind of draw, else one (trials, k) array per kind, a column
-per shot, each stream's shot phase before its jitter), the walk covers a
-(trials, k) grid, each event a (k,) column unless all rows share its
-bits, and each stream draws its k binomials in one call.  The streams
-are independent, so every sample is exactly what a shot-by-shot loop
-gives.  The walks' events and the result skip their constructors'
-checks (:func:`bloch._record`), done on the way in.
+intervals whose timelines have the same event kinds.  The builders of
+:mod:`scramsey.sequence`, bare or as a ``functools.partial``, give every
+interval the same kinds: their grid is one run, whose kinds come from
+one timeline built on the first interval.  A walk evaluates every trial
+at once, on a (trials,) axis of shot phases and jitters (the phases set
+on one private copy of the frames, unchecked, as every draw lies in [0,
+2*pi) already): the events before the last, the jitter's precession,
+then the last event.  A run whose shots draw a binomial after a shot
+phase or a jitter is read interval by interval, since each stream's next
+draw waits for the result, and stream by stream (:func:`_shot_counts`):
+a plan made once per interval (the events before the first S pulse whose
+axis takes the drawn phase walked as Python floats, the cosines and
+sines of the rest, the damping factor), then each stream's draws, its
+walk of the rest on Python floats by the kernels' formulas written out
+term for term, and its binomial.  Its cosines and sines are
+:mod:`math`'s, which give numpy's bits (see :mod:`scramsey.bloch`); the
+damping factor stays numpy's ``exp``.  A jitter is drawn even for an
+empty timeline, which has no event to precess.  Any other run is walked
+``_BLOCK_STATES // trials`` intervals (at least one) at a time, this
+module's own cap of 2**14 states, not the grid scans' block, which
+bounds what a walk holds and its temporaries.  A package builder builds
+a walk's intervals in one call, on the block as an array (a float for a
+block of one), and the walk takes that timeline's events and duration;
+any other builder's timelines are read as one float row per interval
+(event values, then duration), never held, each event a (k,) column
+unless all rows share its bits.  Each stream draws the walk's values in
+order (one call for one kind of draw, else one (trials, k) array per
+kind, a column per shot, each stream's shot phase before its jitter),
+the walk covers a (trials, k) grid, and each stream draws its k
+binomials in one call. The streams are independent, so every sample is
+exactly what a shot-by-shot loop gives.  The walks' events and the
+result skip their constructors' checks (:func:`bloch._record`), done on
+the way in.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -61,9 +68,13 @@ import numpy as np
 from .analysis import _as_intervals
 from .bloch import _GROUND_XYZ, TWO_PI, _checked_probability, _cos_sin, _count, _float, _precess, _real, _reals, _record, _shown, _wrap_centred
 from .sequence import Frame, FrameSet, Pulse, Timeline, Wait, _advance, _check_finite, _pulse_axis, _ShotFrames, _walk_z, default_frames
+from .sequence import ramsey, retrieved_ramsey, scrambled_ramsey
 
-#: Most (trial, interval) states one :func:`run_trials` walk of float rows covers.
+#: Most (trial, interval) states one :func:`run_trials` walk covers.
 _BLOCK_STATES = 2**14
+
+#: The builders :func:`run_trials` calls once per walk, bare or as a ``functools.partial``: each argument broadcasts.
+_BUILDERS = (ramsey, scrambled_ramsey, retrieved_ramsey)
 
 #: Largest ensemble the binomial draw can count (it counts in int64).
 _MAX_ATOMS = int(np.iinfo(np.int64).max)
@@ -223,6 +234,19 @@ def _stacked(kinds, timelines, cap: int):
         yield tuple(events), duration, len(duration)
 
 
+def _built(builder, intervals: np.ndarray, cap: int):
+    """Like :func:`_stacked`, from one call of a package builder on each block of ``cap`` intervals.
+
+    The walk's events are the block timeline's own and its durations
+    ``Timeline.duration``, which the builders sum as a row would.  A block
+    of one interval goes in as a float, so its values are the Python floats
+    a row gives.
+    """
+    for block in (intervals[start : start + cap] for start in range(0, intervals.shape[0], cap)):
+        t = builder(float(block[0]) if block.shape[0] == 1 else block)
+        yield t.events, np.broadcast_to(t.duration, block.shape), block.shape[0]
+
+
 def _drawn_axis(drift: float, phi: float):
     """``(cos, sin)`` of the S pulse axis ``drift + phi``, wrapped by :func:`bloch.wrap_angle`'s float rule."""
     if (a := (drift + phi) % TWO_PI) >= TWO_PI:
@@ -321,16 +345,21 @@ def run_trials(
     called once per interval (not once per shot), in the order of the
     grid, and its timeline serves every trial, so it must not depend on
     how often it is called.  The pure builders of
-    :mod:`scramsey.sequence` qualify.  frames supplies detunings and the
-    one baseline shot phase (None: reference frames); an array
-    ``phi_s`` is rejected.  When randomize_phi is set, shots whose
-    timeline contains an S pulse get a fresh uniform shot phase each
-    time.  Each trial consumes an independent child stream of
-    noise.seed, in the draw order the module docstring gives.
+    :mod:`scramsey.sequence` qualify; one of them, bare or as a
+    ``functools.partial``, is instead called once on the first interval,
+    then once per walk on the walk's intervals as an array (a float for
+    a walk of one), or, where a binomial follows a draw, once per
+    interval after that first call.  frames supplies detunings and the
+    one baseline shot phase (None: reference frames); an array ``phi_s``
+    is rejected.  When randomize_phi is set, shots whose timeline
+    contains an S pulse get a fresh uniform shot phase each time.  Each
+    trial consumes an independent child stream of noise.seed, in the
+    draw order the module docstring gives.
 
     Timelines are built as the walks read them, never held.  A builder
-    error is raised when its interval is built, which can be before an
-    engine error of an earlier interval of the same run or the run before.
+    error is raised when its interval or its walk is built, which can be
+    before an engine error of an earlier interval of the same run or the
+    run before.
     """
     trials = _count("trials", trials, 1)
     if frames is None:
@@ -345,7 +374,11 @@ def run_trials(
     j, tau, shot_frames = 0, noise.contrast_decay_tau, _ShotFrames(frames.delta_w, frames.delta_s, frames.phi_s)
     # a shot's draws in stream order, each as (scale, method): the shot phase, then the jitter
     jitter = [(sigma, np.random.Generator.standard_normal)] if sigma > 0.0 else []
-    for kinds, timelines in itertools.groupby(map(builder, map(float, intervals)), _kinds):
+    cap, timelines = max(1, _BLOCK_STATES // trials), map(builder, map(float, intervals))
+    # a package builder, bare or with arguments bound, gives every interval the same kinds: the grid is one run
+    blocks = (builder.func if type(builder) is functools.partial else builder) in _BUILDERS
+    runs = [(_kinds(builder(float(intervals[0]))), timelines)] if blocks else itertools.groupby(timelines, _kinds)
+    for kinds, timelines in runs:
         draw_phi = bool(randomize_phi) and Frame.S in kinds
         draws = [(TWO_PI, np.random.Generator.random), *jitter] if draw_phi else jitter
         if atoms is not None and draws:
@@ -356,7 +389,7 @@ def run_trials(
                 j += 1
             continue
         walk_frames = shot_frames if draw_phi else frames
-        for events, duration, k in _stacked(kinds, timelines, max(1, _BLOCK_STATES // trials)):
+        for events, duration, k in _built(builder, intervals, cap) if blocks else _stacked(kinds, timelines, cap):
             if k > 1 and len(draws) == 1:
                 # one kind of draw for the whole walk: one call per stream
                 [(scale, draw)] = draws
@@ -544,18 +577,12 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         max(omega, 0.0),
         phase,
     ]
-    params, fun, status = least_squares(
-        residual, start, lower, ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_iterations
-    )
+    # a start whose residuals overflow is refused by the solver, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, fun, status = least_squares(
+            residual, start, lower, ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_iterations
+        )
     offset, amplitude, decay_time, omega, phase = (float(v) for v in params)
     rms = float(np.sqrt(np.mean(fun**2)))
-    return FitResult(
-        offset=offset,
-        amplitude=amplitude,
-        decay_time=decay_time,
-        angular_frequency=omega,
-        phase=_wrap_centred(phase),
-        residual_rms=rms,
-        converged=status > 0,
-        degenerate_amplitude=bool(amplitude <= 3.0 * rms),
-    )
+    degenerate = amplitude <= 3.0 * rms
+    return FitResult(offset, amplitude, decay_time, omega, _wrap_centred(phase), rms, status > 0, degenerate)

@@ -583,13 +583,11 @@ def _json_safe(value):
 def write_json(path, payload) -> None:
     """Canonical JSON: sorted keys, two-space indent, non-finite -> null.
 
-    A table ``{"columns": names, "rows": 2-D array or _Columns}`` is
-    formatted a column at a time and written in blocks of whole grid rows,
-    to the same bytes.
+    A table ``{"columns": names, "rows": _Columns}`` of numbers, the form
+    :func:`_write_table` hands over, is formatted a column at a time and
+    written in blocks of whole grid rows, to the same bytes.
     """
     table = payload["rows"] if isinstance(payload, dict) and payload.keys() == {"columns", "rows"} else None
-    if isinstance(table, np.ndarray) and table.ndim == 2:
-        table = _Columns(table.T)
     # the columns share one dtype, so the first tells the type
     if isinstance(table, _Columns) and table and table[0].dtype.kind in "iuf" and 0 not in table.shape:
         _write_text(Path(path), _json_table(payload["columns"], table))
@@ -637,12 +635,17 @@ def _flop_table(r, phis, p_e) -> tuple:
 # ---------------------------------------------------------------- runners
 
 
-def _maybe_trials(scenario, builder, r, report: dict) -> list:
+def _maybe_trials(scenario, r, report: dict, builder, *args) -> list:
+    """The trials table of ``builder`` with its leading ``args`` bound; none without a ``trials`` section.
+
+    The bound builder is a ``functools.partial``, which :func:`expsim.run_trials`
+    reads a block of intervals at a time for the builders of :mod:`scramsey.sequence`.
+    """
     cfg = scenario.get("trials")
     if cfg is None:
         return []
     noise, randomize = r.noise, cfg.get("randomize_phi", True)
-    stats = expsim.run_trials(builder, r.frames, noise, cfg["count"], r.intervals, randomize)
+    stats = expsim.run_trials(functools.partial(builder, *args), r.frames, noise, cfg["count"], r.intervals, randomize)
     header = ["T_seconds"] + [f"trial_{i:03d}" for i in range(stats.trials)] + ["mean", "std"]
     report["results"]["trials"] = {
         "count": stats.trials,
@@ -670,7 +673,7 @@ def _run_normal(scenario, r, report: dict) -> list:
     }
     # no scramble pulse fires here; the phi_S column just echoes the
     # configured frame phase so every fringe table shares one layout
-    return [_flop_table(r, r.frames.phi_s, p_e)] + _maybe_trials(scenario, ramsey, r, report)
+    return [_flop_table(r, r.frames.phi_s, p_e)] + _maybe_trials(scenario, r, report, ramsey)
 
 
 def _run_scrambled(scenario, r, report: dict) -> list:
@@ -683,8 +686,7 @@ def _run_scrambled(scenario, r, report: dict) -> list:
         "ambiguity": float(ranges.min()),
         "range_max": float(ranges.max()),
     }
-    builder = lambda interval: scrambled_ramsey(r.scramble_area, r.t1, interval)
-    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, builder, r, report)
+    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, r, report, scrambled_ramsey, r.scramble_area, r.t1)
 
 
 def _run_retrieved(scenario, r, report: dict) -> list:
@@ -706,8 +708,7 @@ def _run_retrieved(scenario, r, report: dict) -> list:
         "range_max": float((hi - lo).max()),
         "max_deviation_from_normal": float(np.maximum(hi - target, target - lo).max()),
     }
-    builder = lambda interval: retrieved_ramsey(r.scramble_area, r.t1, r.t2, interval)
-    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, builder, r, report)
+    return [_flop_table(r, family.phis, family.p_e)] + _maybe_trials(scenario, r, report, retrieved_ramsey, r.scramble_area, r.t1, r.t2)
 
 
 def _run_sdbv(scenario, r, report: dict) -> list:

@@ -1,5 +1,6 @@
 """Noise channels, trial ensembles, damped-sinusoid fitting."""
 
+import functools
 import itertools
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS, VARIANTS, _skip_reason, _variant
 
-from scramsey import _trf, analysis, expsim
+from scramsey import _trf, analysis, expsim, sequence
 from scramsey.analysis import FlopCurve, ambiguity_report, normal_flop, scrambled_flop, sdbv
 from scramsey.bloch import TWO_PI, excitation_probability, precess, wrap_angle
 from scramsey.errors import InvalidTimelineError
@@ -469,6 +470,18 @@ def test_a_runs_event_columns_are_views_of_its_table():
     assert (write.frame, read.frame) == (Frame.W, Frame.S)
 
 
+def test_a_package_builders_walk_of_one_interval_holds_the_floats_of_a_row():
+    # a block of one is built on a float, so its events are the Python floats _stacked gives a run of one
+    build, grid = functools.partial(retrieved_ramsey, 2.1, T1_REF, 3.3e-3), np.array([-0.0, 1e-3, 2e-3])
+    (events, duration, k), (last, last_duration, one) = expsim._built(build, grid, 2)
+    assert k == 2 and np.array_equal(events[5].duration, grid[:2]) and np.array_equal(duration, T1_REF + 3.3e-3 + grid[:2])
+    [(row, row_duration, _)] = expsim._stacked(expsim._kinds(build(2e-3)), iter([build(2e-3)]), 1)
+    assert one == 1 and np.array_equal(last_duration, row_duration)
+    for got, want in zip(last, row):
+        value, want_value = (got.duration, want.duration) if isinstance(got, Wait) else (got.area, want.area)
+        assert type(value) is float and value.hex() == want_value.hex()
+
+
 # (kind, value, constant): a value of "interval" grows with the interval, "signed_zero" is 0.0 or -0.0 by interval
 EVENTS = st.tuples(
     st.sampled_from(["W", "S", "wait"]),
@@ -543,14 +556,19 @@ def test_a_drawn_axis_just_below_zero_wraps_to_zero_as_wrap_angle_does():
     assert expsim._drawn_axis(-1e-300, 0.0) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("trials, noise", [(1, {}), (4, {"contrast_decay_tau": 0.05})], ids=["one_trial", "four_decay"])
-def test_a_long_grid_holds_one_row_per_interval_not_its_timelines(trials, noise):
-    # 65 536 intervals in runs of 16 384 // trials: a run's timelines alone would be ~18 MB at one trial
+@pytest.mark.parametrize(
+    "trials, noise, builder",
+    [(1, {}, ramsey), (4, {"contrast_decay_tau": 0.05}, ramsey), (1, {}, lambda T: ramsey(T))],
+    ids=["one_trial", "four_decay", "one_trial_lambda"],
+)
+def test_a_long_grid_holds_one_row_per_interval_not_its_timelines(trials, noise, builder):
+    # 65 536 intervals in runs of 16 384 // trials: a run's timelines alone would be ~18 MB at one trial; ramsey
+    # builds each walk as one timeline, and the lambda's timelines are read one float row per interval
     grid, model = np.linspace(0.0, 0.02, 65536), NoiseModel(seed=1, **noise)
-    run_trials(ramsey, None, model, trials, grid[:64])  # one-time allocations stay out of the peak
+    run_trials(builder, None, model, trials, grid[:64])  # one-time allocations stay out of the peak
     tracemalloc.start()
     try:
-        run_trials(ramsey, None, model, trials, grid)
+        run_trials(builder, None, model, trials, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -597,6 +615,66 @@ def test_run_trials_calls_the_builder_once_per_interval():
     builder = lambda T: calls.append(T) or scrambled_ramsey(np.pi, T1_REF, T)
     run_trials(builder, None, NoiseModel(seed=1, atom_count=10, phase_jitter_sigma=0.1), 7, T17)
     assert calls == [float(T) for T in T17]
+
+
+# a package builder, bare or with its leading arguments bound, and the same builder as a lambda
+BLOCK_BUILDERS = {
+    "ramsey": (ramsey, lambda T: ramsey(T)),
+    "scrambled": (functools.partial(scrambled_ramsey, 2.1, T1_REF), lambda T: scrambled_ramsey(2.1, T1_REF, T)),
+    "retrieved": (
+        functools.partial(retrieved_ramsey, 2.1, T1_REF, 3.3e-3),
+        lambda T: retrieved_ramsey(2.1, T1_REF, 3.3e-3, T),
+    ),
+}
+# 23 intervals from -0.0: one walk; walks of 20 + 3 or of 6, 6, 6 + 5; of 2 with a last one of 1, or of 1 at 3 trials
+BLOCK_GRID = np.concatenate([[-0.0], np.linspace(0.0, 2 * PERIOD, 23)[1:]])
+
+
+@pytest.mark.parametrize("budget", [None, 20, 2], ids=["one_walk", "budget_20", "budget_2"])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("randomize_phi", [True, False])
+@pytest.mark.parametrize("noise", REFERENCE_NOISE)
+@pytest.mark.parametrize("builder", BLOCK_BUILDERS)
+def test_a_package_builder_read_a_walk_at_a_time_gives_its_timelines_bits(builder, noise, randomize_phi, trials, budget):
+    block, per_interval = BLOCK_BUILDERS[builder]
+    frames = FrameSet(2 * np.pi * 97.0, 2 * np.pi * 103.0, 0.7)
+    model = NoiseModel(seed=31, **REFERENCE_NOISE[noise])
+    with mock.patch.object(expsim, "_BLOCK_STATES", budget or expsim._BLOCK_STATES):
+        got = run_trials(block, frames, model, trials, BLOCK_GRID, randomize_phi).samples
+        want = run_trials(per_interval, frames, model, trials, BLOCK_GRID, randomize_phi).samples
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _user_builder(scramble_area, interval):
+    return scrambled_ramsey(scramble_area, T1_REF, interval)
+
+
+@pytest.mark.parametrize(
+    "builder, blocks",
+    [
+        (ramsey, True),
+        (functools.partial(scrambled_ramsey, 2.1, T1_REF), True),
+        (functools.partial(retrieved_ramsey, 2.1, T1_REF, 3.3e-3), True),
+        (lambda T: scrambled_ramsey(2.1, T1_REF, T), False),
+        (functools.partial(_user_builder, 2.1), False),
+    ],
+    ids=["ramsey", "scrambled", "retrieved", "lambda", "user_partial"],
+)
+def test_only_a_package_builder_skips_the_per_interval_rows(builder, blocks):
+    # 17 intervals at 3 trials against a budget of 20 states: walks of 6, 6 and 5
+    refused = AssertionError("a package builder's timelines were read row by row")
+    stacked = mock.Mock(side_effect=refused if blocks else expsim._stacked)
+    timelines, model = mock.Mock(wraps=sequence.Timeline), NoiseModel(seed=2, phase_jitter_sigma=0.1)
+    with (
+        mock.patch.object(expsim, "_BLOCK_STATES", 20),
+        mock.patch.object(expsim, "_stacked", stacked),
+        mock.patch.object(sequence, "Timeline", timelines),
+    ):
+        stats = run_trials(builder, None, model, 3, T17)
+    assert stacked.called is not blocks
+    # one timeline for the run's kinds, then one per walk; any other builder is called once per interval
+    assert timelines.call_count == (1 + 3 if blocks else 17)
+    assert np.array_equal(stats.samples, run_trials(lambda T: builder(T), None, model, 3, T17).samples)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
@@ -765,7 +843,7 @@ def test_fit_rejects_a_start_outside_the_bounds_or_with_residuals_that_overflow(
     with pytest.raises(ValueError, match="^Initial guess is outside of provided bounds$"):
         fit_damped_sinusoid(x, y, guess=(np.nan, 1, 1, 1, 0))
     # exp(-x / decay_time) overflows at x < 0 for the decay time the start is clipped to
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^Residuals are not finite in the initial point\.$"):
+    with pytest.raises(ValueError, match=r"^Residuals are not finite in the initial point\.$"):
         fit_damped_sinusoid(x, y, guess=[0, 1, 1e-12, 1, 0])
 
 
