@@ -584,5 +584,13 @@ def fit_damped_sinusoid(x, y, guess: Sequence[float] | None = None, max_iteratio
         )
     offset, amplitude, decay_time, omega, phase = (float(v) for v in params)
     rms = float(np.sqrt(np.mean(fun**2)))
-    degenerate = amplitude <= 3.0 * rms
-    return FitResult(offset, amplitude, decay_time, omega, _wrap_centred(phase), rms, status > 0, degenerate)
+    return FitResult(
+        offset=offset,
+        amplitude=amplitude,
+        decay_time=decay_time,
+        angular_frequency=omega,
+        phase=_wrap_centred(phase),
+        residual_rms=rms,
+        converged=status > 0,
+        degenerate_amplitude=bool(amplitude <= 3.0 * rms),
+    )

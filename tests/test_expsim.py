@@ -558,8 +558,13 @@ def test_a_drawn_axis_just_below_zero_wraps_to_zero_as_wrap_angle_does():
 
 @pytest.mark.parametrize(
     "trials, noise, builder",
-    [(1, {}, ramsey), (4, {"contrast_decay_tau": 0.05}, ramsey), (1, {}, lambda T: ramsey(T))],
-    ids=["one_trial", "four_decay", "one_trial_lambda"],
+    [
+        (1, {}, ramsey),
+        (4, {"contrast_decay_tau": 0.05}, ramsey),
+        (1, {}, lambda T: ramsey(T)),
+        (4, {"contrast_decay_tau": 0.05}, lambda T: ramsey(T)),
+    ],
+    ids=["one_trial", "four_decay", "one_trial_lambda", "four_decay_lambda"],
 )
 def test_a_long_grid_holds_one_row_per_interval_not_its_timelines(trials, noise, builder):
     # 65 536 intervals in runs of 16 384 // trials: a run's timelines alone would be ~18 MB at one trial; ramsey

@@ -428,16 +428,17 @@ def test_json_table_matches_canonical_encoder(tmp_path, shape):
     rng = np.random.default_rng(5)
     table = rng.choice(np.array(EDGE_FLOATS), size=shape)
     header = ["T_seconds", "phi_\u03a9", 'q"uote'][: shape[1]]
-    write_json(tmp_path / "t.json", {"columns": header, "rows": table})
+    harness._write_table(tmp_path, "t", header, table.T, "json")
     assert (tmp_path / "t.json").read_text() == _row_list_json(header, table.tolist())
-    # the row-list form goes through the generic encoder and must agree
-    write_json(tmp_path / "rows.json", {"columns": header, "rows": table.tolist()})
-    assert (tmp_path / "rows.json").read_text() == (tmp_path / "t.json").read_text()
+    # the 2-D array and row-list forms go through the generic encoder and must agree
+    for rows in (table, table.tolist()):
+        write_json(tmp_path / "rows.json", {"columns": header, "rows": rows})
+        assert (tmp_path / "rows.json").read_text() == (tmp_path / "t.json").read_text()
 
 
 def test_json_table_writes_int_columns_as_ints(tmp_path):
     table = np.arange(-3, 3).reshape(3, 2)
-    write_json(tmp_path / "t.json", {"columns": ["a", "b"], "rows": table})
+    harness._write_table(tmp_path, "t", ["a", "b"], table.T, "json")
     assert (tmp_path / "t.json").read_text() == _row_list_json(["a", "b"], table.tolist())
 
 
@@ -473,7 +474,7 @@ def _assert_writers_match_a_single_pass_join(tmp_path, tables):
         write_csv(tmp_path / f"{name}.csv", header, table)
         assert (tmp_path / f"{name}.csv").read_text() == _per_value_csv(header, table), name
         if isinstance(table, np.ndarray):
-            write_json(tmp_path / f"{name}.json", {"columns": header, "rows": table})
+            harness._write_table(tmp_path, name, header, table.T, "json")
             assert (tmp_path / f"{name}.json").read_text() == _row_list_json(header, table.tolist()), name
 
 
